@@ -4,7 +4,7 @@
 DUNE ?= dune
 
 .PHONY: all build test bench bench-sim bench-smt-scale bench-shootout examples check clean \
-        serve-smoke verify verify-quick verify-baselines
+        serve-smoke race-smoke verify verify-quick verify-baselines
 
 all: build
 
@@ -102,6 +102,20 @@ serve-smoke:
 	$(DUNE) build bin/fastsc.exe
 	sh scripts/serve_smoke.sh
 
+# Concurrency smoke: two jobs-4 commands whose pool domains run library code
+# for the first time concurrently, 25 runs each; any non-zero exit fails.  A
+# module-level `lazy` forced for the first time from two domains at once
+# raises CamlinternalLazy.Undefined, which killed each command a few times in
+# thirty runs while the fault flags were lazy (docs/DESIGN.md §11).
+race-smoke:
+	$(DUNE) build bench/main.exe bin/fastsc.exe
+	@for i in $$(seq 1 25); do \
+	  ./_build/default/bench/main.exe --jobs 4 fig6 > /dev/null 2>&1 \
+	    || { echo "race-smoke: bench/main.exe --jobs 4 fig6 failed on run $$i"; exit 1; }; \
+	  FASTSC_JOBS=4 ./_build/default/bin/fastsc.exe sweep --bench xeb --size 4 > /dev/null 2>&1 \
+	    || { echo "race-smoke: FASTSC_JOBS=4 fastsc sweep failed on run $$i"; exit 1; }; \
+	done; echo "race-smoke: 25 runs of each command exited 0"
+
 # The PR gate: full build (warnings are errors, see the root `dune` env
 # stanza), then the whole test suite under both a serial and a parallel
 # domain pool — the determinism contract says results must not depend on
@@ -115,6 +129,7 @@ check:
 	$(MAKE) bench-smt-scale
 	$(MAKE) bench-shootout
 	$(MAKE) serve-smoke
+	$(MAKE) race-smoke
 
 # The layered PR gate (docs/DESIGN.md §11): tier R sweeps the property
 # suites over seeds x jobs x case counts, tier D runs the directed suites

@@ -53,6 +53,7 @@ let prop_suites =
     "prop_differential";
     "prop_sim";
     "prop_rivals";
+    "prop_hot_path";
   ]
 
 let rec mkdir_p dir =

@@ -20,29 +20,19 @@
 
 (* Seeded fault for the verification harness (docs/DESIGN.md §11): drop the
    conflict-pressure term, reducing SWAP selection to plain depth scoring. *)
-let fault_swap_score = lazy (Fault.enabled "cqc-swap-score")
+let fault_swap_score = Fault.enabled "cqc-swap-score"
 
 let route ?(window = 8) ?(lambda = 0.5) ?(crosstalk_distance = 1) device circuit =
   let graph = Device.graph device in
   let n_physical = Graph.n_vertices graph in
   if Circuit.n_qubits circuit <> n_physical then
     invalid_arg "Cqc_synergy.route: circuit must already be placed onto the device";
-  let lambda = if Lazy.force fault_swap_score then 0.0 else lambda in
+  let lambda = if fault_swap_score then 0.0 else lambda in
   let xg = Crosstalk_graph.build ~distance:crosstalk_distance graph in
   let phys_of_log = Array.init n_physical Fun.id in
   let log_of_phys = Array.init n_physical Fun.id in
   let dist = Paths.all_pairs graph in
-  let instrs = Circuit.instructions circuit in
-  let queues = Array.init n_physical (fun _ -> Queue.create ()) in
-  Array.iter
-    (fun app -> Array.iter (fun q -> Queue.add app.Gate.id queues.(q)) app.Gate.qubits)
-    instrs;
-  let ready app =
-    Array.for_all
-      (fun q -> (not (Queue.is_empty queues.(q))) && Queue.peek queues.(q) = app.Gate.id)
-      app.Gate.qubits
-  in
-  let remaining = ref (Array.length instrs) in
+  let frontier = Mapping.Frontier.create circuit in
   let b = Circuit.builder n_physical in
   let n_swaps = ref 0 in
   let conflict_total = ref 0 in
@@ -53,6 +43,14 @@ let route ?(window = 8) ?(lambda = 0.5) ?(crosstalk_distance = 1) device circuit
   let burst = ref [] in
   let fresh = ref false in
   let coupling_vertex p q = Crosstalk_graph.vertex_of_pair xg (min p q, max p q) in
+  let emittable app =
+    match app.Gate.qubits with
+    | [| _ |] -> true
+    | [| a; bq |] ->
+      let d = dist.(phys_of_log.(a)).(phys_of_log.(bq)) in
+      if d < 0 then invalid_arg "Cqc_synergy.route: operands are disconnected" else d = 1
+    | _ -> false
+  in
   let emit app =
     if !fresh then begin
       burst := [];
@@ -60,9 +58,7 @@ let route ?(window = 8) ?(lambda = 0.5) ?(crosstalk_distance = 1) device circuit
     end;
     let mapped = List.map (fun q -> phys_of_log.(q)) (Array.to_list app.Gate.qubits) in
     Circuit.add b app.Gate.gate mapped;
-    (match mapped with [ p; q ] -> burst := coupling_vertex p q :: !burst | _ -> ());
-    Array.iter (fun q -> ignore (Queue.pop queues.(q))) app.Gate.qubits;
-    decr remaining
+    match mapped with [ p; q ] -> burst := coupling_vertex p q :: !burst | _ -> ()
   in
   let apply_swap p q =
     Circuit.add b Gate.Swap [ p; q ];
@@ -77,56 +73,17 @@ let route ?(window = 8) ?(lambda = 0.5) ?(crosstalk_distance = 1) device circuit
   in
   let pair_distance (a, bq) = dist.(phys_of_log.(a)).(phys_of_log.(bq)) in
   let gate_pair app = (app.Gate.qubits.(0), app.Gate.qubits.(1)) in
-  let swap_budget = 4 * Array.length instrs * (Paths.diameter graph + n_physical + 2) in
-  while !remaining > 0 do
+  let swap_budget = 4 * Circuit.length circuit * (Paths.diameter graph + n_physical + 2) in
+  while not (Mapping.Frontier.is_done frontier) do
     (* flush everything currently executable *)
     fresh := true;
-    let progress = ref true in
-    while !progress do
-      progress := false;
-      Array.iter
-        (fun app ->
-          if ready app then
-            match app.Gate.qubits with
-            | [| _ |] ->
-              emit app;
-              progress := true
-            | [| a; bq |] ->
-              let d = dist.(phys_of_log.(a)).(phys_of_log.(bq)) in
-              if d < 0 then invalid_arg "Cqc_synergy.route: operands are disconnected"
-              else if d = 1 then begin
-                emit app;
-                progress := true
-              end
-            | _ -> ())
-        instrs
-    done;
-    if !remaining > 0 then begin
+    Mapping.Frontier.flush frontier ~emittable ~emit;
+    if not (Mapping.Frontier.is_done frontier) then begin
       if !n_swaps > swap_budget then
         failwith "Cqc_synergy.route: swap budget exhausted (routing livelock)";
-      let front =
-        Array.to_list instrs
-        |> List.filter (fun app ->
-               Array.length app.Gate.qubits = 2 && ready app && pair_distance (gate_pair app) > 1)
-        |> List.map gate_pair
-      in
+      let front = List.map gate_pair (Mapping.Frontier.ready frontier) in
       assert (front <> []);
-      let upcoming =
-        let acc = ref [] and count = ref 0 in
-        Array.iter
-          (fun app ->
-            if
-              !count < window
-              && Array.length app.Gate.qubits = 2
-              && (not (Queue.is_empty queues.(app.Gate.qubits.(0))))
-              && Queue.peek queues.(app.Gate.qubits.(0)) <= app.Gate.id
-            then begin
-              acc := gate_pair app :: !acc;
-              incr count
-            end)
-          instrs;
-        List.rev !acc
-      in
+      let upcoming = List.map gate_pair (Mapping.Frontier.upcoming frontier window) in
       let score () =
         List.fold_left (fun acc pair -> acc +. float_of_int (pair_distance pair)) 0.0 front
         +. (0.5

@@ -1,6 +1,7 @@
 type t = {
   graph : Graph.t;
   edge_of_vertex : (int * int) array;
+  index : Line_graph.edge_index;
   distance : int;
 }
 
@@ -59,9 +60,9 @@ let build ?(distance = 1) connectivity =
       connect_from u1;
       connect_from v1)
     edge_of_vertex;
-  { graph = line; edge_of_vertex; distance }
+  { graph = line; edge_of_vertex; index = Line_graph.index n edge_of_vertex; distance }
 
-let vertex_of_pair t pair = Line_graph.vertex_of_edge t.edge_of_vertex pair
+let vertex_of_pair t pair = Line_graph.vertex_of_edge t.index pair
 
 let conflict_count t v active =
   List.fold_left

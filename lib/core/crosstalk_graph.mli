@@ -11,6 +11,7 @@ type t = {
   graph : Graph.t;  (** The crosstalk graph itself. *)
   edge_of_vertex : (int * int) array;
       (** Vertex [i] corresponds to this device coupling. *)
+  index : Line_graph.edge_index;  (** [edge_of_vertex] inverted, for {!vertex_of_pair}. *)
   distance : int;  (** The [d] it was built with. *)
 }
 
@@ -20,7 +21,10 @@ val build : ?distance:int -> Graph.t -> t
     @raise Invalid_argument if [distance < 1]. *)
 
 val vertex_of_pair : t -> int * int -> int
-(** Index of a device coupling (either endpoint order).
+(** Index of a device coupling (either endpoint order), from the index
+    [build] makes: the schedulers ask this several times per two-qubit gate
+    per moment, so it costs at most the degree of the smaller endpoint, not
+    a scan of every coupling.
     @raise Not_found if the pair is not a coupling. *)
 
 val conflict_count : t -> int -> int list -> int

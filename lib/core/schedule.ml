@@ -67,15 +67,20 @@ let pair_coupling t step (a, b) =
   | Fixed_coupler -> g0
   | Tunable_coupler eta -> if pair_interacting step (a, b) then g0 else eta *. g0
 
-(* Flux-noise-induced control error for one qubit operating at [freq] for
-   [duration] ns: frequency jitter = sensitivity * flux noise, accumulated as
-   a coherent phase error. *)
-let flux_error device q ~freq ~duration =
+(* Flux-noise frequency jitter of qubit [q] operating at [freq]: the
+   transmon's flux sensitivity at that operating point times the flux noise.
+   Finding the operating point inverts the flux curve by bisection, which is
+   why evaluation memoizes this per (qubit, frequency) — see [memo]. *)
+let jitter device q freq =
   let tr = Device.transmon device q in
   let freq_clamped = Float.max tr.Transmon.omega_min (Float.min tr.Transmon.omega_max freq) in
   let flux = Transmon.flux_for_freq tr freq_clamped in
   let sensitivity = Transmon.flux_sensitivity tr ~flux in
-  let jitter = sensitivity *. (Device.params device).Device.flux_noise in
+  sensitivity *. (Device.params device).Device.flux_noise
+
+(* Control error of [duration] ns at that jitter, accumulated as a coherent
+   phase error. *)
+let flux_error ~jitter ~duration =
   let phase = 2.0 *. Float.pi *. jitter *. duration in
   Float.min 0.5 (phase *. phase /. 4.0)
 
@@ -103,10 +108,50 @@ let spectators t ~crosstalk_distance (a, b) =
   done;
   !acc
 
+(* The repeated work of one evaluation, done once per distinct key.  A
+   schedule parks each qubit at one idle frequency and drives it at a few
+   interaction frequencies, so the jitter table holds a handful of entries
+   per qubit where the steps ask for it once per gate operand; the
+   spectator list of a gate depends only on its ordered operand pair, where
+   computing it scans every device qubit.  The tables belong to one
+   [evaluate] or [step_errors] call: their keys (exact frequency, ordered
+   pair) fix their values within it, so a hit returns exactly what the
+   computation would, and nothing outlives the call — no lock, no size
+   bound, no state shared between domains. *)
+type memo = {
+  jitters : (float * float) list array;  (* per qubit: (frequency, jitter) *)
+  spectator_lists : (int * (int * int) list) list array;
+      (* per first operand a: (second operand b, spectators of (a, b)) *)
+}
+
+let memo_create t =
+  let n = Device.n_qubits t.device in
+  { jitters = Array.make n []; spectator_lists = Array.make n [] }
+
+let memo_jitter memo device q freq =
+  let rec find = function
+    | (f, j) :: rest -> if Float.equal f freq then j else find rest
+    | [] ->
+      let j = jitter device q freq in
+      memo.jitters.(q) <- (freq, j) :: memo.jitters.(q);
+      j
+  in
+  find memo.jitters.(q)
+
+let memo_spectators memo t ~crosstalk_distance a b =
+  let rec find = function
+    | (b', s) :: rest -> if b' = b then s else find rest
+    | [] ->
+      let s = spectators t ~crosstalk_distance (a, b) in
+      memo.spectator_lists.(a) <- (b, s) :: memo.spectator_lists.(a);
+      s
+  in
+  find memo.spectator_lists.(a)
+
 (* Fold one step's gate-control and crosstalk error terms into the
    accumulators — shared by whole-schedule evaluation and the per-step
    error budget. *)
-let accumulate_step t ~worst_case ~crosstalk_distance gate_acc xtalk_acc step =
+let accumulate_step t memo ~worst_case ~crosstalk_distance gate_acc xtalk_acc step =
   let params = Device.params t.device in
   let alpha q = Transmon.anharmonicity (Device.transmon t.device q) in
   List.iter
@@ -119,8 +164,8 @@ let accumulate_step t ~worst_case ~crosstalk_distance gate_acc xtalk_acc step =
       Success.add_error gate_acc base;
       Array.iter
         (fun q ->
-          Success.add_error gate_acc
-            (flux_error t.device q ~freq:step.freqs.(q) ~duration:step.duration))
+          let jitter = memo_jitter memo t.device q step.freqs.(q) in
+          Success.add_error gate_acc (flux_error ~jitter ~duration:step.duration))
         app.Gate.qubits;
       (* Crosstalk of a two-qubit gate through its spectator couplings
          (eq 6 generalised to all resonance channels). *)
@@ -140,26 +185,27 @@ let accumulate_step t ~worst_case ~crosstalk_distance gate_acc xtalk_acc step =
                   (Crosstalk.pair_error ~worst_case ~alpha_a:(alpha x) ~alpha_b:(alpha y)
                      ~g ~omega_a:step.freqs.(x) ~omega_b:step.freqs.(y) ~t:step.duration ())
             end)
-          (spectators t ~crosstalk_distance (a, b))
+          (memo_spectators memo t ~crosstalk_distance a b)
       | _ -> ())
     step.gates
 
 let step_errors ?(worst_case = false) ?(crosstalk_distance = 1) t step =
   let gate_acc = Success.create () in
   let xtalk_acc = Success.create () in
-  accumulate_step t ~worst_case ~crosstalk_distance gate_acc xtalk_acc step;
+  accumulate_step t (memo_create t) ~worst_case ~crosstalk_distance gate_acc xtalk_acc step;
   (1.0 -. Success.probability gate_acc, 1.0 -. Success.probability xtalk_acc)
 
 (* Seeded fault for the verification harness (docs/DESIGN.md §11). *)
-let fault_xtalk_drop = lazy (Fault.enabled "sched-xtalk-drop")
+let fault_xtalk_drop = Fault.enabled "sched-xtalk-drop"
 
 let evaluate ?(worst_case = false) ?(crosstalk_distance = 1)
     ?(decoherence = Decoherence.Exponential) ?coherence t =
   let gate_acc = Success.create () in
   let xtalk_acc = Success.create () in
   let dec_acc = Success.create () in
-  List.iter (accumulate_step t ~worst_case ~crosstalk_distance gate_acc xtalk_acc) t.steps;
-  let xtalk_acc = if Lazy.force fault_xtalk_drop then Success.create () else xtalk_acc in
+  let memo = memo_create t in
+  List.iter (accumulate_step t memo ~worst_case ~crosstalk_distance gate_acc xtalk_acc) t.steps;
+  let xtalk_acc = if fault_xtalk_drop then Success.create () else xtalk_acc in
   let duration = total_time t in
   let qubit_coherence =
     match coherence with

@@ -14,7 +14,15 @@ val build : Graph.t -> Graph.t * (int * int) array
     The edge array is in the order of {!Graph.edges}, so indices are stable
     and reproducible. *)
 
-val vertex_of_edge : (int * int) array -> int * int -> int
-(** Inverse lookup into the [edge_of_vertex] array; accepts either endpoint
-    order.
+type edge_index
+(** Inverse of an [edge_of_vertex] array, for {!vertex_of_edge}. *)
+
+val index : int -> (int * int) array -> edge_index
+(** [index n edge_of_vertex] indexes the edges of a graph on [n] vertices by
+    their smaller endpoint, in O(n + m). *)
+
+val vertex_of_edge : edge_index -> int * int -> int
+(** Inverse lookup into the indexed [edge_of_vertex] array; accepts either
+    endpoint order.  Scans only the edges at the smaller endpoint, so a
+    lookup costs at most its degree — constant on a device graph.
     @raise Not_found if the pair is not an edge of the original graph. *)

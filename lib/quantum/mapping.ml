@@ -187,6 +187,95 @@ let route ?placement device circuit =
     n_swaps = !n_swaps;
   }
 
+module Frontier = struct
+  module Ids = Set.Make (Int)
+
+  type t = {
+    instrs : Gate.application array;
+    queues : int Queue.t array;  (* per qubit: positions of its unemitted instructions *)
+    emitted : bool array;
+    mutable ready : Ids.t;  (* positions heading the queue of every operand *)
+    mutable first_unemitted : int;
+  }
+
+  let head t q = if Queue.is_empty t.queues.(q) then -1 else Queue.peek t.queues.(q)
+
+  let is_ready t i = Array.for_all (fun q -> head t q = i) t.instrs.(i).Gate.qubits
+
+  let create circuit =
+    let instrs = Circuit.instructions circuit in
+    let queues = Array.init (Circuit.n_qubits circuit) (fun _ -> Queue.create ()) in
+    Array.iteri (fun i app -> Array.iter (fun q -> Queue.add i queues.(q)) app.Gate.qubits) instrs;
+    let t =
+      {
+        instrs;
+        queues;
+        emitted = Array.make (Array.length instrs) false;
+        ready = Ids.empty;
+        first_unemitted = 0;
+      }
+    in
+    Array.iteri (fun i _ -> if is_ready t i then t.ready <- Ids.add i t.ready) instrs;
+    t
+
+  let is_done t = t.first_unemitted = Array.length t.instrs
+
+  (* Mark [i] emitted and return the positions it made ready. *)
+  let retire t i =
+    t.emitted.(i) <- true;
+    t.ready <- Ids.remove i t.ready;
+    while t.first_unemitted < Array.length t.instrs && t.emitted.(t.first_unemitted) do
+      t.first_unemitted <- t.first_unemitted + 1
+    done;
+    let operands = t.instrs.(i).Gate.qubits in
+    Array.iter (fun q -> ignore (Queue.pop t.queues.(q))) operands;
+    Array.fold_left
+      (fun fresh q ->
+        let j = head t q in
+        if j >= 0 && (not (Ids.mem j t.ready)) && is_ready t j then begin
+          t.ready <- Ids.add j t.ready;
+          j :: fresh
+        end
+        else fresh)
+      [] operands
+
+  (* Emission at position [i] makes ready only the next instructions on
+     [i]'s qubits, and those all come after [i] in program order.  So
+     visiting the ready positions in ascending order, each newly readied
+     position joining the visit, emits the same instructions in the same
+     order as sweeping the whole instruction array in program order until
+     a sweep emits nothing: a sweep reaches everything an emission readies
+     later in the same sweep, and every sweep after the first emits
+     nothing, because [emittable] does not change during a flush. *)
+  let flush t ~emittable ~emit =
+    let rec visit pending =
+      match Ids.min_elt_opt pending with
+      | None -> ()
+      | Some i ->
+        let pending = Ids.remove i pending in
+        let app = t.instrs.(i) in
+        if emittable app then begin
+          emit app;
+          visit (List.fold_left (fun pending j -> Ids.add j pending) pending (retire t i))
+        end
+        else visit pending
+    in
+    visit t.ready
+
+  let ready t = List.map (fun i -> t.instrs.(i)) (Ids.elements t.ready)
+
+  let upcoming t k =
+    let rec scan i k acc =
+      if k = 0 || i >= Array.length t.instrs then List.rev acc
+      else
+        let app = t.instrs.(i) in
+        if (not t.emitted.(i)) && Array.length app.Gate.qubits = 2 then
+          scan (i + 1) (k - 1) (app :: acc)
+        else scan (i + 1) k acc
+    in
+    scan t.first_unemitted k []
+end
+
 let route_lookahead ?placement ?(window = 8) device circuit =
   let placement =
     match placement with Some p -> p | None -> identity_placement device circuit
@@ -205,27 +294,22 @@ let route_lookahead ?placement ?(window = 8) device circuit =
       log_of_phys.(physical) <- logical)
     phys_of_log;
   let dist = Paths.all_pairs device in
-  let instrs = Circuit.instructions circuit in
-  (* per-qubit program-order queues: an instruction is ready when it heads
-     the queue of each of its operands *)
-  let queues = Array.init n_logical (fun _ -> Queue.create ()) in
-  Array.iter
-    (fun app -> Array.iter (fun q -> Queue.add app.Gate.id queues.(q)) app.Gate.qubits)
-    instrs;
-  let ready app =
-    Array.for_all
-      (fun q -> (not (Queue.is_empty queues.(q))) && Queue.peek queues.(q) = app.Gate.id)
-      app.Gate.qubits
-  in
-  let remaining = ref (Array.length instrs) in
+  let frontier = Frontier.create circuit in
   let b = Circuit.builder n_physical in
   let n_swaps = ref 0 in
   let last_swap = ref (-1, -1) in
+  (* executable now: one-qubit gates, and two-qubit gates on coupled qubits *)
+  let emittable app =
+    match app.Gate.qubits with
+    | [| _ |] -> true
+    | [| a; bq |] ->
+      let d = dist.(phys_of_log.(a)).(phys_of_log.(bq)) in
+      if d < 0 then invalid_arg "Mapping.route_lookahead: operands are disconnected" else d = 1
+    | _ -> false
+  in
   let emit app =
     Circuit.add b app.Gate.gate
-      (List.map (fun q -> phys_of_log.(q)) (Array.to_list app.Gate.qubits));
-    Array.iter (fun q -> ignore (Queue.pop queues.(q))) app.Gate.qubits;
-    decr remaining
+      (List.map (fun q -> phys_of_log.(q)) (Array.to_list app.Gate.qubits))
   in
   let apply_swap p q =
     Circuit.add b Gate.Swap [ p; q ];
@@ -239,58 +323,18 @@ let route_lookahead ?placement ?(window = 8) device circuit =
   in
   let pair_distance (a, bq) = dist.(phys_of_log.(a)).(phys_of_log.(bq)) in
   let gate_pair app = (app.Gate.qubits.(0), app.Gate.qubits.(1)) in
-  let swap_budget = 4 * Array.length instrs * (Paths.diameter device + n_physical + 2) in
-  while !remaining > 0 do
+  let swap_budget = 4 * Circuit.length circuit * (Paths.diameter device + n_physical + 2) in
+  while not (Frontier.is_done frontier) do
     (* flush everything currently executable *)
-    let progress = ref true in
-    while !progress do
-      progress := false;
-      Array.iter
-        (fun app ->
-          if ready app then
-            match app.Gate.qubits with
-            | [| _ |] ->
-              emit app;
-              progress := true
-            | [| a; bq |] ->
-              let d = dist.(phys_of_log.(a)).(phys_of_log.(bq)) in
-              if d < 0 then
-                invalid_arg "Mapping.route_lookahead: operands are disconnected"
-              else if d = 1 then begin
-                emit app;
-                progress := true
-              end
-            | _ -> ())
-        instrs
-    done;
-    if !remaining > 0 then begin
+    Frontier.flush frontier ~emittable ~emit;
+    if not (Frontier.is_done frontier) then begin
       if !n_swaps > swap_budget then
         failwith "Mapping.route_lookahead: swap budget exhausted (routing livelock)";
       (* blocked on distant two-qubit gates: pick a SWAP *)
-      let front =
-        Array.to_list instrs
-        |> List.filter (fun app ->
-               Array.length app.Gate.qubits = 2 && ready app && pair_distance (gate_pair app) > 1)
-        |> List.map gate_pair
-      in
+      let front = List.map gate_pair (Frontier.ready frontier) in
       assert (front <> []);
       (* the next [window] two-qubit gates still pending, in program order *)
-      let upcoming =
-        let acc = ref [] and count = ref 0 in
-        Array.iter
-          (fun app ->
-            if
-              !count < window
-              && Array.length app.Gate.qubits = 2
-              && (not (Queue.is_empty queues.(app.Gate.qubits.(0))))
-              && Queue.peek queues.(app.Gate.qubits.(0)) <= app.Gate.id
-            then begin
-              acc := gate_pair app :: !acc;
-              incr count
-            end)
-          instrs;
-        List.rev !acc
-      in
+      let upcoming = List.map gate_pair (Frontier.upcoming frontier window) in
       let score () =
         List.fold_left (fun acc pair -> acc +. float_of_int (pair_distance pair)) 0.0 front
         +. (0.5

@@ -41,6 +41,37 @@ val route : ?placement:int array -> Graph.t -> Circuit.t -> result
     @raise Invalid_argument if the device graph is disconnected where needed
     or smaller than the circuit. *)
 
+(** The pending instructions of a circuit being routed: which have been
+    emitted, and which are {e ready} — first in program order on every
+    operand, so nothing earlier still waits on their qubits.  Shared by
+    {!route_lookahead} and the CQC-style router in [Fastsc_core]. *)
+module Frontier : sig
+  type t
+
+  val create : Circuit.t -> t
+  (** Nothing emitted yet. *)
+
+  val is_done : t -> bool
+  (** Every instruction has been emitted. *)
+
+  val flush :
+    t -> emittable:(Gate.application -> bool) -> emit:(Gate.application -> unit) -> unit
+  (** Emit every ready instruction [emittable] accepts, and every one that
+      becomes ready and accepted as a result, until none is left, in
+      program order — the order of sweeping the whole circuit until a sweep
+      emits nothing, but each emission costs a ready-set update instead of
+      a sweep.  [emittable] must not change its answer during a flush (the
+      routers swap only between flushes). *)
+
+  val ready : t -> Gate.application list
+  (** The ready instructions, in program order; right after a {!flush}, the
+      ones [emittable] refused. *)
+
+  val upcoming : t -> int -> Gate.application list
+  (** [upcoming t k] is the first [k] unemitted two-qubit instructions in
+      program order, scanned from the first unemitted instruction. *)
+end
+
 val route_lookahead : ?placement:int array -> ?window:int -> Graph.t -> Circuit.t -> result
 (** SABRE-style lookahead routing: instead of walking each distant gate along
     its own shortest path, candidate SWAPs are scored against the whole

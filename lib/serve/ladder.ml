@@ -29,7 +29,7 @@ let tier_name = function
 (* Seeded fault for the verification harness (DESIGN.md §11): label the
    response with the first tier attempted instead of the one that actually
    produced the witness. *)
-let fault_ladder_tier = lazy (Fault.enabled "serve-ladder-tier")
+let fault_ladder_tier = Fault.enabled "serve-ladder-tier"
 
 (* -- the stale-witness cache ------------------------------------------------- *)
 
@@ -114,7 +114,7 @@ let compile ?default_deadline_ms (req : Protocol.request) =
   let finish producing (algorithm, metrics) =
     let tried = List.rev !attempts in
     let reported =
-      if Lazy.force fault_ladder_tier then
+      if fault_ladder_tier then
         match tried with a :: _ -> a.Protocol.a_tier | [] -> tier_name producing
       else tier_name producing
     in

@@ -13,11 +13,11 @@ let epsilon = 1e-9
 (* Seeded faults for the verification harness (docs/DESIGN.md §11): each is a
    deliberate bug, off unless FASTSC_FAULT selects it, that the test suite
    must demonstrably catch. *)
-let fault_resolve_flip = lazy (Fastsc_util.Fault.enabled "smt-resolve-flip")
+let fault_resolve_flip = Fastsc_util.Fault.enabled "smt-resolve-flip"
 
-let fault_sideband_skip = lazy (Fastsc_util.Fault.enabled "smt-sideband-skip")
+let fault_sideband_skip = Fastsc_util.Fault.enabled "smt-sideband-skip"
 
-let fault_deadline_skip = lazy (Fastsc_util.Fault.enabled "smt-deadline-skip")
+let fault_deadline_skip = Fastsc_util.Fault.enabled "smt-deadline-skip"
 
 (* Cooperative cancellation for the serve layer's request budgets: every
    search loop polls the ambient deadline at chunk boundaries (once per
@@ -30,7 +30,7 @@ let fault_deadline_skip = lazy (Fastsc_util.Fault.enabled "smt-deadline-skip")
 let deadline_poll_mask = 255
 
 let deadline_check site =
-  if not (Lazy.force fault_deadline_skip) then Fastsc_util.Deadline.check ~site ()
+  if not fault_deadline_skip then Fastsc_util.Deadline.check ~site ()
 
 let create ?(lo = 0.0) ?(hi = 1.0) n =
   if n < 0 then invalid_arg "Smt.create: negative variable count";
@@ -80,7 +80,7 @@ let blocked_intervals t ~delta placed v =
 
 (* Self-sideband constraints |offset| >= delta do not depend on the values. *)
 let self_constraints_ok t ~delta =
-  Lazy.force fault_sideband_skip
+  fault_sideband_skip
   || List.for_all
        (fun { i; j; offset } -> i <> j || Float.abs offset +. epsilon >= delta)
        t.seps
@@ -102,10 +102,9 @@ let self_constraints_ok t ~delta =
 let resolve_upward intervals ~hi start =
   let value = ref start in
   let bmax = ref neg_infinity in
-  let flipped = Lazy.force fault_resolve_flip in
   List.iter
     (fun (a, b) ->
-      let live = if flipped then b < !bmax -. epsilon else b >= !bmax -. epsilon in
+      let live = if fault_resolve_flip then b < !bmax -. epsilon else b >= !bmax -. epsilon in
       if live then begin
         if !value > a +. epsilon && !value < b -. epsilon then value := b;
         if b > !bmax then bmax := b

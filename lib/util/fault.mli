@@ -6,10 +6,11 @@
     suites and asserts at least one of them fails — a mutation-style check
     that the test suite would actually catch a regression of that shape.
 
-    With [FASTSC_FAULT] unset every site takes its correct path; sites cache
-    the decision in a module-level [lazy], so the correct path pays one
-    forced-lazy read per call and nothing re-reads the environment in a hot
-    loop. *)
+    With [FASTSC_FAULT] unset every site takes its correct path; sites bind
+    the decision to a module-level [bool] at initialisation (never a [lazy],
+    which is unsafe to force for the first time from concurrent domains), so
+    the correct path pays one load per call and nothing re-reads the
+    environment in a hot loop. *)
 
 type spec = {
   name : string;  (** The [FASTSC_FAULT] value that activates the fault. *)
@@ -29,9 +30,9 @@ val names : string list
 val find : string -> spec option
 
 val active : unit -> string option
-(** The fault selected by [FASTSC_FAULT], resolved once per process.  Exits
-    with code 2 on an unknown name — a typo must not silently inject
-    nothing. *)
+(** The fault selected by [FASTSC_FAULT], resolved once per process when
+    this module is initialised.  The process exits with code 2 on an unknown
+    name — a typo must not silently inject nothing. *)
 
 val enabled : string -> bool
 (** [enabled name] is true when [FASTSC_FAULT] selects [name].

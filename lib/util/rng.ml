@@ -17,10 +17,10 @@ let int64 t =
   Int64.logxor z (Int64.shift_right_logical z 31)
 
 (* Seeded fault for the verification harness (docs/DESIGN.md §11). *)
-let fault_split_alias = lazy (Fault.enabled "rng-split-alias")
+let fault_split_alias = Fault.enabled "rng-split-alias"
 
 let split t =
-  if Lazy.force fault_split_alias then { state = t.state }
+  if fault_split_alias then { state = t.state }
   else begin
     let seed = int64 t in
     { state = seed }

@@ -55,7 +55,7 @@ let save ?(attempts = 3) ~path ~version payload =
 
 (* Seeded fault for the verification harness (docs/DESIGN.md §11): load a
    snapshot without validating its checksum. *)
-let fault_checksum_skip = lazy (Fault.enabled "snapshot-checksum-skip")
+let fault_checksum_skip = Fault.enabled "snapshot-checksum-skip"
 
 let quarantine ~path reason =
   (try Unix.rename path (path ^ ".corrupt") with Unix.Unix_error _ | Sys_error _ -> ());
@@ -80,7 +80,7 @@ let load ~path ~version =
           quarantine ~path (Printf.sprintf "unsupported snapshot format %d" fmt)
         else if v <> version then
           quarantine ~path (Printf.sprintf "payload version %d (expected %d)" v version)
-        else if (not (Lazy.force fault_checksum_skip)) && fnv64 body <> sum then
+        else if (not fault_checksum_skip) && fnv64 body <> sum then
           quarantine ~path "checksum mismatch"
         else (
           match Json.parse body with

@@ -34,10 +34,18 @@ let test_adjacency_semantics () =
 let test_vertex_of_edge () =
   let g = (Topology.path 4).Topology.graph in
   let _, edges = Line_graph.build g in
-  let idx = Line_graph.vertex_of_edge edges (2, 1) in
+  let index = Line_graph.index 4 edges in
+  let idx = Line_graph.vertex_of_edge index (2, 1) in
   check_true "lookup accepts reversed order" (edges.(idx) = (1, 2));
-  Alcotest.check_raises "missing edge" Not_found (fun () ->
-      ignore (Line_graph.vertex_of_edge edges (0, 3)))
+  Array.iteri
+    (fun i (u, v) ->
+      check_int "every edge maps back to its vertex" i (Line_graph.vertex_of_edge index (v, u)))
+    edges;
+  List.iter
+    (fun pair ->
+      Alcotest.check_raises "missing edge" Not_found (fun () ->
+          ignore (Line_graph.vertex_of_edge index pair)))
+    [ (0, 3); (1, 1); (-1, 0); (3, 4) ]
 
 let prop_line_graph_size =
   (* m(L(G)) = sum over vertices of C(deg, 2) *)
