@@ -19,9 +19,14 @@ bench:
 
 # Simulation-kernel microbenchmark (flat vs boxed, trajectories, density).
 # The env knobs shrink it to a smoke run for `make check`; unset them for
-# real measurements (defaults: 16 qubits, 200 trials, 300 ms budget).
+# real measurements (defaults: 16 qubits, 200 trials, 300 ms budget).  It
+# runs inside _build/sim_smoke/, so the smoke-sized BENCH_sim.json it writes
+# never replaces the one committed in the working tree.
 bench-sim:
 	$(DUNE) build bench/main.exe
+	rm -rf _build/sim_smoke
+	mkdir -p _build/sim_smoke
+	cd _build/sim_smoke && \
 	FASTSC_SIM_QUBITS=$${FASTSC_SIM_QUBITS:-6} \
 	FASTSC_SIM_BIG_QUBITS=$${FASTSC_SIM_BIG_QUBITS:-8} \
 	FASTSC_SIM_CYCLES=$${FASTSC_SIM_CYCLES:-2} \
@@ -29,7 +34,7 @@ bench-sim:
 	FASTSC_SIM_TRAJ_QUBITS=$${FASTSC_SIM_TRAJ_QUBITS:-4} \
 	FASTSC_SIM_DENSITY_QUBITS=$${FASTSC_SIM_DENSITY_QUBITS:-4} \
 	FASTSC_SIM_BUDGET_MS=$${FASTSC_SIM_BUDGET_MS:-20} \
-	$(DUNE) exec bench/main.exe -- sim > /dev/null
+	$(CURDIR)/_build/default/bench/main.exe sim > /dev/null
 
 # SMT scaling smoke run: a tiny mesh sweep under FASTSC_JOBS=1 and 4 with
 # every wall-clock field scrubbed — the two JSON files must be byte-identical

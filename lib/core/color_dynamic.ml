@@ -71,32 +71,31 @@ let run ?(crosstalk_distance = 1) ?(max_colors = None) ?(conflict_threshold = 4)
           end
         end)
       (Pending.ready pending);
-    (* Lines 17-19: color the active subgraph of the crosstalk graph. *)
-    let subgraph = Crosstalk_graph.active_subgraph xg !active in
+    (* Lines 17-19: color the active subgraph of the crosstalk graph, built
+       from the active couplings alone (local vertex i is couplings.(i)). *)
+    let subgraph, couplings = Crosstalk_graph.moment_subgraph xg !active in
     let raw_coloring = colorer subgraph in
     (* Compact the colors appearing on active vertices to 0..k-1, largest
        class first so a color cap keeps the busiest classes. *)
-    let class_size = Hashtbl.create 8 in
-    List.iter
-      (fun v ->
-        let c = raw_coloring.(v) in
-        Hashtbl.replace class_size c (1 + Option.value ~default:0 (Hashtbl.find_opt class_size c)))
-      !active;
+    let class_size = Array.make (Coloring.n_colors raw_coloring) 0 in
+    Array.iter (fun c -> class_size.(c) <- class_size.(c) + 1) raw_coloring;
     let classes_by_size =
-      List.sort
-        (fun (c1, n1) (c2, n2) -> match compare n2 n1 with 0 -> compare c1 c2 | c -> c)
-        (Hashtbl.fold (fun c n acc -> (c, n) :: acc) class_size [])
+      List.init (Array.length class_size) Fun.id
+      |> List.filter (fun c -> class_size.(c) > 0)
+      |> List.sort (fun c1 c2 ->
+             match compare class_size.(c2) class_size.(c1) with 0 -> compare c1 c2 | c -> c)
     in
-    let compact = Hashtbl.create 8 in
-    List.iteri (fun i (c, _) -> Hashtbl.replace compact c i) classes_by_size;
+    let compact = Array.make (Array.length class_size) 0 in
+    List.iteri (fun i c -> compact.(c) <- i) classes_by_size;
+    let color = Hashtbl.create 16 in
+    Array.iteri (fun i v -> Hashtbl.replace color v compact.(raw_coloring.(i))) couplings;
+    let color_of v = Hashtbl.find color v in
     (* Apply the color cap: postpone gates whose compact color exceeds it. *)
     let cap = match max_colors with Some k -> k | None -> max_int in
     let keep_gate app =
       match app.Gate.qubits with
       | [| a; b |] ->
-        let v = Crosstalk_graph.vertex_of_pair xg (a, b) in
-        let c = Hashtbl.find compact raw_coloring.(v) in
-        if c < cap then true
+        if color_of (Crosstalk_graph.vertex_of_pair xg (a, b)) < cap then true
         else begin
           incr postponed;
           false
@@ -114,21 +113,27 @@ let run ?(crosstalk_distance = 1) ?(max_colors = None) ?(conflict_threshold = 4)
           | _ -> None)
         gates
     in
-    let n_colors =
-      List.fold_left (fun acc v -> max acc (1 + Hashtbl.find compact raw_coloring.(v))) 0 survivors
-    in
+    let n_colors = List.fold_left (fun acc v -> max acc (1 + color_of v)) 0 survivors in
     max_colors_used := max !max_colors_used n_colors;
     (* Line 20: map colors to interaction frequencies via the solver. *)
     let multiplicity = Array.make (max n_colors 1) 0 in
     List.iter
       (fun v ->
-        let c = Hashtbl.find compact raw_coloring.(v) in
+        let c = color_of v in
         multiplicity.(c) <- multiplicity.(c) + 1)
       survivors;
     (* Independent regions of the moment: bookkeeping always (the trace
        reports decomposability even when allocation stays global), allocation
-       fan-out only under [decompose]. *)
-    let comps = Crosstalk_graph.components_of_active xg survivors in
+       split only under [decompose].  The cap may drop couplings; only then
+       does the survivors' subgraph differ from the one just colored. *)
+    let comps =
+      let subgraph, couplings =
+        if List.compare_length_with survivors (Array.length couplings) = 0 then
+          (subgraph, couplings)
+        else Crosstalk_graph.moment_subgraph xg survivors
+      in
+      List.map (List.map (fun i -> couplings.(i))) (Graph.components subgraph)
+    in
     List.iter
       (fun comp ->
         let size = List.length comp in
@@ -137,16 +142,15 @@ let run ?(crosstalk_distance = 1) ?(max_colors = None) ?(conflict_threshold = 4)
         Hashtbl.replace size_histogram size
           (1 + Option.value ~default:0 (Hashtbl.find_opt size_histogram size)))
       comps;
-    let color_of v = Hashtbl.find compact raw_coloring.(v) in
     let freq_of_gate =
       if n_colors = 0 then fun _ -> Step_builder.interaction_center device
       else if decompose && List.length comps > 1 then begin
         (* Per-component allocation: each component's color set is remapped
            dense (ascending) and solved as its own small complete-graph
-           problem — a pool task whose memo key is the component's color
-           count and order, so recurring fragments hit the cache.  Results
-           merge in component order; Pool.map stores by index, so the merged
-           frequencies are byte-identical at any job count. *)
+           problem, whose memo key is the component's color count and order,
+           so recurring fragments hit the cache.  The solves run one after
+           another, in component order: one takes about 2 us, too little to
+           pay for handing it to a pool domain. *)
         let cells =
           List.map
             (fun comp ->
@@ -165,7 +169,7 @@ let run ?(crosstalk_distance = 1) ?(max_colors = None) ?(conflict_threshold = 4)
             comps
         in
         let assignments =
-          Pool.map
+          List.map
             (fun (_, _, mult) ->
               Freq_alloc.interaction device ~n_colors:(Array.length mult)
                 ~multiplicity:mult)

@@ -7,7 +7,9 @@
       in the cycle ([noise_conflict], line 13) — the noise-aware queueing
       scheduler trading parallelism against frequency crowding;
     + the active subgraph of the crosstalk graph is colored (Welsh–Powell,
-      line 19);
+      line 19), built from the active couplings' neighbour lists
+      ({!Crosstalk_graph.moment_subgraph}), so a cycle costs in proportion
+      to its active couplings, not to the chip;
     + if a color cap is in force (the tunability sweep of Fig 11), gates of
       the smallest color classes are postponed until the cap holds;
     + the separation solver maps colors to interaction frequencies, busiest
@@ -53,8 +55,8 @@ val run :
     [warm_start] (default false) seeds each moment's frequency solve with
     the previous moment's witness ({!Freq_alloc.interaction}'s [warm]);
     [decompose] (default false) allocates each connected component of the
-    moment's active crosstalk subgraph independently on the domain pool,
-    merged in component order (byte-identical at any job count).  Both
+    moment's active crosstalk subgraph independently, one after another in
+    component order (so the result does not depend on the job count).  Both
     default off so the paper-mode output stays bit-identical; component
     counts are tracked in {!stats} either way.
     @raise Invalid_argument if [conflict_threshold < 1] or

@@ -69,18 +69,28 @@ let conflict_count t v active =
     (fun acc u -> if u <> v && Graph.mem_edge t.graph v u then acc + 1 else acc)
     0 active
 
-let active_subgraph t active = Graph.subgraph t.graph active
+(* Seeded fault for the verification harness (docs/DESIGN.md §11): leave
+   out the edges between active couplings, so every one gets color 0. *)
+let fault_moment_edge_drop = Fault.enabled "xtalk-moment-edge-drop"
 
-(* Independent regions of one moment: connected components of the active
-   subgraph, restricted to the active vertices (subgraph keeps indices stable
-   by leaving inactive vertices isolated, so their singletons are dropped).
-   Ordering follows Graph.components — a pure function of the moment. *)
-let components_of_active t active =
-  let sub = Graph.subgraph t.graph active in
-  let is_active = Array.make (Graph.n_vertices t.graph) false in
-  List.iter (fun v -> is_active.(v) <- true) active;
-  List.filter
-    (function [ v ] -> is_active.(v) | _ -> true)
-    (Graph.components sub)
+(* Local vertex [i] is the [i]-th smallest active coupling, so ids keep
+   their order; each active coupling walks only its own neighbour list, so
+   nothing here is proportional to the whole crosstalk graph. *)
+let moment_subgraph t active =
+  let couplings = Array.of_list (List.sort_uniq Int.compare active) in
+  let local = Hashtbl.create (Array.length couplings) in
+  Array.iteri (fun i v -> Hashtbl.replace local v i) couplings;
+  let sub = Graph.create (Array.length couplings) in
+  if not fault_moment_edge_drop then
+    Array.iteri
+      (fun i v ->
+        List.iter
+          (fun w ->
+            match Hashtbl.find_opt local w with
+            | Some j when j > i -> Graph.add_edge sub i j
+            | _ -> ())
+          (Graph.neighbors t.graph v))
+      couplings;
+  (sub, couplings)
 
 let max_colors_mesh = 8

@@ -32,16 +32,24 @@ val conflict_count : t -> int -> int list -> int
     adjacent to [v] — the quantity behind the scheduler's [noise_conflict]
     test (Algorithm 1 line 13). *)
 
-val active_subgraph : t -> int list -> Graph.t
-(** Subgraph induced by the active couplings of one time step
-    (Algorithm 1 line 18). *)
+val moment_subgraph : t -> int list -> Graph.t * int array
+(** [moment_subgraph t active] is the subgraph induced by the active
+    couplings of one time step (Algorithm 1 line 18), renumbered: local
+    vertex [i] is coupling [couplings.(i)], where [couplings] is the second
+    component, [active] sorted ascending without duplicates.  An active
+    coupling with no active neighbour is an isolated local vertex.  It costs
+    the active couplings' neighbour lists, never a walk over the whole
+    graph.
 
-val components_of_active : t -> int list -> int list list
-(** Connected components of {!active_subgraph}, restricted to the active
-    vertices (each sorted ascending, components by smallest vertex; isolated
-    active couplings as singletons).  These are the independent allocation
-    subproblems of one moment: couplings in different components share no
-    crosstalk edge, so their frequency regions never constrain each other. *)
+    Because the renumbering keeps the order of coupling ids and the
+    couplings it leaves out would be isolated, the greedy colorers
+    ({!Coloring.welsh_powell}, {!Coloring.dsatur}, {!Coloring.natural}) give
+    every active coupling the color they give it on the full graph with
+    only the active edges kept, and {!Graph.components} of the result,
+    mapped through [couplings], lists the same components in the same
+    order.  These components are the independent allocation subproblems of
+    one moment: couplings in different components share no crosstalk edge,
+    so their frequency regions never constrain each other. *)
 
 val max_colors_mesh : int
 (** The paper's result (Fig 7): 8 colors suffice for maximum simultaneous

@@ -1,57 +1,59 @@
+(* Ready gates as (criticality, id), most critical first, ties by id. *)
+module Ready = Set.Make (struct
+  type t = int * int
+
+  let compare (c1, i1) (c2, i2) =
+    match Int.compare c2 c1 with 0 -> Int.compare i1 i2 | c -> c
+end)
+
 type t = {
   instrs : Gate.application array;
   crit : int array;
-  queues : int Queue.t array;  (* per qubit: gate ids in program order *)
+  frontier : Mapping.Frontier.t;  (* readiness; gate ids are its positions *)
+  mutable ready : Ready.t;
   mutable remaining : int;
 }
 
+(* Seeded fault for the verification harness (docs/DESIGN.md §11): key the
+   ready set by id alone, so gates are served in program order. *)
+let fault_crit_order = Fault.enabled "pending-crit-order"
+
+let key t id = ((if fault_crit_order then 0 else t.crit.(id)), id)
+
 let create circuit =
-  let instrs = Circuit.instructions circuit in
-  let queues = Array.init (Circuit.n_qubits circuit) (fun _ -> Queue.create ()) in
-  Array.iter
-    (fun app -> Array.iter (fun q -> Queue.add app.Gate.id queues.(q)) app.Gate.qubits)
-    instrs;
-  {
-    instrs;
-    crit = Layers.criticality circuit;
-    queues;
-    remaining = Array.length instrs;
-  }
+  let frontier = Mapping.Frontier.create circuit in
+  let t =
+    {
+      instrs = Circuit.instructions circuit;
+      crit = Layers.criticality circuit;
+      frontier;
+      ready = Ready.empty;
+      remaining = Circuit.length circuit;
+    }
+  in
+  List.iter
+    (fun app -> t.ready <- Ready.add (key t app.Gate.id) t.ready)
+    (Mapping.Frontier.ready frontier);
+  t
 
 let is_empty t = t.remaining = 0
 
 let n_remaining t = t.remaining
 
-let is_ready t app =
-  Array.for_all
-    (fun q -> (not (Queue.is_empty t.queues.(q))) && Queue.peek t.queues.(q) = app.Gate.id)
-    app.Gate.qubits
-
-let ready t =
-  let module ISet = Set.Make (Int) in
-  let candidates =
-    Array.fold_left
-      (fun acc queue ->
-        if Queue.is_empty queue then acc else ISet.add (Queue.peek queue) acc)
-      ISet.empty t.queues
-  in
-  let apps =
-    List.filter (fun app -> is_ready t app)
-      (List.map (fun id -> t.instrs.(id)) (ISet.elements candidates))
-  in
-  List.sort
-    (fun a b ->
-      match compare t.crit.(b.Gate.id) t.crit.(a.Gate.id) with
-      | 0 -> compare a.Gate.id b.Gate.id
-      | c -> c)
-    apps
+let ready t = List.map (fun (_, id) -> t.instrs.(id)) (Ready.elements t.ready)
 
 let criticality t app = t.crit.(app.Gate.id)
 
 let schedule t app =
-  if not (is_ready t app) then
+  let id = app.Gate.id in
+  match Mapping.Frontier.retire t.frontier id with
+  | exception Invalid_argument _ ->
     invalid_arg
-      (Printf.sprintf "Pending.schedule: gate %d is not ready (dependency violation)"
-         app.Gate.id);
-  Array.iter (fun q -> ignore (Queue.pop t.queues.(q))) app.Gate.qubits;
-  t.remaining <- t.remaining - 1
+      (Printf.sprintf "Pending.schedule: gate %d is not ready (dependency violation)" id)
+  | fresh ->
+    t.ready <-
+      List.fold_left
+        (fun ready j -> Ready.add (key t j) ready)
+        (Ready.remove (key t id) t.ready)
+        fresh;
+    t.remaining <- t.remaining - 1

@@ -1,16 +1,22 @@
 (** Ready-gate tracking for the queueing schedulers (Algorithm 1 lines 9-16).
 
-    All five scheduling algorithms consume the circuit through this
+    The five queueing schedulers consume the circuit through this
     structure: a gate is {e ready} once every earlier gate sharing one of its
     qubits has been scheduled.  Ready gates are served in order of
     non-increasing criticality (longest dependency chain to the end of the
     program), which is how the paper's scheduler protects the critical path
-    while serializing. *)
+    while serializing.
+
+    Readiness comes from {!Mapping.Frontier}, the structure the routers use;
+    this module adds only the ready set ordered by criticality, updated
+    with the gates each {!schedule} readies.  Nothing is rescanned per
+    moment: {!ready} costs the size of the ready set, {!schedule} a few set
+    updates. *)
 
 type t
 
 val create : Circuit.t -> t
-(** Builds per-qubit queues and the criticality table for a (native-gate)
+(** The readiness frontier and the criticality table of a (native-gate)
     circuit. *)
 
 val is_empty : t -> bool

@@ -220,8 +220,9 @@ module Frontier = struct
 
   let is_done t = t.first_unemitted = Array.length t.instrs
 
-  (* Mark [i] emitted and return the positions it made ready. *)
   let retire t i =
+    if not (Ids.mem i t.ready) then
+      invalid_arg (Printf.sprintf "Mapping.Frontier.retire: instruction %d is not ready" i);
     t.emitted.(i) <- true;
     t.ready <- Ids.remove i t.ready;
     while t.first_unemitted < Array.length t.instrs && t.emitted.(t.first_unemitted) do

@@ -41,10 +41,13 @@ val route : ?placement:int array -> Graph.t -> Circuit.t -> result
     @raise Invalid_argument if the device graph is disconnected where needed
     or smaller than the circuit. *)
 
-(** The pending instructions of a circuit being routed: which have been
-    emitted, and which are {e ready} — first in program order on every
-    operand, so nothing earlier still waits on their qubits.  Shared by
-    {!route_lookahead} and the CQC-style router in [Fastsc_core]. *)
+(** The pending instructions of a circuit being routed or scheduled: which
+    have been emitted, and which are {e ready} — first in program order on
+    every operand, so nothing earlier still waits on their qubits.  An
+    instruction is named by its position in {!Circuit.instructions}, which
+    is also its gate id.  Shared by {!route_lookahead}, the CQC-style router
+    and [Pending], which the queueing schedulers in [Fastsc_core] go
+    through. *)
 module Frontier : sig
   type t
 
@@ -54,14 +57,22 @@ module Frontier : sig
   val is_done : t -> bool
   (** Every instruction has been emitted. *)
 
+  val retire : t -> int -> int list
+  (** [retire t i] marks the ready instruction [i] emitted and returns the
+      instructions that became ready because of it (each comes after [i] in
+      program order and shares a qubit with it), in no particular order.
+      Costs one ready-set update per operand, never a scan.
+      @raise Invalid_argument if [i] is not ready. *)
+
   val flush :
     t -> emittable:(Gate.application -> bool) -> emit:(Gate.application -> unit) -> unit
   (** Emit every ready instruction [emittable] accepts, and every one that
       becomes ready and accepted as a result, until none is left, in
       program order — the order of sweeping the whole circuit until a sweep
       emits nothing, but each emission costs a ready-set update instead of
-      a sweep.  [emittable] must not change its answer during a flush (the
-      routers swap only between flushes). *)
+      a sweep; each emission goes through {!retire}.  [emittable] must not
+      change its answer during a flush (the routers swap only between
+      flushes). *)
 
   val ready : t -> Gate.application list
   (** The ready instructions, in program order; right after a {!flush}, the

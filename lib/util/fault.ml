@@ -151,6 +151,23 @@ let catalog =
          depth lookahead and ignores spectrum collisions with concurrent gates";
       suites = [ "rivals" ];
     };
+    {
+      name = "xtalk-moment-edge-drop";
+      site = "Crosstalk_graph.moment_subgraph";
+      description =
+        "per-moment subgraph built without the edges between active couplings: every \
+         active coupling gets color 0, so crosstalk neighbours share one interaction \
+         frequency";
+      suites = [ "crosstalk_graph"; "algorithms" ];
+    };
+    {
+      name = "pending-crit-order";
+      site = "Pending.key";
+      description =
+        "ready set keyed by program order alone: ready gates are served first come, \
+         not most critical first";
+      suites = [ "pending" ];
+    };
   ]
 
 let names = List.map (fun s -> s.name) catalog

@@ -73,6 +73,39 @@ let test_uniform_serializes_conflicts () =
         vertices)
     s.Schedule.steps
 
+let test_colordynamic_separates_neighbours () =
+  (* Algorithm 1 lines 17-20: crosstalk-adjacent couplings active in one
+     step get different colors, hence different interaction frequencies
+     (a two-qubit gate's second operand sits on it, cf. Step_builder) *)
+  let d = device () in
+  let s = Compile.run Compile.Color_dynamic d (parallel_heavy ()) in
+  let xg = Crosstalk_graph.build (Device.graph d) in
+  let adjacent_pairs = ref 0 in
+  List.iter
+    (fun step ->
+      let active =
+        List.filter_map
+          (fun app ->
+            match app.Gate.qubits with
+            | [| a; b |] -> Some (Crosstalk_graph.vertex_of_pair xg (a, b), b)
+            | _ -> None)
+          step.Schedule.gates
+      in
+      List.iter
+        (fun (u, bu) ->
+          List.iter
+            (fun (v, bv) ->
+              if u < v && Graph.mem_edge xg.Crosstalk_graph.graph u v then begin
+                incr adjacent_pairs;
+                check_true "adjacent couplings on different frequencies"
+                  (step.Schedule.freqs.(bu) <> step.Schedule.freqs.(bv))
+              end)
+            active)
+        active)
+    s.Schedule.steps;
+  (* the case needs at least two colors somewhere, or the check is vacuous *)
+  check_true "some step has crosstalk-adjacent gates" (!adjacent_pairs > 0)
+
 let test_colordynamic_beats_naive_on_crosstalk () =
   let d = device () in
   let circuit = parallel_heavy () in
@@ -257,6 +290,8 @@ let suite =
     Alcotest.test_case "gate counts preserved" `Quick test_gate_counts_preserved;
     Alcotest.test_case "uniform serializes conflicts" `Quick test_uniform_serializes_conflicts;
     Alcotest.test_case "cd beats naive on crosstalk" `Quick test_colordynamic_beats_naive_on_crosstalk;
+    Alcotest.test_case "cd separates crosstalk neighbours" `Quick
+      test_colordynamic_separates_neighbours;
     Alcotest.test_case "cd shallower than uniform" `Quick test_colordynamic_shallower_than_uniform;
     Alcotest.test_case "gmon perfect couplers" `Quick test_gmon_perfect_couplers_no_crosstalk;
     Alcotest.test_case "gmon residual degrades" `Quick test_gmon_residual_degrades;

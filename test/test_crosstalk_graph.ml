@@ -78,12 +78,42 @@ let test_conflict_count () =
   check_int "empty" 0 (Crosstalk_graph.conflict_count xg v01 [])
 
 let test_active_subgraph () =
-  let g = (Topology.path 5).Topology.graph in
+  (* path 0-...-7 at d=1: e01 and e23 conflict, e67 is out of everyone's
+     reach, e34 is inactive although it conflicts with e23 *)
+  let g = (Topology.path 8).Topology.graph in
   let xg = Crosstalk_graph.build g in
+  let full = xg.Crosstalk_graph.graph in
   let v01 = Crosstalk_graph.vertex_of_pair xg (0, 1) in
+  let v23 = Crosstalk_graph.vertex_of_pair xg (2, 3) in
+  let v67 = Crosstalk_graph.vertex_of_pair xg (6, 7) in
+  let h, couplings = Crosstalk_graph.moment_subgraph xg [ v67; v01; v23 ] in
+  Alcotest.(check (array int))
+    "local vertices in ascending coupling order"
+    (Array.of_list (List.sort compare [ v01; v23; v67 ]))
+    couplings;
+  check_int "one local vertex per active coupling" 3 (Graph.n_vertices h);
+  Graph.iter_edges
+    (fun i j ->
+      check_true "edges only between conflicting active couplings"
+        (Graph.mem_edge full couplings.(i) couplings.(j)))
+    h;
+  Array.iteri
+    (fun i u ->
+      Array.iteri
+        (fun j v ->
+          if i < j && Graph.mem_edge full u v then
+            check_true "every conflict among active couplings kept" (Graph.mem_edge h i j))
+        couplings)
+    couplings;
+  check_int "e01-e23 is the only edge" 1 (Graph.n_edges h);
+  let local_of v = Option.get (Array.find_index (( = ) v) couplings) in
+  check_int "isolated active coupling stays a vertex" 0 (Graph.degree h (local_of v67));
   let v34 = Crosstalk_graph.vertex_of_pair xg (3, 4) in
-  let h = Crosstalk_graph.active_subgraph xg [ v01; v34 ] in
-  check_int "no conflicts among chosen" 0 (Graph.n_edges h)
+  let h2, _ = Crosstalk_graph.moment_subgraph xg [ v01; v34 ] in
+  check_int "no conflicts among distant couplings" 0 (Graph.n_edges h2);
+  let empty, none = Crosstalk_graph.moment_subgraph xg [] in
+  check_int "empty moment has no vertices" 0 (Graph.n_vertices empty);
+  check_int "and no couplings" 0 (Array.length none)
 
 let test_validation () =
   let g = (Topology.path 3).Topology.graph in

@@ -27,6 +27,23 @@ let test_criticality_ordering () =
     check_int "its criticality" 4 (Pending.criticality p first)
   | [] -> Alcotest.fail "expected ready gates"
 
+let test_criticality_beats_program_order () =
+  (* h2 comes first in program order but nothing waits on it (criticality
+     1); h0 heads h0 -> cz01 -> cz13 -> h1 (4), h3 heads h3 -> cz13 -> h1
+     (3).  Once h0 is scheduled, cz01 (3) ties with h3 and wins by id. *)
+  let c =
+    Circuit.of_gates 4
+      [
+        (Gate.H, [ 2 ]); (Gate.H, [ 0 ]); (Gate.Cz, [ 0; 1 ]); (Gate.H, [ 3 ]);
+        (Gate.Cz, [ 1; 3 ]); (Gate.H, [ 1 ]);
+      ]
+  in
+  let p = Pending.create c in
+  let ids () = List.map (fun a -> a.Gate.id) (Pending.ready p) in
+  Alcotest.(check (list int)) "critical chain heads first" [ 1; 3; 0 ] (ids ());
+  Pending.schedule p (Circuit.instructions c).(1);
+  Alcotest.(check (list int)) "newly ready gate ranked by criticality" [ 2; 3; 0 ] (ids ())
+
 let test_schedule_unblocks () =
   let c = sample () in
   let p = Pending.create c in
@@ -95,7 +112,9 @@ let prop_drain_is_topological =
 let suite =
   [
     Alcotest.test_case "initial ready" `Quick test_initial_ready;
-    Alcotest.test_case "criticality ordering" `Quick test_criticality_ordering;
+    Alcotest.test_case "criticality ordering" `Quick (fun () ->
+        test_criticality_ordering ();
+        test_criticality_beats_program_order ());
     Alcotest.test_case "schedule unblocks" `Quick test_schedule_unblocks;
     Alcotest.test_case "not ready rejected" `Quick test_schedule_not_ready_rejected;
     Alcotest.test_case "drain respects dependencies" `Quick test_drain_respects_dependencies;

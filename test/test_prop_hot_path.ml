@@ -1,10 +1,12 @@
 (* Differential properties of the compile hot path.  The ready-set router
    flush, the per-evaluation memo of operating points and spectator lists,
-   and the coupling index each replaced an implementation that recomputed
-   the same thing over and over; verbatim copies of those implementations
-   (module [Old]) are the oracles.  Every property demands bit-identical
-   output: the same routed gates, final permutation and SWAP count, the
-   same IEEE-754 bits in every metric. *)
+   the coupling index, ColorDynamic's per-moment subgraph and the
+   incremental ready set of [Pending] each replaced an implementation that
+   recomputed the same thing over and over; verbatim copies of those
+   implementations (module [Old]) are the oracles.  Every property demands
+   bit-identical output: the same routed gates, final permutation and SWAP
+   count, the same colors, components and ready lists, the same IEEE-754
+   bits in every metric and schedule. *)
 open Helpers
 open Fastsc_device
 open Fastsc_noise
@@ -487,6 +489,318 @@ module Old = struct
     let found = ref (-1) in
     Array.iteri (fun i e -> if e = canonical then found := i) edge_of_vertex;
     if !found < 0 then raise Not_found else !found
+
+  (* Crosstalk_graph.active_subgraph and components_of_active: each a
+     Graph.subgraph walk over every edge of the crosstalk graph, keeping
+     coupling ids (inactive couplings isolated). *)
+  let active_subgraph t active = Graph.subgraph t.Crosstalk_graph.graph active
+
+  (* Independent regions of one moment: connected components of the active
+     subgraph, restricted to the active vertices (subgraph keeps indices stable
+     by leaving inactive vertices isolated, so their singletons are dropped).
+     Ordering follows Graph.components — a pure function of the moment. *)
+  let components_of_active t active =
+    let sub = Graph.subgraph t.Crosstalk_graph.graph active in
+    let is_active = Array.make (Graph.n_vertices t.Crosstalk_graph.graph) false in
+    List.iter (fun v -> is_active.(v) <- true) active;
+    List.filter
+      (function [ v ] -> is_active.(v) | _ -> true)
+      (Graph.components sub)
+
+  (* Pending: its own per-qubit queues, and a ready set rebuilt and sorted
+     on every call. *)
+  module Pending = struct
+    type t = {
+      instrs : Gate.application array;
+      crit : int array;
+      queues : int Queue.t array;  (* per qubit: gate ids in program order *)
+      mutable remaining : int;
+    }
+
+    let create circuit =
+      let instrs = Circuit.instructions circuit in
+      let queues = Array.init (Circuit.n_qubits circuit) (fun _ -> Queue.create ()) in
+      Array.iter
+        (fun app -> Array.iter (fun q -> Queue.add app.Gate.id queues.(q)) app.Gate.qubits)
+        instrs;
+      {
+        instrs;
+        crit = Layers.criticality circuit;
+        queues;
+        remaining = Array.length instrs;
+      }
+
+    let is_empty t = t.remaining = 0
+
+    let n_remaining t = t.remaining
+
+    let is_ready t app =
+      Array.for_all
+        (fun q -> (not (Queue.is_empty t.queues.(q))) && Queue.peek t.queues.(q) = app.Gate.id)
+        app.Gate.qubits
+
+    let ready t =
+      let module ISet = Set.Make (Int) in
+      let candidates =
+        Array.fold_left
+          (fun acc queue ->
+            if Queue.is_empty queue then acc else ISet.add (Queue.peek queue) acc)
+          ISet.empty t.queues
+      in
+      let apps =
+        List.filter (fun app -> is_ready t app)
+          (List.map (fun id -> t.instrs.(id)) (ISet.elements candidates))
+      in
+      List.sort
+        (fun a b ->
+          match compare t.crit.(b.Gate.id) t.crit.(a.Gate.id) with
+          | 0 -> compare a.Gate.id b.Gate.id
+          | c -> c)
+        apps
+
+    let criticality t app = t.crit.(app.Gate.id)
+
+    let schedule t app =
+      if not (is_ready t app) then
+        invalid_arg
+          (Printf.sprintf "Pending.schedule: gate %d is not ready (dependency violation)"
+             app.Gate.id);
+      Array.iter (fun q -> ignore (Queue.pop t.queues.(q))) app.Gate.qubits;
+      t.remaining <- t.remaining - 1
+  end
+
+  (* Color_dynamic.run on the two functions and the Pending above, with
+     per-component solves fanned out through Pool.map. *)
+  let color_dynamic_run ?(crosstalk_distance = 1) ?(max_colors = None) ?(conflict_threshold = 4)
+      ?(colorer = Coloring.welsh_powell) ?(warm_start = false) ?(decompose = false)
+      device circuit =
+    (match max_colors with
+    | Some k when k < 1 -> invalid_arg "Color_dynamic.run: max_colors must be >= 1"
+    | _ -> ());
+    if conflict_threshold < 1 then invalid_arg "Color_dynamic.run: conflict_threshold must be >= 1";
+    let effective_threshold =
+      match max_colors with
+      | Some k -> min conflict_threshold k
+      | None -> conflict_threshold
+    in
+    let idle_freqs = Freq_alloc.idle_per_qubit device in
+    let xg = Crosstalk_graph.build ~distance:crosstalk_distance (Device.graph device) in
+    let pending = Pending.create circuit in
+    let steps = ref [] in
+    let cycles = ref 0 in
+    let max_colors_used = ref 0 in
+    let postponed = ref 0 in
+    let min_delta = ref infinity in
+    let components = ref 0 in
+    let component_max_size = ref 0 in
+    let size_histogram : (int, int) Hashtbl.t = Hashtbl.create 16 in
+    let component_solves = ref 0 in
+    let warm_hit_count = ref 0 in
+    let warm_miss_count = ref 0 in
+    (* previous moment's interaction witness, threaded as the next warm seed *)
+    let prev_witness = ref None in
+    while not (Pending.is_empty pending) do
+      incr cycles;
+      (* Lines 10-16: select gates for this cycle, most critical first,
+         postponing two-qubit gates with too many active crosstalk
+         neighbours. *)
+      let used = Array.make (Device.n_qubits device) false in
+      let chosen = ref [] in
+      let active = ref [] in
+      List.iter
+        (fun app ->
+          let free = Array.for_all (fun q -> not used.(q)) app.Gate.qubits in
+          if free then begin
+            let accept =
+              match app.Gate.qubits with
+              | [| a; b |] ->
+                let v = Crosstalk_graph.vertex_of_pair xg (a, b) in
+                if Crosstalk_graph.conflict_count xg v !active < effective_threshold then begin
+                  active := v :: !active;
+                  true
+                end
+                else begin
+                  incr postponed;
+                  false
+                end
+              | _ -> true
+            in
+            if accept then begin
+              Array.iter (fun q -> used.(q) <- true) app.Gate.qubits;
+              chosen := app :: !chosen
+            end
+          end)
+        (Pending.ready pending);
+      (* Lines 17-19: color the active subgraph of the crosstalk graph. *)
+      let subgraph = active_subgraph xg !active in
+      let raw_coloring = colorer subgraph in
+      (* Compact the colors appearing on active vertices to 0..k-1, largest
+         class first so a color cap keeps the busiest classes. *)
+      let class_size = Hashtbl.create 8 in
+      List.iter
+        (fun v ->
+          let c = raw_coloring.(v) in
+          Hashtbl.replace class_size c (1 + Option.value ~default:0 (Hashtbl.find_opt class_size c)))
+        !active;
+      let classes_by_size =
+        List.sort
+          (fun (c1, n1) (c2, n2) -> match compare n2 n1 with 0 -> compare c1 c2 | c -> c)
+          (Hashtbl.fold (fun c n acc -> (c, n) :: acc) class_size [])
+      in
+      let compact = Hashtbl.create 8 in
+      List.iteri (fun i (c, _) -> Hashtbl.replace compact c i) classes_by_size;
+      (* Apply the color cap: postpone gates whose compact color exceeds it. *)
+      let cap = match max_colors with Some k -> k | None -> max_int in
+      let keep_gate app =
+        match app.Gate.qubits with
+        | [| a; b |] ->
+          let v = Crosstalk_graph.vertex_of_pair xg (a, b) in
+          let c = Hashtbl.find compact raw_coloring.(v) in
+          if c < cap then true
+          else begin
+            incr postponed;
+            false
+          end
+        | _ -> true
+      in
+      let gates = List.filter keep_gate (List.rev !chosen) in
+      assert (gates <> []);
+      (* surviving active vertices and their color multiplicities *)
+      let survivors =
+        List.filter_map
+          (fun app ->
+            match app.Gate.qubits with
+            | [| a; b |] -> Some (Crosstalk_graph.vertex_of_pair xg (a, b))
+            | _ -> None)
+          gates
+      in
+      let n_colors =
+        List.fold_left (fun acc v -> max acc (1 + Hashtbl.find compact raw_coloring.(v))) 0 survivors
+      in
+      max_colors_used := max !max_colors_used n_colors;
+      (* Line 20: map colors to interaction frequencies via the solver. *)
+      let multiplicity = Array.make (max n_colors 1) 0 in
+      List.iter
+        (fun v ->
+          let c = Hashtbl.find compact raw_coloring.(v) in
+          multiplicity.(c) <- multiplicity.(c) + 1)
+        survivors;
+      (* Independent regions of the moment: bookkeeping always (the trace
+         reports decomposability even when allocation stays global), allocation
+         fan-out only under [decompose]. *)
+      let comps = components_of_active xg survivors in
+      List.iter
+        (fun comp ->
+          let size = List.length comp in
+          incr components;
+          if size > !component_max_size then component_max_size := size;
+          Hashtbl.replace size_histogram size
+            (1 + Option.value ~default:0 (Hashtbl.find_opt size_histogram size)))
+        comps;
+      let color_of v = Hashtbl.find compact raw_coloring.(v) in
+      let freq_of_gate =
+        if n_colors = 0 then fun _ -> Step_builder.interaction_center device
+        else if decompose && List.length comps > 1 then begin
+          (* Per-component allocation: each component's color set is remapped
+             dense (ascending) and solved as its own small complete-graph
+             problem — a pool task whose memo key is the component's color
+             count and order, so recurring fragments hit the cache.  Results
+             merge in component order; Pool.map stores by index, so the merged
+             frequencies are byte-identical at any job count. *)
+          let cells =
+            List.map
+              (fun comp ->
+                let cols =
+                  List.sort_uniq compare (List.map color_of comp)
+                in
+                let local_of_col = Hashtbl.create 8 in
+                List.iteri (fun i c -> Hashtbl.replace local_of_col c i) cols;
+                let mult = Array.make (List.length cols) 0 in
+                List.iter
+                  (fun v ->
+                    let i = Hashtbl.find local_of_col (color_of v) in
+                    mult.(i) <- mult.(i) + 1)
+                  comp;
+                (comp, local_of_col, mult))
+              comps
+          in
+          let assignments =
+            Pool.map
+              (fun (_, _, mult) ->
+                Freq_alloc.interaction device ~n_colors:(Array.length mult)
+                  ~multiplicity:mult)
+              cells
+          in
+          component_solves := !component_solves + List.length comps;
+          let freq_of_vertex = Hashtbl.create 16 in
+          List.iter2
+            (fun (comp, local_of_col, _) (assignment : Freq_alloc.assignment) ->
+              if assignment.Freq_alloc.delta < !min_delta then
+                min_delta := assignment.Freq_alloc.delta;
+              List.iter
+                (fun v ->
+                  Hashtbl.replace freq_of_vertex v
+                    assignment.Freq_alloc.freqs.(Hashtbl.find local_of_col (color_of v)))
+                comp)
+            cells assignments;
+          fun app ->
+            match app.Gate.qubits with
+            | [| a; b |] ->
+              Hashtbl.find freq_of_vertex (Crosstalk_graph.vertex_of_pair xg (a, b))
+            | _ -> assert false
+        end
+        else begin
+          let warm = if warm_start then !prev_witness else None in
+          let warm_used = ref false in
+          let assignment =
+            Freq_alloc.interaction ?warm ~warm_used device ~n_colors ~multiplicity
+          in
+          (match warm with
+          | Some _ -> if !warm_used then incr warm_hit_count else incr warm_miss_count
+          | None -> ());
+          if warm_start then prev_witness := Some assignment.Freq_alloc.freqs;
+          incr component_solves;
+          if assignment.Freq_alloc.delta < !min_delta then
+            min_delta := assignment.Freq_alloc.delta;
+          fun app ->
+            match app.Gate.qubits with
+            | [| a; b |] ->
+              let v = Crosstalk_graph.vertex_of_pair xg (a, b) in
+              assignment.Freq_alloc.freqs.(color_of v)
+            | _ -> assert false
+        end
+      in
+      List.iter (Pending.schedule pending) gates;
+      steps := Step_builder.make device ~idle_freqs ~freq_of_gate gates :: !steps
+    done;
+    let schedule =
+      {
+        Schedule.device;
+        algorithm = "color-dynamic";
+        steps = List.rev !steps;
+        idle_freqs;
+        coupler = Schedule.Fixed_coupler;
+      }
+    in
+    let component_sizes =
+      String.concat " "
+        (List.map
+           (fun (size, count) -> Printf.sprintf "%d:%d" size count)
+           (List.sort compare (Hashtbl.fold (fun s c acc -> (s, c) :: acc) size_histogram [])))
+    in
+    ( schedule,
+      {
+        Color_dynamic.cycles = !cycles;
+        max_colors_used = !max_colors_used;
+        postponed = !postponed;
+        min_delta = !min_delta;
+        components = !components;
+        component_max_size = !component_max_size;
+        component_sizes;
+        component_solves = !component_solves;
+        warm_hits = !warm_hit_count;
+        warm_misses = !warm_miss_count;
+      } )
 end
 
 (* Referencing Compile links it; its initialisation registers the schedulers
@@ -619,4 +933,149 @@ let prop_vertex_of_edge =
       done;
       !ok)
 
-let suite = [ prop_route_lookahead; prop_cqc_route; prop_evaluate; prop_vertex_of_edge ]
+(* A random set of couplings of a crosstalk graph, in random order: each
+   coupling is in with a probability drawn from [seed] too. *)
+let random_active xg seed =
+  let rng = Rng.create seed in
+  let n = Graph.n_vertices xg.Crosstalk_graph.graph in
+  let p = Rng.float rng in
+  let order = Array.init n Fun.id in
+  Rng.shuffle rng order;
+  List.filter (fun _ -> Rng.float rng < p) (Array.to_list order)
+
+let colorers = [ Coloring.welsh_powell; Coloring.dsatur; Coloring.natural ]
+
+let prop_moment_subgraph =
+  prop_case ~count:150 "per-moment subgraph colors and splits like the full-graph subgraph"
+    Proptest.(
+      pair (pair (int_range 0 (n_topologies - 1)) (int_range 1 2)) (int_range 0 1_000_000))
+    (fun ((i, distance), seed) ->
+      let xg = Crosstalk_graph.build ~distance (Lazy.force topologies).(i).Topology.graph in
+      let active = random_active xg seed in
+      let sub, couplings = Crosstalk_graph.moment_subgraph xg active in
+      couplings = Array.of_list (List.sort compare active)
+      && List.for_all
+           (fun colorer ->
+             let local = colorer sub and full = colorer (Old.active_subgraph xg active) in
+             Array.for_all2 (fun v c -> full.(v) = c) couplings local)
+           colorers
+      && List.map (List.map (fun i -> couplings.(i))) (Graph.components sub)
+         = Old.components_of_active xg active)
+
+(* Both Pendings side by side: after every step the same ready list, and
+   each attempt to schedule a gate that is not ready (an unscheduled gate
+   outside the ready list, or one already scheduled) fails the same way. *)
+let prop_pending =
+  prop_case ~count:150 "Pending on the frontier serves what the rescanning Pending did"
+    Proptest.(pair (int_range 0 1_000_000) (Proptest.circuit ~max_qubits:6 ~max_gates:60 ()))
+    (fun (seed, c) ->
+      let rng = Rng.create seed in
+      let instrs = Circuit.instructions c in
+      let p = Pending.create c and o = Old.Pending.create c in
+      let ids apps = List.map (fun app -> app.Gate.id) apps in
+      let same = ref true in
+      let check b = if not b then same := false in
+      while !same && not (Old.Pending.is_empty o) do
+        let ready = Old.Pending.ready o in
+        check (ids (Pending.ready p) = ids ready);
+        check (Pending.n_remaining p = Old.Pending.n_remaining o);
+        check (List.for_all (fun a -> Pending.criticality p a = Old.Pending.criticality o a) ready);
+        let blocked = List.filter (fun a -> not (List.memq a ready)) (Array.to_list instrs) in
+        if blocked <> [] then begin
+          let app = List.nth blocked (Rng.int rng (List.length blocked)) in
+          check
+            (outcome (fun () -> Pending.schedule p app)
+            = outcome (fun () -> Old.Pending.schedule o app))
+        end;
+        let app = List.nth ready (Rng.int rng (List.length ready)) in
+        Pending.schedule p app;
+        Old.Pending.schedule o app
+      done;
+      !same && Pending.is_empty p && Pending.ready p = [])
+
+(* A dense random native circuit on every device qubit: CZs on random
+   couplings and single-qubit gates, so moments hold several conflicting
+   couplings and the color cap has something to drop. *)
+let dense_native device seed =
+  let rng = Rng.create seed in
+  let graph = Device.graph device in
+  let couplings = Array.of_list (Graph.edges graph) in
+  let b = Circuit.builder (Graph.n_vertices graph) in
+  for _ = 1 to 10 + Rng.int rng 50 do
+    if Rng.int rng 4 = 0 then
+      Circuit.add b (Rng.choose rng [| Gate.H; Gate.X; Gate.Rz 0.3 |])
+        [ Rng.int rng (Graph.n_vertices graph) ]
+    else begin
+      let u, v = Rng.choose rng couplings in
+      if Rng.bool rng then Circuit.add b Gate.Cz [ u; v ] else Circuit.add b Gate.Cz [ v; u ]
+    end
+  done;
+  Circuit.finish b
+
+let schedule_bits (s : Schedule.t) =
+  ( s.Schedule.algorithm,
+    Array.map Int64.bits_of_float s.Schedule.idle_freqs,
+    List.map
+      (fun (step : Schedule.step) ->
+        ( List.map
+            (fun app -> (app.Gate.id, app.Gate.gate, Array.to_list app.Gate.qubits))
+            step.Schedule.gates,
+          Array.map Int64.bits_of_float step.Schedule.freqs,
+          step.Schedule.interacting,
+          Int64.bits_of_float step.Schedule.duration ))
+      s.Schedule.steps )
+
+let stats_bits (st : Color_dynamic.stats) =
+  (Int64.bits_of_float st.Color_dynamic.min_delta, { st with Color_dynamic.min_delta = 0.0 })
+
+(* The zoo plus two larger meshes: the color cap drops couplings only when
+   a colorer uses more colors than the cap on a moment that the conflict
+   threshold (at most the cap) already thinned, which takes a wide moment
+   and mostly the natural order. *)
+let cd_devices =
+  lazy
+    (Array.map (Device.create ~seed:2020)
+       (Array.append (Lazy.force topologies) [| Topology.grid 4 4; Topology.grid 5 5 |]))
+
+let prop_color_dynamic =
+  prop_case ~count:60 "Color_dynamic.run matches the full-graph run in every bit and stat"
+    Proptest.(
+      pair
+        (pair (int_range 0 (Array.length (Lazy.force cd_devices) - 1)) (int_range 0 2))
+        (int_range 0 1_000_000))
+    (fun ((i, k), seed) ->
+      let device = (Lazy.force cd_devices).(i) in
+      let native = dense_native device seed in
+      let colorer = List.nth colorers k in
+      List.for_all
+        (fun (max_colors, decompose, warm_start, crosstalk_distance) ->
+          let run f =
+            outcome (fun () ->
+                let s, st =
+                  f ?crosstalk_distance:(Some crosstalk_distance) ?max_colors:(Some max_colors)
+                    ?conflict_threshold:None ?colorer:(Some colorer) ?warm_start:(Some warm_start)
+                    ?decompose:(Some decompose) device native
+                in
+                (schedule_bits s, stats_bits st))
+          in
+          run Color_dynamic.run = run Old.color_dynamic_run)
+        (List.concat_map
+           (fun cap ->
+             List.concat_map
+               (fun decompose ->
+                 List.concat_map
+                   (fun warm -> List.map (fun d -> (cap, decompose, warm, d)) [ 1; 2 ])
+                   [ false; true ])
+               [ false; true ])
+           [ None; Some 1; Some 2; Some 3 ]))
+
+let suite =
+  [
+    prop_route_lookahead;
+    prop_cqc_route;
+    prop_evaluate;
+    prop_vertex_of_edge;
+    prop_moment_subgraph;
+    prop_pending;
+    prop_color_dynamic;
+  ]
