@@ -93,8 +93,6 @@ let compile_and_evaluate ?(options = Compile.default_options) ~algorithm device 
 
 let grid ?jobs f cells = Pool.map ?jobs f cells
 
-let grid_i ?jobs f cells = Pool.mapi ?jobs f cells
-
 (* Slice a flat in-order cell list back into rows of [width] (the inverse of
    fanning a (row x column) table out one cell at a time). *)
 let rows_of ~width cells =

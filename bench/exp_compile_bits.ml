@@ -2,8 +2,9 @@
 
    Every paper-compile cell ({bv, qaoa, ising, qgan, xeb, grover, vqe} x mesh
    n in {9, 16} x seven schedulers, device seed 2020, circuit seed 7) plus a
-   few 64-qubit color-dynamic cells on the decompose + warm-start path is
-   compiled through [Pass.execute] and evaluated three times: the default
+   few 64-qubit color-dynamic cells on the decompose + warm-start path, on
+   the 8x8 mesh and on HH-2x4 (67 qubits, the smallest heavy-hex holding 64),
+   is compiled through [Pass.execute] and evaluated three times: the default
    eq-4 estimate, and re-evaluations of the same schedule at crosstalk
    distance 2, with the time-dependent transfer probability and with its
    worst-case envelope (which saturates on about half the cells).
@@ -28,15 +29,24 @@ let scale_benches = [ "bv"; "ising"; "xeb" ]
 let scale_options =
   { Pass.default_options with Pass.decompose_components = true; warm_start = true }
 
+(* Devices are built inside each cell from this description, so pool domains
+   never share a mutable graph. *)
+type chip = Mesh | Heavy_hex of int * int
+
 let cells =
   List.concat_map
     (fun bench ->
       List.concat_map
         (fun n ->
-          List.map (fun algorithm -> (bench, n, algorithm, Pass.default_options)) paper_algorithms)
+          List.map
+            (fun algorithm -> (bench, n, algorithm, Pass.default_options, Mesh))
+            paper_algorithms)
         paper_sizes)
     paper_benches
-  @ List.map (fun bench -> (bench, 64, "color-dynamic", scale_options)) scale_benches
+  @ List.map (fun bench -> (bench, 64, "color-dynamic", scale_options, Mesh)) scale_benches
+  @ List.map
+      (fun bench -> (bench, 64, "color-dynamic", scale_options, Heavy_hex (2, 4)))
+      scale_benches
 
 let bits x = Printf.sprintf "%016Lx" (Int64.bits_of_float x)
 
@@ -54,12 +64,18 @@ let line label mode ~swaps (m : Schedule.metrics) =
     (bits m.Schedule.gate_error) (bits m.Schedule.crosstalk_error)
     (bits m.Schedule.decoherence_error) m.Schedule.depth m.Schedule.n_gates swaps
 
-let cell (bench, n, algorithm, options) =
-  let device = Exp_common.mesh_device n in
+let cell (bench, n, algorithm, options, chip) =
+  let device, at =
+    match chip with
+    | Mesh -> (Exp_common.mesh_device n, "")
+    | Heavy_hex (rows, cols) ->
+      let topology = Topology.heavy_hex rows cols in
+      (Exp_common.device_of_topology topology, "@" ^ topology.Topology.name)
+  in
   let b = Exp_common.benchmark bench n in
   let ctx = Pass.execute ~options ~algorithm device (b.Exp_common.make device) in
   let schedule = Pass.Context.schedule_exn ctx in
-  let label = Printf.sprintf "%s/%s" b.Exp_common.label algorithm in
+  let label = Printf.sprintf "%s%s/%s" b.Exp_common.label at algorithm in
   let swaps = swaps ctx in
   [
     line label "eq4" ~swaps (Pass.Context.metrics_exn ctx);

@@ -28,7 +28,6 @@ let experiments =
     ("ablate-router", "SWAP router ablation", Exp_ablations.router);
     ("time", "bechamel timing suite", Exp_timing.run);
     ("sim", "simulation kernel microbenchmark", Exp_sim.run);
-    ("smt-scale", "SMT decomposition scaling benchmark", Exp_smt_scale.run);
     ("shootout", "cross-compiler shootout: scheduler zoo x topology zoo", Exp_shootout.run);
     ("ext-bench", "extension: GHZ/QFT workloads", Exp_extensions.extra_benchmarks);
     ("ext-lattices", "extension: heavy-hex/octagonal", Exp_extensions.machine_lattices);
@@ -60,7 +59,6 @@ let run_all () =
   Exp_generations.generations ();
   Exp_timing.run ();
   Exp_sim.run ();
-  Exp_smt_scale.run ();
   Exp_shootout.run ()
 
 let usage () =

@@ -12,9 +12,9 @@
      listed suites must fail — the mutation-style proof that the tests would
      catch a regression of that shape.
    - W (workload): end-to-end determinism of the paper experiments (fig6,
-     fig7, table2, and the smt-scale sweep across topologies, byte-identical
-     at FASTSC_JOBS=1 vs 4), then the perf gate: fresh pinned benchmark runs
-     compared against bench/baselines/*.json.
+     fig7 and table2, byte-identical at FASTSC_JOBS=1 vs 4), then the perf
+     gate: a fresh pinned run of the sim benchmark compared against
+     bench/baselines/sim.json.
 
    `--quick` is the pre-commit subset (R with a reduced matrix + D without
    the example programs; W skipped).  Every run writes a machine-readable
@@ -286,59 +286,9 @@ let determinism_cell ~name ~env cmd =
        ~name:(Printf.sprintf "determinism %s" name)
        ~seconds outcome)
 
-let smt_scale_determinism topology =
-  let env =
-    [
-      ("FASTSC_SMT_SIZES", "5,7");
-      ("FASTSC_SMT_MOMENTS", "2");
-      ("FASTSC_SMT_DENSITY", "10");
-      ("FASTSC_SMT_TOPOLOGY", topology);
-      ("FASTSC_SMT_SCRUB", "1");
-    ]
-  in
-  let name = Printf.sprintf "smt-scale %s" topology in
-  let t0 = Deadline.now_s () in
-  let dir1 = fresh_dir (name ^ ".jobs1") and dir4 = fresh_dir (name ^ ".jobs4") in
-  let cmd = Printf.sprintf "'%s' smt-scale" bench_exe in
-  let code1, log1, _, command1 =
-    spawn ~dir:dir1 ~stdout_only:true ~env:(env @ [ ("FASTSC_JOBS", "1") ]) cmd
-  in
-  let code4, log4, _, command4 =
-    spawn ~dir:dir4 ~stdout_only:true ~env:(env @ [ ("FASTSC_JOBS", "4") ]) cmd
-  in
-  let seconds = Deadline.now_s () -. t0 in
-  let json1 = Filename.concat dir1 "BENCH_smt_scale.json"
-  and json4 = Filename.concat dir4 "BENCH_smt_scale.json" in
-  let outcome =
-    if code1 <> 0 then
-      Fastsc_verify.Verify_report.Fail
-        (Printf.sprintf "serial leg exit %d — replay: %s" code1 command1)
-    else if code4 <> 0 then
-      Fastsc_verify.Verify_report.Fail
-        (Printf.sprintf "parallel leg exit %d — replay: %s" code4 command4)
-    else if not (Sys.file_exists json1 && Sys.file_exists json4) then
-      Fastsc_verify.Verify_report.Fail "BENCH_smt_scale.json was not produced"
-    else if read_file json1 <> read_file json4 then
-      Fastsc_verify.Verify_report.Fail
-        "scrubbed BENCH_smt_scale.json differs between FASTSC_JOBS=1 and 4"
-    else if log1 <> log4 then
-      Fastsc_verify.Verify_report.Fail "stdout differs between FASTSC_JOBS=1 and 4"
-    else Fastsc_verify.Verify_report.Pass
-  in
-  let detail =
-    match outcome with
-    | Pass -> []
-    | Fail _ ->
-      [ ("command_jobs1", Json.String command1); ("command_jobs4", Json.String command4) ]
-  in
-  add
-    (Fastsc_verify.Verify_report.cell ~detail ~tier:"W"
-       ~name:(Printf.sprintf "determinism %s" name)
-       ~seconds outcome)
-
 (* Pinned knobs: small enough to finish in about a second, large enough that
-   the timing fields clear the gate's noise floors.  The committed baselines
-   under bench/baselines/ were produced by exactly these runs. *)
+   the timing fields clear the gate's noise floors.  The committed baseline
+   bench/baselines/sim.json was produced by exactly this run. *)
 let sim_bench_env =
   [
     ("FASTSC_SIM_QUBITS", "8");
@@ -348,15 +298,6 @@ let sim_bench_env =
     ("FASTSC_SIM_TRAJ_QUBITS", "4");
     ("FASTSC_SIM_DENSITY_QUBITS", "4");
     ("FASTSC_SIM_BUDGET_MS", "60");
-    ("FASTSC_JOBS", "4");
-  ]
-
-let smt_bench_env =
-  [
-    ("FASTSC_SMT_SIZES", "5,7");
-    ("FASTSC_SMT_MOMENTS", "2");
-    ("FASTSC_SMT_DENSITY", "10");
-    ("FASTSC_SMT_TOPOLOGY", "grid");
     ("FASTSC_JOBS", "4");
   ]
 
@@ -430,13 +371,9 @@ let tier_w ~tolerance ~write_baselines () =
   List.iter
     (fun exp -> determinism_cell ~name:exp ~env:[] (Printf.sprintf "'%s' %s" bench_exe exp))
     [ "fig6"; "fig7"; "table2" ];
-  List.iter smt_scale_determinism [ "grid"; "heavy-hex" ];
   perf_gate_cell ~tolerance ~write_baselines ~label:"sim" ~env:sim_bench_env ~experiment:"sim"
     ~bench_file:"BENCH_sim.json"
-    ~baseline:(Filename.concat baseline_dir "sim.json");
-  perf_gate_cell ~tolerance ~write_baselines ~label:"smt_scale" ~env:smt_bench_env
-    ~experiment:"smt-scale" ~bench_file:"BENCH_smt_scale.json"
-    ~baseline:(Filename.concat baseline_dir "smt_scale.json")
+    ~baseline:(Filename.concat baseline_dir "sim.json")
 
 (* -- entry point ----------------------------------------------------------- *)
 

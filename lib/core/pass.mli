@@ -59,7 +59,7 @@ type options = {
           tolerance, and the defaults must keep golden outputs byte-identical. *)
   decompose_components : bool;
       (** Allocate each connected component of the active crosstalk subgraph
-          independently (pool-parallel, merged in component order).  Off by
+          independently, one after another in component order.  Off by
           default for the same golden-output reason. *)
 }
 

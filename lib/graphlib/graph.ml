@@ -143,84 +143,6 @@ let component_ids g =
     (components g);
   (ids, !count)
 
-(* Hopcroft-Tarjan lowpoint search, iterative so deep paths cannot blow the
-   OCaml stack.  Children are visited in ascending id order (ISet.elements is
-   sorted), so discovery numbers — and hence the emitted component order —
-   are a pure function of the graph. *)
-let biconnected_scan g =
-  let disc = Array.make g.n (-1) in
-  let low = Array.make g.n 0 in
-  let parent = Array.make g.n (-1) in
-  let is_cut = Array.make g.n false in
-  let edge_stack = ref [] in
-  let comps = ref [] in
-  let counter = ref 0 in
-  let pop_component u v =
-    (* pop stacked edges down to and including (u, v) *)
-    let rec pop acc =
-      match !edge_stack with
-      | [] -> acc
-      | (a, b) :: rest ->
-        edge_stack := rest;
-        let acc = (min a b, max a b) :: acc in
-        if (a = u && b = v) || (a = v && b = u) then acc else pop acc
-    in
-    comps := List.sort compare (pop []) :: !comps
-  in
-  for root = 0 to g.n - 1 do
-    if disc.(root) = -1 then begin
-      let root_children = ref 0 in
-      (* explicit DFS stack: (vertex, neighbours still to try) *)
-      let stack = ref [ (root, ISet.elements g.adj.(root)) ] in
-      disc.(root) <- !counter;
-      low.(root) <- !counter;
-      incr counter;
-      while !stack <> [] do
-        match !stack with
-        | [] -> ()
-        | (u, next) :: rest -> (
-          match next with
-          | [] ->
-            stack := rest;
-            if parent.(u) >= 0 then begin
-              let p = parent.(u) in
-              if low.(u) < low.(p) then low.(p) <- low.(u);
-              if low.(u) >= disc.(p) then begin
-                pop_component p u;
-                if p = root then (if !root_children > 1 then is_cut.(p) <- true)
-                else is_cut.(p) <- true
-              end
-            end
-          | v :: more ->
-            stack := (u, more) :: rest;
-            if disc.(v) = -1 then begin
-              parent.(v) <- u;
-              if u = root then incr root_children;
-              edge_stack := (u, v) :: !edge_stack;
-              disc.(v) <- !counter;
-              low.(v) <- !counter;
-              incr counter;
-              stack := (v, ISet.elements g.adj.(v)) :: !stack
-            end
-            else if v <> parent.(u) && disc.(v) < disc.(u) then begin
-              edge_stack := (u, v) :: !edge_stack;
-              if disc.(v) < low.(u) then low.(u) <- disc.(v)
-            end)
-      done
-    end
-  done;
-  (List.rev !comps, is_cut)
-
-let biconnected_components g = fst (biconnected_scan g)
-
-let articulation_points g =
-  let _, is_cut = biconnected_scan g in
-  let acc = ref [] in
-  for v = g.n - 1 downto 0 do
-    if is_cut.(v) then acc := v :: !acc
-  done;
-  !acc
-
 let complement_vertices g vs =
   let inside = Array.make g.n false in
   List.iter

@@ -72,19 +72,6 @@ val component_ids : t -> int array * int
 (** [(ids, k)] where [ids.(v)] is the index of [v]'s component in
     {!components} order and [k] the component count. *)
 
-val biconnected_components : t -> (int * int) list list
-(** Partition of the {e edges} into biconnected components (Hopcroft–Tarjan
-    lowpoint search).  Each component's edges are canonical [(u, v)], [u < v],
-    sorted; component order follows DFS completion from vertex 0 upward and is
-    deterministic.  Bridges appear as single-edge components; isolated
-    vertices appear in none (the partition covers edges, not vertices). *)
-
-val articulation_points : t -> int list
-(** Sorted list of cut vertices — vertices whose removal disconnects their
-    component.  A cheap decomposability signal for the solver benches: a
-    constraint graph rich in articulation points splits further under edge
-    removal than its component count alone suggests. *)
-
 val complement_vertices : t -> int list -> int list
 (** [complement_vertices g vs] is the sorted list of vertices not in [vs]. *)
 

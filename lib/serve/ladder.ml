@@ -3,8 +3,8 @@
    A request walks four rungs, each cheaper than the last, until one
    produces a schedule within whatever budget remains:
 
-     full             the requested algorithm, full SMT portfolio,
-                      first half of the budget
+     full             the requested algorithm with the request's own
+                      options, first half of the budget
      decomposed-warm  same algorithm with component decomposition and
                       warm starts on, the rest of the budget
      stale            a previously computed witness for the identical

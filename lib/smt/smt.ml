@@ -37,8 +37,6 @@ let create ?(lo = 0.0) ?(hi = 1.0) n =
   if lo > hi then invalid_arg "Smt.create: lo > hi";
   { n; lo = Array.make n lo; hi = Array.make n hi; seps = []; forbidden = [] }
 
-let n_vars t = t.n
-
 let check_var t v =
   if v < 0 || v >= t.n then invalid_arg "Smt: variable out of range"
 
@@ -130,35 +128,36 @@ let candidates t ~delta placed v ~floor =
     in
     least :: List.sort_uniq compare (List.filter (fun x -> x > least +. epsilon) ends)
 
-(* [stop] is polled once per search node; when it fires the search abandons
-   the branch and unwinds with "no solution".  Only the portfolio racer sets
-   it — a cancelled task's result is discarded there, so the early [None]
-   never masquerades as a genuine infeasibility. *)
-let solve_ordered ?(stop = fun () -> false) t ~delta order =
+let solve_ordered t ~delta order =
   let placed = Array.make t.n None in
   let nodes = ref 0 in
   let rec place remaining floor =
     incr nodes;
     if !nodes land deadline_poll_mask = 0 then deadline_check "solve_ordered";
-    if stop () then false
-    else
-      match remaining with
-      | [] -> true
-      | v :: rest ->
-        let try_value value =
-          placed.(v) <- Some value;
-          if place rest value then true
-          else begin
-            placed.(v) <- None;
-            false
-          end
-        in
-        List.exists try_value (candidates t ~delta placed v ~floor)
+    match remaining with
+    | [] -> true
+    | v :: rest ->
+      let try_value value =
+        placed.(v) <- Some value;
+        if place rest value then true
+        else begin
+          placed.(v) <- None;
+          false
+        end
+      in
+      List.exists try_value (candidates t ~delta placed v ~floor)
   in
   if place order neg_infinity then
     Some (Array.map (function Some x -> x | None -> nan) placed)
   else None
 
+(* Unordered search: each step picks any unplaced variable and places it at
+   or above the previous value, so every feasible assignment is reachable in
+   its sorted order.  The search gives up after 200,000 nodes and answers
+   "no solution", so past that budget a [None] is not a proof of
+   infeasibility.  The compiler's problems (a handful of colors, one
+   variable each) stay far below it; about ten variables with only a few
+   separations can reach it. *)
 let solve_any t ~delta =
   let placed = Array.make t.n None in
   let budget = ref 200_000 in
@@ -195,16 +194,6 @@ type violation =
   | Separation_violated of int * int * float
   | Forbidden_violated of int * float
 
-let pp_violation ppf = function
-  | Length_mismatch n -> Format.fprintf ppf "assignment has %d values" n
-  | Not_finite v -> Format.fprintf ppf "x%d is not finite" v
-  | Out_of_bounds v -> Format.fprintf ppf "x%d outside its bounds" v
-  | Separation_violated (i, j, offset) ->
-    if offset = 0.0 then Format.fprintf ppf "|x%d - x%d| < delta" i j
-    else Format.fprintf ppf "|x%d %+g - x%d| < delta" i offset j
-  | Forbidden_violated (v, center) ->
-    Format.fprintf ppf "x%d inside the forbidden zone around %g" v center
-
 (* All comparisons carry the same epsilon slack the solver uses, so witnesses
    sitting exactly on a boundary (two variables at precisely delta apart, a
    value landing on an interval endpoint) verify as satisfying.  Non-finite
@@ -239,8 +228,6 @@ let violations t ~delta assignment =
   end
 
 let verify t ~delta assignment = violations t ~delta assignment = []
-
-let check = verify
 
 (* Smallest slack of any constraint under [assignment]: the largest delta at
    which the assignment still verifies.  None when the assignment is invalid
@@ -279,86 +266,11 @@ let margin t assignment =
     end
   end
 
-(* Variables connected (transitively) by binary separations must be placed
-   together; everything else is independent.  Self-sidebands and forbidden
-   zones are unary, so they never join components.  Ordering is inherited
-   from Graph.components: each component ascending, components by smallest
-   variable — a pure function of the problem, which is what keeps the
-   decomposed solve deterministic at any job count. *)
-let component_partition t =
-  let g = Fastsc_graphlib.Graph.create t.n in
-  List.iter
-    (fun { i; j; _ } -> if i <> j then Fastsc_graphlib.Graph.add_edge g i j)
-    t.seps;
-  Fastsc_graphlib.Graph.components g
-
-(* Restrict the problem to one component.  [globals.(k)] is the original id
-   of local variable [k]; seps and forbidden keep their relative list order,
-   so the subproblem built for the whole variable set is search-equivalent
-   to the original problem. *)
-let restrict t comp =
-  let globals = Array.of_list comp in
-  let n' = Array.length globals in
-  let local_of = Array.make t.n (-1) in
-  Array.iteri (fun k v -> local_of.(v) <- k) globals;
-  let sub =
-    {
-      n = n';
-      lo = Array.map (fun v -> t.lo.(v)) globals;
-      hi = Array.map (fun v -> t.hi.(v)) globals;
-      seps =
-        List.filter_map
-          (fun { i; j; offset } ->
-            if local_of.(i) >= 0 && local_of.(j) >= 0 then
-              Some { i = local_of.(i); j = local_of.(j); offset }
-            else None)
-          t.seps;
-      forbidden =
-        List.filter_map
-          (fun (v, center) ->
-            if local_of.(v) >= 0 then Some (local_of.(v), center) else None)
-          t.forbidden;
-    }
-  in
-  (sub, globals)
-
-(* Split a global sweep order into per-component local orders: each component
-   keeps the relative order its members had in the global list. *)
-let split_order t order comps =
-  let rank = Array.make t.n 0 in
-  List.iteri (fun k v -> rank.(v) <- k) order;
-  List.map
-    (fun comp ->
-      let local_of = Hashtbl.create (List.length comp) in
-      List.iteri (fun k v -> Hashtbl.replace local_of v k) comp;
-      List.map
-        (fun v -> Hashtbl.find local_of v)
-        (List.sort (fun a b -> compare rank.(a) rank.(b)) comp))
-    comps
-
 let validate_order t order =
   if List.length order <> t.n then
     invalid_arg "Smt.solve: order must list every variable exactly once"
 
-(* Solve one component's subproblem; [sub_order], when given, is already in
-   local variable ids. *)
-let solve_sub ?sub_order sub ~delta =
-  match sub_order with
-  | Some o -> solve_ordered sub ~delta o
-  | None -> if sub.n = 0 then Some [||] else solve_any sub ~delta
-
-let merge_component_witnesses t pieces =
-  let witness = Array.make t.n nan in
-  List.iter
-    (fun (globals, w) -> Array.iteri (fun k v -> witness.(v) <- w.(k)) globals)
-    pieces;
-  witness
-
-(* Monolithic whole-problem search: the pre-decomposition code path, kept as
-   the benchmark baseline and for callers that want the global monotone
-   contract of [~order] (an order spanning components couples them through
-   the shared floor, which per-component solving deliberately does not). *)
-let solve_monolithic ?order t ~delta =
+let solve ?order t ~delta =
   if not (self_constraints_ok t ~delta) then None
   else
     let result =
@@ -370,76 +282,9 @@ let solve_monolithic ?order t ~delta =
     in
     match result with
     | Some assignment ->
-      assert (check t ~delta assignment);
+      assert (verify t ~delta assignment);
       Some assignment
     | None -> None
-
-(* The unordered path decomposes: independent components are solved one by
-   one on their own restricted problems.  Single-component problems (every
-   complete-graph allocation the compiler builds today) dispatch to the
-   exact pre-decomposition search, so existing witnesses are bit-identical.
-   The ordered path stays monolithic — the global monotone contract spans
-   components by design. *)
-let solve ?order t ~delta =
-  match order with
-  | Some _ -> solve_monolithic ?order t ~delta
-  | None ->
-    if not (self_constraints_ok t ~delta) then None
-    else if t.n = 0 then Some [||]
-    else begin
-      let result =
-        match component_partition t with
-        | [] | [ _ ] -> solve_any t ~delta
-        | comps ->
-          let rec go acc = function
-            | [] -> Some (merge_component_witnesses t (List.rev acc))
-            | comp :: rest -> (
-              let sub, globals = restrict t comp in
-              match solve_sub sub ~delta with
-              | None -> None
-              | Some w -> go ((globals, w) :: acc) rest)
-          in
-          go [] comps
-      in
-      match result with
-      | Some assignment ->
-        assert (check t ~delta assignment);
-        Some assignment
-      | None -> None
-    end
-
-(* Pool-parallel component solve.  Byte-identical to {!solve}: components and
-   their subproblems are pure functions of [t], each cell runs the same
-   search [solve] would run sequentially, and Pool.map stores results by
-   input index — so the merged witness cannot depend on jobs or scheduling.
-   With [~order] each component receives the restriction of the global order
-   (no cross-component floor chaining, unlike monolithic [solve ~order]). *)
-let solve_components ?jobs ?order t ~delta =
-  if not (self_constraints_ok t ~delta) then None
-  else if t.n = 0 then Some [||]
-  else begin
-    Option.iter (validate_order t) order;
-    let comps = component_partition t in
-    let sub_orders =
-      match order with
-      | None -> List.map (fun _ -> None) comps
-      | Some order -> List.map Option.some (split_order t order comps)
-    in
-    let cells = List.combine comps sub_orders in
-    let pieces =
-      Fastsc_util.Pool.map ?jobs
-        (fun (comp, sub_order) ->
-          let sub, globals = restrict t comp in
-          Option.map (fun w -> (globals, w)) (solve_sub ?sub_order sub ~delta))
-        cells
-    in
-    if List.exists Option.is_none pieces then None
-    else begin
-      let witness = merge_component_witnesses t (List.map Option.get pieces) in
-      assert (check t ~delta witness);
-      Some witness
-    end
-  end
 
 let widest_range t =
   let w = ref 0.0 in
@@ -455,8 +300,6 @@ let widest_range t =
 let solve_counter = Atomic.make 0
 
 let find_max_delta_count () = Atomic.get solve_counter
-
-let reset_find_max_delta_count () = Atomic.set solve_counter 0
 
 (* Respecting [order] means the witness must be non-decreasing along it; a
    warm witness from another moment need not be, so it is only accepted as a
@@ -519,138 +362,3 @@ let find_max_delta ?order ?(tolerance = 1e-4) ?delta_hi ?warm t =
       | None -> hi := mid
     done;
     Some !best
-
-type component_solution = { members : int list; local_delta : float }
-
-(* Per-component binary searches, fanned over the pool.  The merged maximum
-   is the min over components (the binding component caps the global delta),
-   and each per-component witness stays feasible at that smaller value, so
-   the merged witness verifies at the merged delta.  Each component pays its
-   own find_max_delta (own solve_counter tick) — that is the solve count the
-   trace reports.  Deterministic at any job count: components, subproblems
-   and per-component searches are pure functions of [t], and results merge
-   in component index order. *)
-let find_max_delta_components ?jobs ?order ?(tolerance = 1e-4) ?delta_hi ?warm t =
-  let delta_hi = match delta_hi with Some d -> d | None -> Float.max tolerance (widest_range t) in
-  Option.iter (validate_order t) order;
-  match component_partition t with
-  | [] ->
-    Option.map
-      (fun (d, w) -> ((d, w), []))
-      (find_max_delta ?order ~tolerance ~delta_hi ?warm t)
-  | [ comp ] ->
-    Option.map
-      (fun (d, w) -> ((d, w), [ { members = comp; local_delta = d } ]))
-      (find_max_delta ?order ~tolerance ~delta_hi ?warm t)
-  | comps ->
-    let sub_orders =
-      match order with
-      | None -> List.map (fun _ -> None) comps
-      | Some order -> List.map Option.some (split_order t order comps)
-    in
-    let cells = List.combine comps sub_orders in
-    let results =
-      (* inherit_ambient: component solves run on worker domains, which have
-         their own ambient deadline state — re-install the caller's so the
-         per-component searches stay cancellable *)
-      Fastsc_util.Pool.map ?jobs
-        (Fastsc_util.Deadline.inherit_ambient (fun (comp, sub_order) ->
-          let sub, globals = restrict t comp in
-          let sub_warm =
-            Option.map (fun w -> Array.map (fun v -> w.(v)) globals) warm
-          in
-          Option.map
-            (fun (d, w) -> (comp, globals, d, w))
-            (find_max_delta ?order:sub_order ~tolerance ~delta_hi ?warm:sub_warm
-               sub)))
-        cells
-    in
-    if List.exists Option.is_none results then None
-    else begin
-      let results = List.map Option.get results in
-      let delta =
-        List.fold_left (fun acc (_, _, d, _) -> Float.min acc d) delta_hi results
-      in
-      let witness =
-        merge_component_witnesses t
-          (List.map (fun (_, globals, _, w) -> (globals, w)) results)
-      in
-      assert (verify t ~delta witness);
-      let infos =
-        List.map
-          (fun (comp, _, d, _) -> { members = comp; local_delta = d })
-          results
-      in
-      Some ((delta, witness), infos)
-    end
-
-(* Ordering portfolio: race candidate sweep orders as pool tasks and keep the
-   lowest-index feasible one.  Task [i] may be cancelled only once some task
-   [j < i] has already succeeded, so every task below the eventual winner
-   always runs to completion — the winner is a pure function of the problem
-   and the portfolio, independent of jobs or scheduling. *)
-let solve_portfolio ?jobs t ~delta ~orders =
-  if orders = [] then invalid_arg "Smt.solve_portfolio: empty portfolio";
-  List.iter (validate_order t) orders;
-  if not (self_constraints_ok t ~delta) then None
-  else begin
-    let winner = Atomic.make max_int in
-    let claim i =
-      let rec spin () =
-        let cur = Atomic.get winner in
-        if i < cur && not (Atomic.compare_and_set winner cur i) then spin ()
-      in
-      spin ()
-    in
-    let attempts =
-      (* same cross-domain deadline bridge as find_max_delta_components *)
-      let run_cell =
-        Fastsc_util.Deadline.inherit_ambient (fun (i, order) ->
-            if Atomic.get winner < i then None
-            else
-              let stop () = Atomic.get winner < i in
-              match solve_ordered ~stop t ~delta order with
-              | Some w ->
-                claim i;
-                Some w
-              | None -> None)
-      in
-      Fastsc_util.Pool.mapi ?jobs (fun i order -> run_cell (i, order)) orders
-    in
-    let rec first i = function
-      | [] -> None
-      | Some w :: _ -> Some (i, w)
-      | None :: rest -> first (i + 1) rest
-    in
-    match first 0 attempts with
-    | Some (i, w) ->
-      assert (check t ~delta w);
-      Some (i, w)
-    | None -> None
-  end
-
-let find_max_delta_portfolio ?jobs ?(tolerance = 1e-4) ?delta_hi ~orders t =
-  Atomic.incr solve_counter;
-  deadline_check "find_max_delta_portfolio";
-  let delta_hi = match delta_hi with Some d -> d | None -> Float.max tolerance (widest_range t) in
-  match solve_portfolio ?jobs t ~delta:0.0 ~orders with
-  | None -> None
-  | Some (i0, w0) ->
-    let best = ref (i0, 0.0, w0) in
-    let lo = ref 0.0 and hi = ref delta_hi in
-    (match solve_portfolio ?jobs t ~delta:delta_hi ~orders with
-    | Some (i, w) ->
-      best := (i, delta_hi, w);
-      lo := delta_hi
-    | None -> ());
-    while !hi -. !lo > tolerance do
-      deadline_check "find_max_delta_portfolio";
-      let mid = (!lo +. !hi) /. 2.0 in
-      match solve_portfolio ?jobs t ~delta:mid ~orders with
-      | Some (i, w) ->
-        best := (i, mid, w);
-        lo := mid
-      | None -> hi := mid
-    done;
-    let i, d, w = !best in
-    Some (i, (d, w))

@@ -23,8 +23,6 @@ val create : ?lo:float -> ?hi:float -> int -> t
     default range (defaults [0., 1.]).
     @raise Invalid_argument if [n < 0] or [lo > hi]. *)
 
-val n_vars : t -> int
-
 val set_bounds : t -> int -> lo:float -> hi:float -> unit
 (** Override the bounds of one variable. *)
 
@@ -44,34 +42,11 @@ val solve : ?order:int list -> t -> delta:float -> float array option
     the assignment additionally satisfies
     [x_order(0) <= x_order(1) <= ...].
 
-    Without [order] the search decomposes: independent connected components
-    of the constraint graph (see {!component_partition}) are solved on their
-    own restricted subproblems and the witnesses merged.  Single-component
-    problems run the exact monolithic search, so witnesses for the
-    complete-graph problems the compiler builds are unchanged.  With [order]
-    the search stays monolithic — the global monotone chain deliberately
-    spans components. *)
-
-val solve_monolithic : ?order:int list -> t -> delta:float -> float array option
-(** The pre-decomposition whole-problem search, kept as the scaling
-    benchmark baseline.  Identical to {!solve} on single-component problems
-    and whenever [order] is given. *)
-
-val solve_components :
-  ?jobs:int -> ?order:int list -> t -> delta:float -> float array option
-(** Pool-parallel variant of the decomposed {!solve}: each component is a
-    pool task.  Byte-identical to [solve t ~delta] (without [order]) at any
-    [jobs] — subproblems are pure functions of [t] and results merge in
-    component index order.  With [order], each component receives the
-    restriction of the global order (its members in global relative order);
-    unlike monolithic [solve ~order] there is no cross-component floor, so
-    the two ordered variants may return different witnesses. *)
-
-val component_partition : t -> int list list
-(** Connected components of the constraint graph (variables joined by binary
-    separations; self-sidebands and forbidden zones are unary and join
-    nothing).  Each component is sorted ascending, components ordered by
-    smallest variable — the determinism anchor for the decomposed solvers. *)
+    Without [order] the search tries every placement order and stops after
+    200,000 search nodes, so a [None] past that budget is not a proof of
+    infeasibility.  The compiler's problems (one variable per color, a
+    separation between every pair) are far too small to reach it; a problem
+    of about ten variables with only a few separations can. *)
 
 val margin : t -> float array -> float option
 (** [margin t a] is the smallest constraint slack of [a]: the largest delta
@@ -90,8 +65,6 @@ type violation =
   | Forbidden_violated of int * float
       (** [(i, center)] with [x_i] inside the forbidden interval. *)
 
-val pp_violation : Format.formatter -> violation -> unit
-
 val violations : t -> delta:float -> float array -> violation list
 (** Every constraint the assignment breaks at the given [delta], in a
     deterministic order (length, finiteness, bounds, separations, forbidden
@@ -107,16 +80,10 @@ val verify : t -> delta:float -> float array -> bool
     which search path produced it.  Used by the property-based suites and as
     an internal sanity assertion. *)
 
-val check : t -> delta:float -> float array -> bool
-(** Alias of {!verify}, kept for existing callers. *)
-
 val find_max_delta_count : unit -> int
 (** Process-wide count of {!find_max_delta} invocations (each one full binary
     search).  Atomic, so safe to read while pool domains solve; the compiler's
     pass instrumentation reports per-pass deltas of this counter. *)
-
-val reset_find_max_delta_count : unit -> unit
-(** Zero the {!find_max_delta_count} counter (tests, cold-cost measurements). *)
 
 val find_max_delta :
   ?order:int list -> ?tolerance:float -> ?delta_hi:float -> ?warm:float array ->
@@ -124,7 +91,8 @@ val find_max_delta :
 (** Binary search for the maximum feasible [delta] (within [tolerance],
     default [1e-4]); returns the witness assignment found at that [delta].
     [None] when even [delta = 0] is infeasible.  [delta_hi] bounds the search
-    from above (defaults to the widest variable range).
+    from above (defaults to the widest variable range).  Each probe is one
+    {!solve}, so without [order] its node budget applies to every probe.
 
     [warm] seeds the search with a previous witness: when it has positive
     {!margin} [m] (and is monotone along [order], if given) the delta = 0
@@ -134,44 +102,8 @@ val find_max_delta :
     ordered search only restricts the problem, a warm result can never beat
     the cold unordered maximum by more than [tolerance].
 
-    Cooperative cancellation: all solver entry points poll the ambient
-    {!Fastsc_util.Deadline} at chunk boundaries (per bisection probe, per
-    256 search nodes) and raise [Deadline.Expired] once the budget is gone —
-    never [None], so budget exhaustion cannot masquerade as infeasibility.
-    Pool fan-outs ({!find_max_delta_components}, {!solve_portfolio})
-    re-install the caller's ambient deadline on worker domains. *)
-
-type component_solution = {
-  members : int list;  (** Global variable ids of the component, ascending. *)
-  local_delta : float;  (** That component's own maximum delta. *)
-}
-
-val find_max_delta_components :
-  ?jobs:int -> ?order:int list -> ?tolerance:float -> ?delta_hi:float ->
-  ?warm:float array -> t ->
-  ((float * float array) * component_solution list) option
-(** Decomposed {!find_max_delta}: each constraint-graph component runs its
-    own binary search as a pool task (each ticking {!find_max_delta_count}
-    once), the global maximum is the min over components, and the merged
-    witness verifies at that delta.  Deterministic at any [jobs] — results
-    merge in component index order.  Problems with at most one component
-    delegate to {!find_max_delta}.  [warm]/[order] are restricted
-    per-component (members in global relative order); [None] if any
-    component is infeasible even at delta = 0. *)
-
-val solve_portfolio :
-  ?jobs:int -> t -> delta:float -> orders:int list list ->
-  (int * float array) option
-(** Race a portfolio of sweep orders as pool tasks; returns the
-    lowest-index feasible order and its witness.  A task may be cancelled
-    only once a lower-index task has succeeded, so every order below the
-    winner runs to completion and the result is a pure function of the
-    problem and portfolio — independent of [jobs] and scheduling.
-    @raise Invalid_argument on an empty portfolio or a malformed order. *)
-
-val find_max_delta_portfolio :
-  ?jobs:int -> ?tolerance:float -> ?delta_hi:float -> orders:int list list ->
-  t -> (int * (float * float array)) option
-(** Binary search over {!solve_portfolio}: at each probed delta the portfolio
-    races and the lowest-index feasible order wins.  Returns the winning
-    order index of the final retained probe with its (delta, witness). *)
+    Cooperative cancellation: {!solve} and {!find_max_delta} poll the
+    ambient {!Fastsc_util.Deadline} at chunk boundaries (per bisection
+    probe, per 256 search nodes) and raise [Deadline.Expired] once the
+    budget is gone — never [None], so an expired deadline cannot masquerade
+    as infeasibility. *)

@@ -12,9 +12,9 @@
       domain and check with {!expired}/{!remaining_ms};
     - {b ambient}: {!with_deadline} installs a deadline in per-domain
       storage for the dynamic extent of a call, and {!check} (sprinkled
-      through passes and solver loops) raises when it has passed.  Pool
-      fan-outs re-install the caller's ambient deadline on worker domains
-      via {!inherit_ambient}. *)
+      through passes and solver loops) raises when it has passed.  Work
+      handed to another domain does not see it unless that domain installs
+      it again. *)
 
 exception Expired of string
 (** Raised by {!check} when the ambient deadline has passed.  The payload
@@ -49,11 +49,6 @@ val with_deadline : t -> (unit -> 'a) -> 'a
 
 val current : unit -> t option
 (** The ambient deadline of the calling domain, if any. *)
-
-val inherit_ambient : ('a -> 'b) -> 'a -> 'b
-(** [inherit_ambient f] captures the caller's ambient deadline and returns
-    [f] wrapped so each call re-installs it — the bridge for work shipped to
-    pool worker domains, which have their own (empty) ambient state. *)
 
 val check : ?site:string -> unit -> unit
 (** Poll the ambient deadline; a no-op when none is installed or time

@@ -1,9 +1,8 @@
 (** The performance-regression gate of [make verify] tier W.
 
-    Compares a freshly produced benchmark document (BENCH_sim.json,
-    BENCH_smt_scale.json) against a committed baseline under
-    [bench/baselines/], walking both JSON trees in lockstep.  Leaf fields are
-    classified by key name:
+    Compares a freshly produced benchmark document (BENCH_sim.json) against
+    a committed baseline under [bench/baselines/], walking both JSON trees
+    in lockstep.  Leaf fields are classified by key name:
 
     - [jobs] and any [*speedup*] field are ignored — they record machine
       shape, and parallel-speedup ratios on a single-core CI box are

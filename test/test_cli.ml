@@ -150,25 +150,6 @@ let test_compile_trace_components () =
       "warm_misses";
     ]
 
-let bench_binary = Filename.concat (Filename.concat ".." "bench") "main.exe"
-
-let test_bench_smt_scale_bad_topology () =
-  let out_file = Filename.temp_file "fastsc_bench" ".out" in
-  let command =
-    Printf.sprintf "FASTSC_SMT_TOPOLOGY=moebius %s smt-scale > %s 2>&1"
-      (Filename.quote bench_binary) (Filename.quote out_file)
-  in
-  let code = Sys.command command in
-  let ic = open_in_bin out_file in
-  let text = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  Sys.remove out_file;
-  check_int "unknown topology exits 2" 2 code;
-  check_true "names the bad topology" (contains text "moebius");
-  List.iter
-    (fun name -> check_true ("error lists " ^ name) (contains text name))
-    [ "grid"; "path"; "ring"; "heavy-hex"; "octagonal"; "express" ]
-
 let suite =
   [
     Alcotest.test_case "list" `Quick test_list;
@@ -188,5 +169,4 @@ let suite =
     Alcotest.test_case "unknown algorithm exit 2" `Quick test_unknown_algorithm_exit_2;
     Alcotest.test_case "compile --trace" `Quick test_compile_trace;
     Alcotest.test_case "compile --trace component stats" `Quick test_compile_trace_components;
-    Alcotest.test_case "bench smt-scale unknown topology" `Quick test_bench_smt_scale_bad_topology;
   ]

@@ -67,20 +67,6 @@ let test_nesting_tightens () =
   in
   check_true "nesting keeps the sooner deadline" raised
 
-let test_inherit_ambient_crosses_domains () =
-  let z = Deadline.after_ms ~label:"cross" 0.0 in
-  let saw_deadline =
-    Deadline.with_deadline z (fun () ->
-        Deadline.inherit_ambient (fun () ->
-            match Deadline.check () with
-            | () -> false
-            | exception Deadline.Expired _ -> true))
-  in
-  (* fresh domains have no ambient state of their own; the wrapper must
-     carry the caller's in *)
-  check_true "worker domain sees the caller's deadline"
-    (Domain.join (Domain.spawn (fun () -> saw_deadline ())))
-
 (* Sentinel for FASTSC_FAULT=smt-deadline-skip: with the polls disabled, an
    already-expired budget no longer aborts find_max_delta and the solve runs
    to completion instead of raising. *)
@@ -98,24 +84,6 @@ let test_smt_aborts_on_expired_budget () =
   in
   check_true "expired budget aborts the solve via Expired" aborted
 
-let test_smt_portfolio_aborts_on_expired_budget () =
-  let t = Fastsc_smt.Smt.create ~lo:5.0 ~hi:7.0 8 in
-  for i = 0 to 6 do
-    Fastsc_smt.Smt.add_separation t i (i + 1)
-  done;
-  let forward = List.init 8 Fun.id in
-  let z = Deadline.after_ms ~label:"portfolio budget" 0.0 in
-  let aborted =
-    Deadline.with_deadline z (fun () ->
-        match
-          Fastsc_smt.Smt.find_max_delta_portfolio ~jobs:2 ~tolerance:1e-9
-            ~orders:[ forward; List.rev forward ] t
-        with
-        | _ -> false
-        | exception Deadline.Expired _ -> true)
-  in
-  check_true "expired budget aborts the portfolio solve" aborted
-
 let suite =
   [
     Alcotest.test_case "clock is monotonic" `Quick test_clock_monotonic;
@@ -123,10 +91,6 @@ let suite =
     Alcotest.test_case "remaining and expired" `Quick test_remaining_and_expired;
     Alcotest.test_case "check raises when expired" `Quick test_check_raises_when_expired;
     Alcotest.test_case "nesting tightens" `Quick test_nesting_tightens;
-    Alcotest.test_case "inherit_ambient crosses domains" `Quick
-      test_inherit_ambient_crosses_domains;
     Alcotest.test_case "smt aborts on expired budget" `Quick
       test_smt_aborts_on_expired_budget;
-    Alcotest.test_case "smt portfolio aborts on expired budget" `Quick
-      test_smt_portfolio_aborts_on_expired_budget;
   ]

@@ -77,35 +77,6 @@ let test_components () =
   Alcotest.(check (list (list int))) "empty graph has no components" []
     (Graph.components (Graph.create 0))
 
-let test_biconnected_two_triangles () =
-  (* two triangles sharing vertex 2: 2 is the articulation point and the
-     edge set splits into the two triangle components *)
-  let g = Graph.of_edges 5 [ (0, 1); (1, 2); (0, 2); (2, 3); (3, 4); (2, 4) ] in
-  Alcotest.(check (list int)) "cut vertex" [ 2 ] (Graph.articulation_points g);
-  let comps = List.sort compare (Graph.biconnected_components g) in
-  Alcotest.(check (list (list (pair int int))))
-    "two triangle components"
-    [ [ (0, 1); (0, 2); (1, 2) ]; [ (2, 3); (2, 4); (3, 4) ] ]
-    comps
-
-let test_biconnected_bridges () =
-  (* a path is all bridges: every edge is its own biconnected component and
-     every internal vertex is an articulation point *)
-  let g = Graph.of_edges 4 [ (0, 1); (1, 2); (2, 3) ] in
-  Alcotest.(check (list int)) "internal vertices cut" [ 1; 2 ] (Graph.articulation_points g);
-  Alcotest.(check (list (list (pair int int))))
-    "each bridge alone"
-    [ [ (0, 1) ]; [ (1, 2) ]; [ (2, 3) ] ]
-    (List.sort compare (Graph.biconnected_components g))
-
-let test_biconnected_cycle () =
-  let g = Graph.of_edges 4 [ (0, 1); (1, 2); (2, 3); (0, 3) ] in
-  Alcotest.(check (list int)) "cycle has no cut vertex" [] (Graph.articulation_points g);
-  Alcotest.(check (list (list (pair int int))))
-    "one component holding the whole cycle"
-    [ [ (0, 1); (0, 3); (1, 2); (2, 3) ] ]
-    (Graph.biconnected_components g)
-
 let prop_components_partition =
   qcheck_case "components partition the vertices and never split an edge"
     QCheck.(pair (int_range 1 20) (list_of_size (Gen.int_range 0 40) (pair small_nat small_nat)))
@@ -117,15 +88,6 @@ let prop_components_partition =
       let ids, _ = Graph.component_ids g in
       flattened = Graph.vertices g
       && List.for_all (fun (u, v) -> ids.(u) = ids.(v)) (Graph.edges g))
-
-let prop_biconnected_covers_edges =
-  qcheck_case "biconnected components partition the edges"
-    QCheck.(pair (int_range 1 15) (list_of_size (Gen.int_range 0 30) (pair small_nat small_nat)))
-    (fun (n, pairs) ->
-      let g = Graph.create n in
-      List.iter (fun (a, b) -> if a mod n <> b mod n then Graph.add_edge g (a mod n) (b mod n)) pairs;
-      let all = List.sort compare (List.concat (Graph.biconnected_components g)) in
-      all = Graph.edges g)
 
 let prop_handshake =
   qcheck_case "sum of degrees = 2m"
@@ -158,11 +120,7 @@ let suite =
     Alcotest.test_case "complement vertices" `Quick test_complement_vertices;
     Alcotest.test_case "out of range" `Quick test_out_of_range;
     Alcotest.test_case "components" `Quick test_components;
-    Alcotest.test_case "biconnected: shared vertex" `Quick test_biconnected_two_triangles;
-    Alcotest.test_case "biconnected: bridges" `Quick test_biconnected_bridges;
-    Alcotest.test_case "biconnected: cycle" `Quick test_biconnected_cycle;
     prop_components_partition;
-    prop_biconnected_covers_edges;
     prop_handshake;
     prop_edges_match_mem;
   ]

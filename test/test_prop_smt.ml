@@ -104,11 +104,12 @@ let prop_verify_rejects_corrupted =
                (the move may also leave the bounds; either way, a violation) *)
             not (Smt.verify t ~delta:s.delta corrupted)))
 
-(* -- decomposition and warm-start properties ------------------------------- *)
+(* -- warm-start properties ------------------------------------------------- *)
 
 (* Sparser instances than [gen_spec]: up to 10 variables with only ~n random
-   separations, so the constraint graph routinely splits into several
-   components — the regime the decomposed solvers exist for. *)
+   separations, so most variables are held only by their own bounds.  The
+   compiler builds complete-graph problems; these check that a warm start
+   agrees with the cold search on loosely constrained ones too. *)
 let gen_sparse_spec rng =
   let n = Proptest.Gen.int_range 2 10 rng in
   let bound _ =
@@ -126,32 +127,6 @@ let gen_sparse_spec rng =
   { n; bounds; seps; delta = Rng.uniform rng 0.0 1.5 }
 
 let sparse_arb = Proptest.make ~shrink:shrink_spec ~print:print_spec gen_sparse_spec
-
-let prop_decomposed_solve_identical =
-  prop_case "solve_components is byte-identical to solve at any jobs" sparse_arb (fun s ->
-      let t = build s in
-      let reference = Smt.solve t ~delta:s.delta in
-      List.for_all
-        (fun jobs -> Smt.solve_components ~jobs t ~delta:s.delta = reference)
-        [ 1; 2; 4 ]
-      && match reference with None -> true | Some w -> Smt.verify t ~delta:s.delta w)
-
-let prop_decomposed_max_delta_min_merge =
-  prop_case "find_max_delta_components min-merges verified witnesses" sparse_arb (fun s ->
-      let t = build s in
-      match Smt.find_max_delta_components ~jobs:4 ~tolerance:1e-5 t with
-      | None -> Smt.solve t ~delta:0.0 = None
-      | Some ((delta, w), infos) ->
-        let members = List.concat_map (fun (i : Smt.component_solution) -> i.Smt.members) infos in
-        List.sort compare members = List.init s.n Fun.id
-        && List.for_all
-             (fun (i : Smt.component_solution) -> i.Smt.local_delta >= delta -. 1e-9)
-             infos
-        && Smt.verify t ~delta w
-        (* the sequentially-decomposed search agrees within tolerance *)
-        && (match Smt.find_max_delta ~tolerance:1e-5 t with
-           | None -> false
-           | Some (ds, _) -> Float.abs (ds -. delta) <= 3e-5))
 
 let prop_warm_never_beats_cold =
   prop_case "warm-started search verifies and never beats cold" sparse_arb (fun s ->
@@ -182,27 +157,6 @@ let test_violations_reporting () =
   check_true "nan reported"
     (List.mem (Smt.Not_finite 0) (Smt.violations t ~delta:0.5 [| nan; 0.8 |]))
 
-let prop_portfolio_lowest_index_wins =
-  prop_case "portfolio winner is the lowest-index feasible order at any jobs"
-    spec_arb (fun s ->
-      let t = build s in
-      let idx = List.init s.n Fun.id in
-      let rotate = function [] -> [] | x :: rest -> rest @ [ x ] in
-      let orders = [ idx; List.rev idx; rotate idx ] in
-      (* the scheduling-independent oracle: try each order sequentially *)
-      let expected =
-        List.find_index
-          (fun order -> Smt.solve ~order t ~delta:s.delta <> None)
-          orders
-      in
-      List.for_all
-        (fun jobs ->
-          match (Smt.solve_portfolio ~jobs t ~delta:s.delta ~orders, expected) with
-          | None, None -> true
-          | Some (i, w), Some e -> i = e && Smt.verify t ~delta:s.delta w
-          | Some _, None | None, Some _ -> false)
-        [ 1; 2; 4 ])
-
 let suite =
   [
     prop_solve_verifies;
@@ -210,9 +164,6 @@ let suite =
     prop_ordered_solve_is_monotone;
     prop_verify_rejects_nan;
     prop_verify_rejects_corrupted;
-    prop_decomposed_solve_identical;
-    prop_decomposed_max_delta_min_merge;
     prop_warm_never_beats_cold;
-    prop_portfolio_lowest_index_wins;
     Alcotest.test_case "violations reporting" `Quick test_violations_reporting;
   ]

@@ -12,7 +12,7 @@ let test_solve_simple () =
   match Fastsc_smt.Smt.solve t ~delta:0.5 with
   | None -> Alcotest.fail "expected feasible"
   | Some xs ->
-    check_true "check passes" (Fastsc_smt.Smt.check t ~delta:0.5 xs);
+    check_true "check passes" (Fastsc_smt.Smt.verify t ~delta:0.5 xs);
     Array.iter (fun x -> check_true "bounds" (x >= 5.0 -. 1e-9 && x <= 7.0 +. 1e-9)) xs
 
 let test_solve_infeasible () =
@@ -25,7 +25,7 @@ let test_solve_boundary () =
   (* exactly delta = 1.0: values 5, 6, 7 *)
   match Fastsc_smt.Smt.solve t ~delta:1.0 with
   | None -> Alcotest.fail "boundary case should be feasible"
-  | Some xs -> check_true "check" (Fastsc_smt.Smt.check t ~delta:1.0 xs)
+  | Some xs -> check_true "check" (Fastsc_smt.Smt.verify t ~delta:1.0 xs)
 
 let test_find_max_delta () =
   let t = solver_feasible () in
@@ -33,7 +33,7 @@ let test_find_max_delta () =
   | None -> Alcotest.fail "expected solution"
   | Some (delta, xs) ->
     check_float ~eps:1e-4 "max separation for 3 in [5,7]" 1.0 delta;
-    check_true "witness valid" (Fastsc_smt.Smt.check t ~delta:(delta -. 1e-5) xs)
+    check_true "witness valid" (Fastsc_smt.Smt.verify t ~delta:(delta -. 1e-5) xs)
 
 let test_find_max_delta_infeasible_bounds () =
   let t = Fastsc_smt.Smt.create ~lo:5.0 ~hi:7.0 2 in
@@ -108,7 +108,7 @@ let test_unordered_search_backtracks () =
   Fastsc_smt.Smt.add_separation t 0 2;
   match Fastsc_smt.Smt.solve t ~delta:2.0 with
   | None -> Alcotest.fail "feasible via ordering 1 < 2 < 0"
-  | Some xs -> check_true "valid" (Fastsc_smt.Smt.check t ~delta:2.0 xs)
+  | Some xs -> check_true "valid" (Fastsc_smt.Smt.verify t ~delta:2.0 xs)
 
 let prop_max_delta_scales_inverse =
   (* k colors in [0, w]: max separation is w / (k - 1) *)
@@ -136,7 +136,7 @@ let prop_witness_always_checks =
       done;
       match Fastsc_smt.Smt.solve t ~delta with
       | None -> true
-      | Some xs -> Fastsc_smt.Smt.check t ~delta xs)
+      | Some xs -> Fastsc_smt.Smt.verify t ~delta xs)
 
 (* The single-pass resolver must land on exactly the floats the old
    retry-until-stable loop produced: witnesses are part of the golden
@@ -171,25 +171,7 @@ let test_resolver_separation_chain_exact () =
     check_float ~eps:0.0 "x1 pushed one delta up" 6.0 xs.(1);
     check_float ~eps:0.0 "x2 pushed through both intervals" 7.0 xs.(2)
 
-(* -- component decomposition, warm starts, ordering portfolio -------------- *)
-
-let two_component_problem () =
-  (* vars 0-1: a pair in [0,1]; vars 2-4: a triangle in [0,1] *)
-  let t = Fastsc_smt.Smt.create ~lo:0.0 ~hi:1.0 5 in
-  Fastsc_smt.Smt.add_separation t 0 1;
-  Fastsc_smt.Smt.add_separation t 2 3;
-  Fastsc_smt.Smt.add_separation t 3 4;
-  Fastsc_smt.Smt.add_separation t 2 4;
-  t
-
-let test_component_partition () =
-  let t = two_component_problem () in
-  check_true "two components, members ascending"
-    (Fastsc_smt.Smt.component_partition t = [ [ 0; 1 ]; [ 2; 3; 4 ] ]);
-  let sparse = Fastsc_smt.Smt.create 3 in
-  Fastsc_smt.Smt.add_separation sparse 0 2;
-  check_true "unconstrained vars are singleton components"
-    (Fastsc_smt.Smt.component_partition sparse = [ [ 0; 2 ]; [ 1 ] ])
+(* -- margins and warm starts ----------------------------------------------- *)
 
 let test_margin () =
   let t = solver_feasible () in
@@ -203,38 +185,6 @@ let test_margin () =
   check_true "verifies at the margin" (Fastsc_smt.Smt.verify t ~delta:1.0 [| 5.0; 6.0; 7.0 |]);
   check_true "fails just above it" (not (Fastsc_smt.Smt.verify t ~delta:1.01 [| 5.0; 6.0; 7.0 |]))
 
-let test_solve_components_matches_solve () =
-  let t = two_component_problem () in
-  List.iter
-    (fun delta ->
-      let reference = Fastsc_smt.Smt.solve t ~delta in
-      List.iter
-        (fun jobs ->
-          check_true
-            (Printf.sprintf "jobs=%d delta=%.2f byte-identical to solve" jobs delta)
-            (Fastsc_smt.Smt.solve_components ~jobs t ~delta = reference))
-        [ 1; 3 ];
-      match reference with
-      | Some w -> check_true "witness verifies" (Fastsc_smt.Smt.verify t ~delta w)
-      | None -> ())
-    [ 0.0; 0.3; 0.5; 1.0 ]
-
-let test_find_max_delta_components_min_merge () =
-  let t = two_component_problem () in
-  match Fastsc_smt.Smt.find_max_delta_components ~jobs:2 ~tolerance:1e-6 t with
-  | None -> Alcotest.fail "feasible problem"
-  | Some ((delta, w), infos) -> (
-    (* the pair reaches 1.0 alone; the triangle caps the merge at 0.5 *)
-    check_float ~eps:1e-4 "merged delta is the min over components" 0.5 delta;
-    check_true "merged witness verifies" (Fastsc_smt.Smt.verify t ~delta w);
-    match infos with
-    | [ a; b ] ->
-      check_true "pair members" (a.Fastsc_smt.Smt.members = [ 0; 1 ]);
-      check_true "triangle members" (b.Fastsc_smt.Smt.members = [ 2; 3; 4 ]);
-      check_float ~eps:1e-4 "pair local delta" 1.0 a.Fastsc_smt.Smt.local_delta;
-      check_float ~eps:1e-4 "triangle local delta" 0.5 b.Fastsc_smt.Smt.local_delta
-    | _ -> Alcotest.fail "expected two component solutions")
-
 let test_warm_seeding () =
   let t = solver_feasible () in
   let dc, wc = Option.get (Fastsc_smt.Smt.find_max_delta ~tolerance:1e-6 t) in
@@ -246,77 +196,6 @@ let test_warm_seeding () =
     Option.get (Fastsc_smt.Smt.find_max_delta ~tolerance:1e-6 ~warm:[| nan; nan; nan |] t)
   in
   check_float ~eps:0.0 "garbage seed reproduces the cold result" dc df
-
-let test_portfolio_winner () =
-  (* order [0;1] forces x0 <= x1, impossible with these bounds; [1;0] wins *)
-  let t = Fastsc_smt.Smt.create 2 in
-  Fastsc_smt.Smt.set_bounds t 0 ~lo:0.5 ~hi:1.0;
-  Fastsc_smt.Smt.set_bounds t 1 ~lo:0.0 ~hi:0.5;
-  Fastsc_smt.Smt.add_separation t 0 1;
-  (match Fastsc_smt.Smt.solve_portfolio ~jobs:2 t ~delta:0.6 ~orders:[ [ 0; 1 ]; [ 1; 0 ] ] with
-  | Some (winner, w) ->
-    check_int "first feasible order wins" 1 winner;
-    check_true "winner witness verifies" (Fastsc_smt.Smt.verify t ~delta:0.6 w)
-  | None -> Alcotest.fail "the second order is feasible");
-  (match Fastsc_smt.Smt.solve_portfolio ~jobs:2 t ~delta:0.1 ~orders:[ [ 1; 0 ]; [ 1; 0 ] ] with
-  | Some (winner, _) -> check_int "ties break to the lowest index" 0 winner
-  | None -> Alcotest.fail "feasible either way");
-  check_true "empty portfolio rejected"
-    (try
-       ignore (Fastsc_smt.Smt.solve_portfolio t ~delta:0.1 ~orders:[]);
-       false
-     with Invalid_argument _ -> true)
-
-let test_find_max_delta_portfolio () =
-  let t = Fastsc_smt.Smt.create 2 in
-  Fastsc_smt.Smt.set_bounds t 0 ~lo:0.5 ~hi:1.0;
-  Fastsc_smt.Smt.set_bounds t 1 ~lo:0.0 ~hi:0.5;
-  Fastsc_smt.Smt.add_separation t 0 1;
-  match
-    Fastsc_smt.Smt.find_max_delta_portfolio ~jobs:2 ~tolerance:1e-6 ~delta_hi:2.0
-      ~orders:[ [ 0; 1 ]; [ 1; 0 ] ] t
-  with
-  | None -> Alcotest.fail "feasible"
-  | Some (winner, (delta, w)) ->
-    check_int "the descending order carries the search" 1 winner;
-    check_float ~eps:1e-4 "endpoints give the full width" 1.0 delta;
-    check_true "final witness verifies" (Fastsc_smt.Smt.verify t ~delta w)
-
-let test_portfolio_tie_break () =
-  (* both orders feasible: the lowest index must win at any job count, no
-     matter which pool task happens to finish first *)
-  let t = Fastsc_smt.Smt.create ~lo:0.0 ~hi:1.0 2 in
-  Fastsc_smt.Smt.add_separation t 0 1;
-  List.iter
-    (fun jobs ->
-      match
-        Fastsc_smt.Smt.solve_portfolio ~jobs t ~delta:0.3 ~orders:[ [ 0; 1 ]; [ 1; 0 ] ]
-      with
-      | Some (0, w) ->
-        check_true "tie-break witness verifies" (Fastsc_smt.Smt.verify t ~delta:0.3 w)
-      | Some (i, _) -> Alcotest.failf "expected winner 0, got %d at jobs=%d" i jobs
-      | None -> Alcotest.failf "expected a feasible portfolio at jobs=%d" jobs)
-    [ 1; 2; 4 ]
-
-let test_portfolio_skips_infeasible_order () =
-  (* x0 in [0.8, 1], x1 in [0, 0.2]: the ascending order [0;1] demands
-     x0 <= x1 and is infeasible, so the race must fall through to [1;0] *)
-  let t = Fastsc_smt.Smt.create 2 in
-  Fastsc_smt.Smt.set_bounds t 0 ~lo:0.8 ~hi:1.0;
-  Fastsc_smt.Smt.set_bounds t 1 ~lo:0.0 ~hi:0.2;
-  Fastsc_smt.Smt.add_separation t 0 1;
-  check_true "ascending order alone is infeasible"
-    (Fastsc_smt.Smt.solve ~order:[ 0; 1 ] t ~delta:0.3 = None);
-  List.iter
-    (fun jobs ->
-      match
-        Fastsc_smt.Smt.solve_portfolio ~jobs t ~delta:0.3 ~orders:[ [ 0; 1 ]; [ 1; 0 ] ]
-      with
-      | Some (1, w) ->
-        check_true "fallback witness verifies" (Fastsc_smt.Smt.verify t ~delta:0.3 w)
-      | Some (i, _) -> Alcotest.failf "expected winner 1, got %d at jobs=%d" i jobs
-      | None -> Alcotest.failf "expected order [1;0] feasible at jobs=%d" jobs)
-    [ 1; 2; 4 ]
 
 let suite =
   [
@@ -335,17 +214,8 @@ let suite =
     Alcotest.test_case "forbidden zone" `Quick test_forbidden_zone;
     Alcotest.test_case "zero vars" `Quick test_zero_vars;
     Alcotest.test_case "unordered backtracking" `Quick test_unordered_search_backtracks;
-    Alcotest.test_case "component partition" `Quick test_component_partition;
     Alcotest.test_case "margin" `Quick test_margin;
-    Alcotest.test_case "solve_components matches solve" `Quick test_solve_components_matches_solve;
-    Alcotest.test_case "decomposed max delta min-merge" `Quick
-      test_find_max_delta_components_min_merge;
     Alcotest.test_case "warm seeding" `Quick test_warm_seeding;
-    Alcotest.test_case "portfolio winner" `Quick test_portfolio_winner;
-    Alcotest.test_case "portfolio max delta" `Quick test_find_max_delta_portfolio;
-    Alcotest.test_case "portfolio tie-break" `Quick test_portfolio_tie_break;
-    Alcotest.test_case "portfolio skips infeasible order" `Quick
-      test_portfolio_skips_infeasible_order;
     prop_max_delta_scales_inverse;
     prop_witness_always_checks;
   ]
