@@ -4,7 +4,11 @@
    n in {9, 16} x seven schedulers, device seed 2020, circuit seed 7) plus a
    few 64-qubit color-dynamic cells on the decompose + warm-start path, on
    the 8x8 mesh and on HH-2x4 (67 qubits, the smallest heavy-hex holding 64),
-   is compiled through [Pass.execute] and evaluated three times: the default
+   plus {bv, qaoa, xeb} x 16-qubit mesh x color-dynamic under the greedy
+   router and under the degree placement (route paths that the default
+   lookahead router with [`Auto] placement never takes; their labels carry
+   a [router=...] or [placement=...] tag), is compiled through
+   [Pass.execute] and evaluated three times: the default
    eq-4 estimate, and re-evaluations of the same schedule at crosstalk
    distance 2, with the time-dependent transfer probability and with its
    worst-case envelope (which saturates on about half the cells).
@@ -29,6 +33,14 @@ let scale_benches = [ "bv"; "ising"; "xeb" ]
 let scale_options =
   { Pass.default_options with Pass.decompose_components = true; warm_start = true }
 
+let variant_benches = [ "bv"; "qaoa"; "xeb" ]
+
+let variants =
+  [
+    ("[router=greedy]", { Pass.default_options with Pass.router = "greedy" });
+    ("[placement=degree]", { Pass.default_options with Pass.placement = `Degree });
+  ]
+
 (* Devices are built inside each cell from this description, so pool domains
    never share a mutable graph. *)
 type chip = Mesh | Heavy_hex of int * int
@@ -39,14 +51,18 @@ let cells =
       List.concat_map
         (fun n ->
           List.map
-            (fun algorithm -> (bench, n, algorithm, Pass.default_options, Mesh))
+            (fun algorithm -> (bench, n, algorithm, Pass.default_options, Mesh, ""))
             paper_algorithms)
         paper_sizes)
     paper_benches
-  @ List.map (fun bench -> (bench, 64, "color-dynamic", scale_options, Mesh)) scale_benches
+  @ List.map (fun bench -> (bench, 64, "color-dynamic", scale_options, Mesh, "")) scale_benches
   @ List.map
-      (fun bench -> (bench, 64, "color-dynamic", scale_options, Heavy_hex (2, 4)))
+      (fun bench -> (bench, 64, "color-dynamic", scale_options, Heavy_hex (2, 4), ""))
       scale_benches
+  @ List.concat_map
+      (fun (tag, options) ->
+        List.map (fun bench -> (bench, 16, "color-dynamic", options, Mesh, tag)) variant_benches)
+      variants
 
 let bits x = Printf.sprintf "%016Lx" (Int64.bits_of_float x)
 
@@ -64,7 +80,7 @@ let line label mode ~swaps (m : Schedule.metrics) =
     (bits m.Schedule.gate_error) (bits m.Schedule.crosstalk_error)
     (bits m.Schedule.decoherence_error) m.Schedule.depth m.Schedule.n_gates swaps
 
-let cell (bench, n, algorithm, options, chip) =
+let cell (bench, n, algorithm, options, chip, tag) =
   let device, at =
     match chip with
     | Mesh -> (Exp_common.mesh_device n, "")
@@ -75,7 +91,7 @@ let cell (bench, n, algorithm, options, chip) =
   let b = Exp_common.benchmark bench n in
   let ctx = Pass.execute ~options ~algorithm device (b.Exp_common.make device) in
   let schedule = Pass.Context.schedule_exn ctx in
-  let label = Printf.sprintf "%s%s/%s" b.Exp_common.label at algorithm in
+  let label = Printf.sprintf "%s%s/%s%s" b.Exp_common.label at algorithm tag in
   let swaps = swaps ctx in
   [
     line label "eq4" ~swaps (Pass.Context.metrics_exn ctx);

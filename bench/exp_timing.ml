@@ -1,6 +1,9 @@
 (* Bechamel timing suite: one Test.make per table/figure driver (the cost of
-   regenerating each experiment) plus micro-benchmarks of the compiler's hot
-   components (§VII-C: coloring and SMT are the leading costs). *)
+   regenerating each experiment) plus micro-benchmarks of the compiler's
+   components (crosstalk graph, coloring, SMT, ColorDynamic, routing,
+   evaluation).  Which one leads depends on the workload, and SMT is no
+   longer among the leaders; DESIGN.md §15 has the measured per-pass
+   split. *)
 
 open Bechamel
 open Toolkit
@@ -45,7 +48,10 @@ let micro_tests () =
       (Staged.stage
          (let device = Lazy.force device9 in
           let circuit = Qaoa.circuit (Rng.create 7) ~n:9 () in
-          fun () -> ignore (Mapping.route_lookahead (Device.graph device) circuit)));
+          fun () ->
+            ignore
+              (Mapping.route_lookahead ~dist:(Device.distances device) (Device.graph device)
+                 circuit)));
     Test.make ~name:"optimize-ising9"
       (Staged.stage
          (let device = Lazy.force device9 in

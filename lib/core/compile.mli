@@ -62,10 +62,11 @@ type options = Pass.options = {
   conflict_threshold : int;  (** noise_conflict neighbour cap; default 2. *)
   residual_coupling : float;  (** Gmon coupler leakage eta (Fig 12); default 0. *)
   placement : [ `Identity | `Degree | `Coherence | `Auto ];
-      (** Initial mapping heuristic; [`Auto] (default) routes with identity
-          and degree placements and keeps whichever inserts fewer SWAPs —
-          device-native circuits (XEB) stay in place, hub-shaped circuits
-          (BV) get packed.  [`Coherence] is the variability-aware policy:
+      (** Initial mapping heuristic; [`Auto] (default) keeps whichever of
+          the identity and degree placements routes with fewer SWAPs,
+          identity on ties, and routes degree only when identity needs a
+          SWAP ({!Pass.place}) — device-native circuits (XEB) stay in place
+          after one routing, hub-shaped circuits (BV) get packed.  [`Coherence] is the variability-aware policy:
           busiest logical qubits on the best-coherence physical qubits
           (matters when the device has spare qubits). *)
   optimize : bool;

@@ -31,7 +31,7 @@ let route ?(window = 8) ?(lambda = 0.5) ?(crosstalk_distance = 1) device circuit
   let xg = Crosstalk_graph.build ~distance:crosstalk_distance graph in
   let phys_of_log = Array.init n_physical Fun.id in
   let log_of_phys = Array.init n_physical Fun.id in
-  let dist = Paths.all_pairs graph in
+  let dist = Device.distances device in
   let frontier = Mapping.Frontier.create circuit in
   let b = Circuit.builder n_physical in
   let n_swaps = ref 0 in
@@ -73,7 +73,7 @@ let route ?(window = 8) ?(lambda = 0.5) ?(crosstalk_distance = 1) device circuit
   in
   let pair_distance (a, bq) = dist.(phys_of_log.(a)).(phys_of_log.(bq)) in
   let gate_pair app = (app.Gate.qubits.(0), app.Gate.qubits.(1)) in
-  let swap_budget = 4 * Circuit.length circuit * (Paths.diameter graph + n_physical + 2) in
+  let swap_budget = 4 * Circuit.length circuit * (Paths.matrix_diameter dist + n_physical + 2) in
   while not (Mapping.Frontier.is_done frontier) do
     (* flush everything currently executable *)
     fresh := true;

@@ -103,7 +103,7 @@ module type ROUTER = sig
 
   val aliases : string list
 
-  val route : Graph.t -> placement:int array -> Circuit.t -> Mapping.result
+  val route : Device.t -> placement:int array -> Circuit.t -> Mapping.result
 end
 
 type router = (module ROUTER)
@@ -160,7 +160,9 @@ let () =
 
       let aliases = [ "sabre"; "l" ]
 
-      let route graph ~placement circuit = Mapping.route_lookahead ~placement graph circuit
+      let route device ~placement circuit =
+        Mapping.route_lookahead ~placement ~dist:(Device.distances device) (Device.graph device)
+          circuit
     end);
   register_router
     (module struct
@@ -168,7 +170,7 @@ let () =
 
       let aliases = [ "shortest-path"; "g" ]
 
-      let route graph ~placement circuit = Mapping.route ~placement graph circuit
+      let route device ~placement circuit = Mapping.route ~placement (Device.graph device) circuit
     end)
 
 module Context = struct
@@ -364,9 +366,13 @@ let make_pass pass_name f =
   { pass_name; apply }
 
 let route_with ctx placement =
-  let graph = Device.graph ctx.Context.device in
   let (module R : ROUTER) = router_exn ctx.Context.options.router in
-  R.route graph ~placement ctx.Context.circuit
+  R.route ctx.Context.device ~placement ctx.Context.circuit
+
+(* Seeded fault for the verification harness (docs/DESIGN.md §11): let the
+   [`Auto] shortcut also skip the degree trial when identity needs one SWAP,
+   where degree may need none. *)
+let fault_zero_shortcut = Fault.enabled "place-zero-shortcut"
 
 let place =
   make_pass "place" (fun ctx ->
@@ -384,16 +390,20 @@ let place =
         in
         { ctx with Context.placement = Some (Mapping.quality_placement ~quality graph circuit) }
       | `Auto ->
-        (* Decide by trial-routing both candidates (fewer SWAPs wins,
-           identity on ties); hand the winning routing to the route pass so
-           the work is not repeated. *)
+        (* Fewer SWAPs wins, identity on ties, so the degree placement is
+           routed only when identity needs a SWAP: a SWAP-free identity
+           routing cannot lose.  The winning routing goes to the route pass
+           so the work is not repeated. *)
         let identity = Mapping.identity_placement graph circuit in
-        let degree = Mapping.degree_placement graph circuit in
         let by_identity = route_with ctx identity in
-        let by_degree = route_with ctx degree in
+        let swaps = by_identity.Mapping.n_swaps in
         let placement, routed =
-          if by_degree.Mapping.n_swaps < by_identity.Mapping.n_swaps then (degree, by_degree)
-          else (identity, by_identity)
+          if swaps = 0 || (fault_zero_shortcut && swaps = 1) then (identity, by_identity)
+          else
+            let degree = Mapping.degree_placement graph circuit in
+            let by_degree = route_with ctx degree in
+            if by_degree.Mapping.n_swaps < by_identity.Mapping.n_swaps then (degree, by_degree)
+            else (identity, by_identity)
         in
         { ctx with Context.placement = Some placement; prerouted = Some routed })
 

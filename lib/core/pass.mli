@@ -41,8 +41,10 @@ type options = {
   conflict_threshold : int;  (** noise_conflict neighbour cap; default 2. *)
   residual_coupling : float;  (** Gmon coupler leakage eta (Fig 12); default 0. *)
   placement : [ `Identity | `Degree | `Coherence | `Auto ];
-      (** Initial mapping heuristic; [`Auto] (default) routes with identity
-          and degree placements and keeps whichever inserts fewer SWAPs. *)
+      (** Initial mapping heuristic.  [`Auto] (default) keeps the identity
+          or the degree placement, whichever the router gives fewer SWAPs,
+          identity on ties; it routes degree only when identity needs a
+          SWAP (see {!place}). *)
   optimize : bool;  (** Run the peephole optimizer after decomposition. *)
   router : string;
       (** Name (or alias) of the registered {!ROUTER} the route pass
@@ -134,9 +136,12 @@ module type ROUTER = sig
   val aliases : string list
   (** Accepted spellings besides [name]. *)
 
-  val route : Graph.t -> placement:int array -> Circuit.t -> Mapping.result
-  (** Insert SWAPs so every two-qubit gate lands on a coupled pair, starting
-      from [placement]. *)
+  val route : Device.t -> placement:int array -> Circuit.t -> Mapping.result
+  (** Insert SWAPs so every two-qubit gate of the logical circuit lands on a
+      coupled pair of the device's graph, starting from [placement].  The
+      device carries its hop-distance matrix ({!Device.distances}, built
+      once), so a router that needs distances reads them there instead of
+      recomputing them on every call. *)
 end
 
 type router = (module ROUTER)
@@ -183,10 +188,11 @@ module Context : sig
             remains. *)
     placement : int array option;  (** Chosen initial mapping (after place). *)
     prerouted : Mapping.result option;
-        (** [`Auto] placement decides by trial-routing both candidates; the
-            winning routing is kept here so the route pass can adopt it
-            instead of repeating the work.  Internal hand-off, consumed by
-            route. *)
+        (** The routing of the placement [`Auto] chose (identity's, or
+            degree's when degree routes with fewer SWAPs), kept so the route
+            pass adopts it instead of routing again.  [None] under any other
+            placement option.  Internal hand-off: consumed by route, and
+            cleared by route-schedule, which routes for itself. *)
     routed : Mapping.result option;  (** After route. *)
     native : Circuit.t option;  (** After decompose (and optimize). *)
     schedule : Schedule.t option;  (** After schedule. *)
@@ -240,13 +246,18 @@ val make_pass : string -> (Context.t -> Context.t) -> pass
 
 val place : pass
 (** Resolve the placement option to a concrete initial mapping.  [`Auto]
-    trial-routes the identity and degree placements and keeps the one with
-    fewer SWAPs (the trial cost is attributed to this pass; the winning
-    routing is handed to route). *)
+    routes the identity placement with [options.router]; if that needs no
+    SWAP it is kept outright, since degree could at best tie and ties go to
+    identity.  Otherwise it also routes the degree placement and keeps
+    degree only if it needs strictly fewer SWAPs.  The routing cost is
+    attributed to this pass, and the kept routing is handed to route in
+    {!Context.t.prerouted}.  A degree routing that would raise (disconnected
+    operands, livelock) is never attempted when identity needs no SWAP. *)
 
 val route : pass
 (** SWAP-route the logical circuit onto the device with the chosen placement
-    (adopting place's trial routing when available). *)
+    (identity when none was chosen), adopting place's routing from
+    {!Context.t.prerouted} instead when [`Auto] left one. *)
 
 val decompose : pass
 (** Decompose the routed circuit into native gates per

@@ -99,6 +99,8 @@ let n_qubits t = Array.length t.qubits
 
 let seed t = t.seed
 
+let distances t = t.distances
+
 let check_qubit t q =
   if q < 0 || q >= n_qubits t then invalid_arg (Printf.sprintf "Device: qubit %d out of range" q)
 

@@ -73,6 +73,12 @@ val common_range : t -> float * float
 val partition : t -> Partition.t
 (** The 2:1:2 split of {!common_range}. *)
 
+val distances : t -> int array array
+(** The hop-distance matrix of {!graph} ([Paths.all_pairs], [-1] for
+    unreachable pairs), built once by {!create}.  Shared, not copied: every
+    caller and {!coupling} read the same matrix, so it must never be
+    mutated. *)
+
 val coupling : t -> int -> int -> float
 (** Effective coupling strength between two qubits: [g0] for coupled pairs,
     [parasitic_ratio * g0] for pairs at graph distance 2, [0] beyond.

@@ -53,6 +53,10 @@ let diameter g =
     done;
     !best
 
+let matrix_diameter dist =
+  if Array.length dist = 0 || Array.exists (Array.exists (fun d -> d < 0)) dist then -1
+  else Array.fold_left (Array.fold_left max) 0 dist
+
 let edge_distance g (u1, v1) (u2, v2) =
   let d_from src =
     let dist = bfs_distances g src in

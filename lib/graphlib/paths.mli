@@ -28,6 +28,11 @@ val diameter : Graph.t -> int
 (** Largest eccentricity over all vertices; [-1] for a disconnected or empty
     graph. *)
 
+val matrix_diameter : int array array -> int
+(** {!diameter} read off a distance matrix from {!all_pairs}: its largest
+    entry, or [-1] if the matrix is empty or holds an unreachable pair.
+    [matrix_diameter (all_pairs g) = diameter g]. *)
+
 val edge_distance : Graph.t -> int * int -> int * int -> int
 (** [edge_distance g (u1,v1) (u2,v2)] is the length of the shortest path
     connecting the two edges, i.e. the minimum pairwise endpoint distance

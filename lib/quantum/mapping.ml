@@ -277,7 +277,7 @@ module Frontier = struct
     scan t.first_unemitted k []
 end
 
-let route_lookahead ?placement ?(window = 8) device circuit =
+let route_lookahead ?placement ?(window = 8) ~dist device circuit =
   let placement =
     match placement with Some p -> p | None -> identity_placement device circuit
   in
@@ -286,6 +286,8 @@ let route_lookahead ?placement ?(window = 8) device circuit =
   if Array.length placement <> n_logical then
     invalid_arg "Mapping.route_lookahead: placement size mismatch";
   let n_physical = Graph.n_vertices device in
+  if Array.length dist <> n_physical then
+    invalid_arg "Mapping.route_lookahead: distance matrix does not match the device";
   let phys_of_log = Array.copy placement in
   let log_of_phys = Array.make n_physical (-1) in
   Array.iteri
@@ -294,7 +296,6 @@ let route_lookahead ?placement ?(window = 8) device circuit =
         invalid_arg "Mapping.route_lookahead: placement is not injective into the device";
       log_of_phys.(physical) <- logical)
     phys_of_log;
-  let dist = Paths.all_pairs device in
   let frontier = Frontier.create circuit in
   let b = Circuit.builder n_physical in
   let n_swaps = ref 0 in
@@ -324,7 +325,7 @@ let route_lookahead ?placement ?(window = 8) device circuit =
   in
   let pair_distance (a, bq) = dist.(phys_of_log.(a)).(phys_of_log.(bq)) in
   let gate_pair app = (app.Gate.qubits.(0), app.Gate.qubits.(1)) in
-  let swap_budget = 4 * Circuit.length circuit * (Paths.diameter device + n_physical + 2) in
+  let swap_budget = 4 * Circuit.length circuit * (Paths.matrix_diameter dist + n_physical + 2) in
   while not (Frontier.is_done frontier) do
     (* flush everything currently executable *)
     Frontier.flush frontier ~emittable ~emit;

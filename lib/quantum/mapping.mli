@@ -83,14 +83,22 @@ module Frontier : sig
       program order, scanned from the first unemitted instruction. *)
 end
 
-val route_lookahead : ?placement:int array -> ?window:int -> Graph.t -> Circuit.t -> result
+val route_lookahead :
+  ?placement:int array -> ?window:int -> dist:int array array -> Graph.t -> Circuit.t -> result
 (** SABRE-style lookahead routing: instead of walking each distant gate along
     its own shortest path, candidate SWAPs are scored against the whole
     ready front {e and} a [window] (default 8) of upcoming two-qubit gates,
     so one SWAP serves several gates.  Falls back to a shortest-path move
     whenever no candidate improves the front (guaranteeing progress), so it
     never SWAPs more than {!route} on adversarial inputs by more than the
-    window heuristic costs.  Same result contract as {!route}. *)
+    window heuristic costs.  Same result contract as {!route}.
+
+    [dist] is the graph's distance matrix, [Paths.all_pairs graph] (a
+    device's [Device.distances]); the router only reads it, so one matrix
+    serves every routing on the same device.  The livelock bound on SWAPs
+    takes the graph's diameter from it too.
+    @raise Invalid_argument if [dist] does not have one row per graph
+    vertex. *)
 
 val verify : Graph.t -> Circuit.t -> bool
 (** All two-qubit gates act on adjacent physical qubits. *)

@@ -168,6 +168,14 @@ let catalog =
          not most critical first";
       suites = [ "pending" ];
     };
+    {
+      name = "place-zero-shortcut";
+      site = "Pass.place";
+      description =
+        "Auto placement keeps identity without trying degree when identity routes with \
+         one SWAP, not only with none: a degree placement that needs no SWAP is lost";
+      suites = [ "prop_hot_path" ];
+    };
   ]
 
 let names = List.map (fun s -> s.name) catalog

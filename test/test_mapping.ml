@@ -2,6 +2,8 @@ open Helpers
 
 let grid3 = lazy (Topology.grid 3 3).Topology.graph
 
+let lookahead g c = Mapping.route_lookahead ~dist:(Paths.all_pairs g) g c
+
 let test_adjacent_untouched () =
   let g = Lazy.force grid3 in
   let c = Circuit.of_gates 9 [ (Gate.Cz, [ 0; 1 ]); (Gate.H, [ 4 ]) ] in
@@ -133,7 +135,7 @@ let test_lookahead_valid_and_semantic () =
   let c =
     Circuit.of_gates 4 [ (Gate.H, [ 0 ]); (Gate.Cnot, [ 0; 3 ]); (Gate.Cnot, [ 1; 2 ]) ]
   in
-  let r = Mapping.route_lookahead line c in
+  let r = lookahead line c in
   check_true "verified" (Mapping.verify line r.Mapping.circuit);
   let ideal = Statevector.of_circuit c in
   let routed = Statevector.of_circuit r.Mapping.circuit in
@@ -161,14 +163,23 @@ let test_lookahead_beats_greedy_on_shared_traffic () =
       ]
   in
   let greedy = Mapping.route line c in
-  let smart = Mapping.route_lookahead line c in
+  let smart = lookahead line c in
   check_true "verified" (Mapping.verify line smart.Mapping.circuit);
   check_true "no more swaps than greedy" (smart.Mapping.n_swaps <= greedy.Mapping.n_swaps)
 
 let test_lookahead_adjacent_needs_no_swaps () =
   let g = Lazy.force grid3 in
   let c = Circuit.of_gates 9 [ (Gate.Cz, [ 0; 1 ]); (Gate.Cz, [ 4; 5 ]) ] in
-  check_int "no swaps" 0 (Mapping.route_lookahead g c).Mapping.n_swaps
+  check_int "no swaps" 0 (lookahead g c).Mapping.n_swaps
+
+let test_lookahead_rejects_foreign_distances () =
+  let g = Lazy.force grid3 in
+  let c = Circuit.of_gates 2 [ (Gate.Cz, [ 0; 1 ]) ] in
+  Alcotest.check_raises "a 2x2 matrix for a 9-qubit graph"
+    (Invalid_argument "Mapping.route_lookahead: distance matrix does not match the device")
+    (fun () ->
+      let pair = (Topology.grid 2 1).Topology.graph in
+      ignore (Mapping.route_lookahead ~dist:(Paths.all_pairs pair) g c))
 
 let prop_lookahead_always_validates =
   qcheck_case ~count:40 "lookahead-routed circuits always verify" QCheck.(int_range 1 5000)
@@ -181,7 +192,7 @@ let prop_lookahead_always_validates =
         let bq = (a + 1 + Rng.int rng 8) mod 9 in
         Circuit.add b Gate.Cz [ a; bq ]
       done;
-      let r = Mapping.route_lookahead g (Circuit.finish b) in
+      let r = lookahead g (Circuit.finish b) in
       Mapping.verify g r.Mapping.circuit)
 
 let prop_lookahead_never_loses_gates =
@@ -194,7 +205,7 @@ let prop_lookahead_never_loses_gates =
         let a = Rng.int rng 9 in
         Circuit.add b Gate.Cz [ a; (a + 1 + Rng.int rng 8) mod 9 ]
       done;
-      let r = Mapping.route_lookahead g (Circuit.finish b) in
+      let r = lookahead g (Circuit.finish b) in
       Circuit.length r.Mapping.circuit = n_gates + r.Mapping.n_swaps)
 
 let prop_routing_always_validates =
@@ -226,6 +237,7 @@ let suite =
     Alcotest.test_case "lookahead valid + semantic" `Quick test_lookahead_valid_and_semantic;
     Alcotest.test_case "lookahead beats greedy" `Quick test_lookahead_beats_greedy_on_shared_traffic;
     Alcotest.test_case "lookahead adjacent no swaps" `Quick test_lookahead_adjacent_needs_no_swaps;
+    Alcotest.test_case "lookahead foreign distances" `Quick test_lookahead_rejects_foreign_distances;
     prop_lookahead_always_validates;
     prop_lookahead_never_loses_gates;
     prop_routing_always_validates;

@@ -47,9 +47,15 @@ let test_shortest_path_deterministic () =
   check_true "same result twice" (Paths.shortest_path g 0 8 = Paths.shortest_path g 0 8)
 
 let test_diameter () =
-  check_int "3x3 grid diameter" 4 (Paths.diameter (Lazy.force grid3));
-  check_int "path diameter" 4 (Paths.diameter (Topology.path 5).Topology.graph);
-  check_int "disconnected" (-1) (Paths.diameter (Graph.create 3))
+  let both name expected g =
+    check_int name expected (Paths.diameter g);
+    check_int (name ^ " from the matrix") expected (Paths.matrix_diameter (Paths.all_pairs g))
+  in
+  both "3x3 grid diameter" 4 (Lazy.force grid3);
+  both "path diameter" 4 (Topology.path 5).Topology.graph;
+  both "single vertex" 0 (Graph.create 1);
+  both "disconnected" (-1) (Graph.create 3);
+  both "empty" (-1) (Graph.create 0)
 
 let test_eccentricity () =
   let g = Lazy.force grid3 in

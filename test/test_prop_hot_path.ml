@@ -1,12 +1,13 @@
 (* Differential properties of the compile hot path.  The ready-set router
    flush, the per-evaluation memo of operating points and spectator lists,
-   the coupling index, ColorDynamic's per-moment subgraph and the
-   incremental ready set of [Pending] each replaced an implementation that
+   the coupling index, ColorDynamic's per-moment subgraph, the incremental
+   ready set of [Pending], and [`Auto] placement's single routing on the
+   device's shared distance matrix each replaced an implementation that
    recomputed the same thing over and over; verbatim copies of those
-   implementations (module [Old]) are the oracles.  Every property demands
-   bit-identical output: the same routed gates, final permutation and SWAP
-   count, the same colors, components and ready lists, the same IEEE-754
-   bits in every metric and schedule. *)
+   implementations (module [Old], and [old_auto_place]) are the oracles.
+   Every property demands bit-identical output: the same placement, routed
+   gates, final permutation and SWAP count, the same colors, components and
+   ready lists, the same IEEE-754 bits in every metric and schedule. *)
 open Helpers
 open Fastsc_device
 open Fastsc_noise
@@ -803,6 +804,26 @@ module Old = struct
       } )
 end
 
+(* Pass.place under [`Auto], as it was before the SWAP-free shortcut: route
+   both the identity and the degree placement, each routing computing its
+   own distance matrix, and keep degree only when it inserts strictly fewer
+   SWAPs.  Each registered router by name, as the route pass called it on
+   the graph: lookahead is the sweeping copy above, so its matrix and
+   diameter come from [Paths.all_pairs] and [Paths.diameter]. *)
+let old_routers =
+  [
+    ("lookahead", fun graph ~placement c -> Old.route_lookahead ~placement graph c);
+    ("greedy", fun graph ~placement c -> Mapping.route ~placement graph c);
+  ]
+
+let old_auto_place route graph circuit =
+  let identity = Mapping.identity_placement graph circuit in
+  let degree = Mapping.degree_placement graph circuit in
+  let by_identity = route graph ~placement:identity circuit in
+  let by_degree = route graph ~placement:degree circuit in
+  if by_degree.Mapping.n_swaps < by_identity.Mapping.n_swaps then (degree, by_degree)
+  else (identity, by_identity)
+
 (* Referencing Compile links it; its initialisation registers the schedulers
    the evaluation property compiles with. *)
 let () = ignore Compile.all_algorithms
@@ -839,6 +860,7 @@ let routed (r : Mapping.result) =
     Array.to_list r.Mapping.final,
     r.Mapping.n_swaps )
 
+(* The router reads the device's shared matrix; the oracle builds its own. *)
 let prop_route_lookahead =
   prop_case ~count:150 "route_lookahead emits exactly what the sweeping router did"
     Proptest.(
@@ -846,14 +868,17 @@ let prop_route_lookahead =
         (pair (int_range 0 (n_topologies - 1)) (int_range 0 1_000_000))
         (pair (int_range 1 10) circuits))
     (fun ((i, seed), (window, c)) ->
-      let graph = Device.graph (device_of i) in
+      let device = device_of i in
+      let graph = Device.graph device in
       let placement =
         random_placement seed ~n_physical:(Graph.n_vertices graph)
           ~n_logical:(Circuit.n_qubits c)
       in
       let run route = outcome (fun () -> routed (route graph c)) in
-      run (Mapping.route_lookahead ~placement ~window) = run (Old.route_lookahead ~placement ~window))
+      run (Mapping.route_lookahead ~placement ~window ~dist:(Device.distances device))
+      = run (Old.route_lookahead ~placement ~window))
 
+(* Cqc_synergy.route reads [Device.distances]; the oracle builds its own. *)
 let prop_cqc_route =
   prop_case ~count:100 "cqc-synergy routing emits exactly what the sweeping router did"
     Proptest.(
@@ -870,6 +895,95 @@ let prop_cqc_route =
             (routed r, conflict_total))
       in
       run (Cqc_synergy.route ~lambda) = run (Old.cqc_route ~lambda))
+
+let test_device_distances () =
+  Array.iter
+    (fun device ->
+      check_true
+        (Printf.sprintf "%s distances" (Device.topology device).Topology.name)
+        (Device.distances device = Paths.all_pairs (Device.graph device)))
+    (Array.init n_topologies device_of)
+
+(* Circuits for the placement property, by [source]: 0, a random circuit,
+   for which identity mostly needs SWAPs, so both trials run; 1, XEB on the
+   device's own couplings, for which identity never needs one, so the
+   shortcut runs; 2, a small benchmark program, whose chains and stars land
+   on both sides. *)
+let placement_circuit device (source, (seed, c)) =
+  let open Fastsc_benchmarks in
+  let graph = Device.graph device in
+  let rng = Rng.create seed in
+  match source with
+  | 0 -> c
+  | 1 ->
+    Xeb.circuit rng ~graph ~classes:(Baseline_gmon.edge_classes device)
+      ~cycles:(1 + Rng.int rng 4) ()
+  | _ -> (
+    let n = 2 + Rng.int rng (min (Graph.n_vertices graph) 6 - 1) in
+    match Rng.int rng 4 with
+    | 0 -> Ising.circuit ~steps:(1 + Rng.int rng 2) ~n ()
+    | 1 -> Bv.circuit ~n ()
+    | 2 -> Qaoa.circuit rng ~n ()
+    | _ -> Ghz.circuit ~n ())
+
+(* [Pass.place] and [Pass.route] against [old_auto_place] under each
+   registered router.  The one difference allowed: identity routes without a
+   SWAP, so the new pass never tries degree, while the oracle's degree trial
+   raised. *)
+let prop_auto_place =
+  prop_case ~count:200 "Auto placement keeps what routing both candidates kept"
+    Proptest.(
+      pair
+        (pair (int_range 0 (n_topologies - 1)) (int_range 0 (List.length old_routers - 1)))
+        (pair (int_range 0 2) (pair (int_range 0 1_000_000) circuits)))
+    (fun ((i, k), source) ->
+      let device = device_of i in
+      let graph = Device.graph device in
+      let circuit = placement_circuit device source in
+      let router, old_route = List.nth old_routers k in
+      let placed (placement, r) = (Array.to_list placement, routed r) in
+      let got =
+        outcome (fun () ->
+            let options = { Pass.default_options with Pass.router } in
+            let ctx =
+              Pass.run_pipeline [ Pass.place; Pass.route ]
+                (Pass.Context.create ~options device circuit)
+            in
+            placed (Option.get ctx.Pass.Context.placement, Pass.Context.routed_exn ctx))
+      in
+      let want = outcome (fun () -> placed (old_auto_place old_route graph circuit)) in
+      let swap_free_identity =
+        let identity = Mapping.identity_placement graph circuit in
+        match old_route graph ~placement:identity circuit with
+        | r when r.Mapping.n_swaps = 0 -> Some (placed (identity, r))
+        | _ | (exception (Invalid_argument _ | Failure _)) -> None
+      in
+      (* XEB gates act on couplings only: every such case takes the shortcut *)
+      (fst source <> 1 || swap_free_identity <> None)
+      && (got = want
+         || match (want, swap_free_identity) with Error _, Some r -> got = Ok r | _ -> false))
+
+let test_routers_covered () =
+  Alcotest.(check (list string))
+    "the placement property runs every registered router" (Pass.router_names ())
+    (List.map fst old_routers)
+
+(* Identity needs one SWAP here and degree none, so degree wins: the case a
+   shortcut at one SWAP would get wrong. *)
+let test_auto_one_swap () =
+  let device = Device.create ~seed:2020 (Topology.grid 2 2) in
+  let graph = Device.graph device in
+  let circuit = Fastsc_benchmarks.Ising.circuit ~n:4 () in
+  let swaps placement =
+    let dist = Device.distances device in
+    (Mapping.route_lookahead ~placement ~dist graph circuit).Mapping.n_swaps
+  in
+  check_int "identity" 1 (swaps (Mapping.identity_placement graph circuit));
+  check_int "degree" 0 (swaps (Mapping.degree_placement graph circuit));
+  let ctx = Pass.run_pipeline [ Pass.place; Pass.route ] (Pass.Context.create device circuit) in
+  check_int "auto" 0 (Pass.Context.routed_exn ctx).Mapping.n_swaps;
+  check_true "auto keeps degree"
+    (ctx.Pass.Context.placement = Some (Mapping.degree_placement graph circuit))
 
 let metric_bits (m : Schedule.metrics) =
   ( List.map Int64.bits_of_float
@@ -1073,6 +1187,10 @@ let suite =
   [
     prop_route_lookahead;
     prop_cqc_route;
+    Alcotest.test_case "device distances are all-pairs" `Quick test_device_distances;
+    prop_auto_place;
+    Alcotest.test_case "placement property covers every router" `Quick test_routers_covered;
+    Alcotest.test_case "auto keeps degree at one identity swap" `Quick test_auto_one_swap;
     prop_evaluate;
     prop_vertex_of_edge;
     prop_moment_subgraph;
