@@ -369,22 +369,22 @@ let validate_cmd =
   in
   let run topology_spec n seed bench alg trials =
     let algorithm = parse_algorithm alg in
-    if n > 10 then `Error (false, "validation simulates exactly; use --n <= 10")
-      else
-        with_device topology_spec n seed (fun device ->
-            let circuit = make_benchmark bench n seed device in
-            let schedule = Compile.run algorithm device circuit in
-            let metrics = Schedule.evaluate schedule in
-            let steps = Schedule.to_noisy_steps schedule in
-            let n_qubits = Device.n_qubits device in
-            let ideal = Noisy_sim.ideal_of_steps ~n_qubits steps in
-            let simulated =
-              Noisy_sim.average_fidelity (Rng.create (seed + 1)) ~n_qubits ~ideal ~steps
-                ~trials
-            in
-            Printf.printf "heuristic success (eq 4): %.3e\n" metrics.Schedule.success;
-            Printf.printf "simulated success (%d trajectories): %.3e\n" trials simulated;
-            `Ok ())
+    if n > 10 then `Error (false, "validation simulates exactly; use -n/--size <= 10")
+    else if trials <= 0 then `Error (false, "--trials needs a positive integer")
+    else
+      with_device topology_spec n seed (fun device ->
+          let circuit = make_benchmark bench n seed device in
+          let schedule = Compile.run algorithm device circuit in
+          let metrics = Schedule.evaluate schedule in
+          let steps = Schedule.to_noisy_steps schedule in
+          let n_qubits = Device.n_qubits device in
+          let ideal = Noisy_sim.ideal_of_steps ~n_qubits steps in
+          let simulated =
+            Noisy_sim.average_fidelity (Rng.create (seed + 1)) ~n_qubits ~ideal ~steps ~trials
+          in
+          Printf.printf "heuristic success (eq 4): %.3e\n" metrics.Schedule.success;
+          Printf.printf "simulated success (%d trajectories): %.3e\n" trials simulated;
+          `Ok ())
   in
   Cmd.v
     (Cmd.info "validate" ~doc:"Heuristic vs Monte-Carlo noisy simulation")

@@ -315,7 +315,6 @@ let to_noisy_steps ?(crosstalk_distance = 1) t =
   let coupled = Device.coupled_pairs t.device in
   let parasitic = if crosstalk_distance >= 2 then Device.distance2_pairs t.device else [] in
   let params = Device.params t.device in
-  let alpha q = Transmon.anharmonicity (Device.transmon t.device q) in
   List.map
     (fun step ->
       let unitaries =
@@ -331,7 +330,6 @@ let to_noisy_steps ?(crosstalk_distance = 1) t =
              leakage channels need the qutrit model of Fastsc_physics. *)
           let delta = Float.abs (step.freqs.(a) -. step.freqs.(b)) in
           let p = Crosstalk.transfer_probability ~g ~delta ~t:step.duration in
-          ignore (alpha a);
           if p < 1e-15 then None
           else
             Some

@@ -17,27 +17,78 @@ let exchange_unitary theta =
       [| z0; z0; z0; z1 |];
     |]
 
+(* A step list lowered once per call into kernel instructions: gate entries
+   extracted, exchange angles turned into (cos, sin), Pauli probabilities
+   into the cumulative thresholds the draw is compared against.  Every trial
+   replays the same array. *)
+type instr =
+  | Gate1 of float array * int
+  | Gate2 of float array * int * int
+  | Exchange of { a : int; b : int; c : float; s : float }
+  | Pauli of { q : int; x : float; xy : float; xyz : float }
+
+let pauli_x = Statevector.entries1 (Gate.unitary Gate.X)
+
+let pauli_y = Statevector.entries1 (Gate.unitary Gate.Y)
+
+let pauli_z = Statevector.entries1 (Gate.unitary Gate.Z)
+
+let check_qubits ~n_qubits what qubits =
+  List.iter
+    (fun q ->
+      if q < 0 || q >= n_qubits then
+        invalid_arg
+          (Printf.sprintf "Noisy_sim: %s on qubit %d, out of range for %d qubits" what q n_qubits))
+    qubits;
+  match qubits with
+  | [ a; b ] when a = b ->
+    invalid_arg (Printf.sprintf "Noisy_sim: %s on duplicate qubit %d" what a)
+  | _ -> ()
+
+let lower_event ~n_qubits = function
+  | Unitary (gate, qubits) -> (
+    let name = Gate.name gate in
+    match (Gate.arity gate, qubits) with
+    | 1, [ q ] ->
+      check_qubits ~n_qubits name qubits;
+      Gate1 (Statevector.entries1 (Gate.unitary gate), q)
+    | 2, [ a; b ] ->
+      check_qubits ~n_qubits name qubits;
+      Gate2 (Statevector.entries2 (Gate.unitary gate), a, b)
+    | _ ->
+      invalid_arg
+        (Printf.sprintf "Noisy_sim: %s applied to %d operand(s)" name (List.length qubits)))
+  | Partial_exchange { a; b; theta } ->
+    check_qubits ~n_qubits "partial exchange" [ a; b ];
+    Exchange { a; b; c = cos theta; s = sin theta }
+  | Pauli_noise { q; p_x; p_y; p_z } ->
+    check_qubits ~n_qubits "Pauli noise" [ q ];
+    Pauli { q; x = p_x; xy = p_x +. p_y; xyz = p_x +. p_y +. p_z }
+
+let lower ~n_qubits steps =
+  Array.of_list (List.concat_map (List.map (lower_event ~n_qubits)) steps)
+
 (* Trajectory states are small and trials already fan out across the pool,
    so gate application inside a trial stays serial ([~jobs:1]) — nesting
    amplitude-range shards under trajectory parallelism would only contend
-   for the same workers. *)
-let apply_event rng state = function
-  | Unitary (gate, qubits) -> Statevector.apply ~jobs:1 state gate qubits
-  | Partial_exchange { a; b; theta } ->
-    Statevector.apply_matrix2 ~jobs:1 state (exchange_unitary theta) a b
-  | Pauli_noise { q; p_x; p_y; p_z } ->
-    let u = Rng.float rng in
-    if u < p_x then Statevector.apply ~jobs:1 state Gate.X [ q ]
-    else if u < p_x +. p_y then Statevector.apply ~jobs:1 state Gate.Y [ q ]
-    else if u < p_x +. p_y +. p_z then Statevector.apply ~jobs:1 state Gate.Z [ q ]
-
-let run_trajectory_into state rng steps =
-  Statevector.reset state;
-  List.iter (fun step -> List.iter (apply_event rng state) step) steps
+   for the same workers.  One [Rng.float] per Pauli instruction, in order. *)
+let replay plan rng state =
+  Array.iter
+    (function
+      | Gate1 (e, q) -> Statevector.apply_entries1 ~jobs:1 state e q
+      | Gate2 (e, a, b) -> Statevector.apply_entries2 ~jobs:1 state e a b
+      | Exchange { a; b; c; s } -> Statevector.apply_exchange state ~c ~s a b
+      | Pauli { q; x; xy; xyz } ->
+        let u = Rng.float rng in
+        if u < x then Statevector.apply_entries1 ~jobs:1 state pauli_x q
+        else if u < xy then Statevector.apply_entries1 ~jobs:1 state pauli_y q
+        else if u < xyz then Statevector.apply_entries1 ~jobs:1 state pauli_z q)
+    plan
 
 let run_trajectory rng ~n_qubits steps =
+  let plan = lower ~n_qubits steps in
   let state = Statevector.create n_qubits in
-  List.iter (fun step -> List.iter (apply_event rng state) step) steps;
+  replay plan rng state;
   state
 
 let ideal_of_steps ~n_qubits steps =
@@ -58,6 +109,11 @@ let trajectory_state = Domain.DLS.new_key (fun () -> ref None)
 
 let average_fidelity rng ~n_qubits ~ideal ~steps ~trials =
   if trials <= 0 then invalid_arg "Noisy_sim.average_fidelity: trials must be positive";
+  if Statevector.n_qubits ideal <> n_qubits then
+    invalid_arg
+      (Printf.sprintf "Noisy_sim.average_fidelity: ideal has %d qubits, expected %d"
+         (Statevector.n_qubits ideal) n_qubits);
+  let plan = lower ~n_qubits steps in
   (* Each trial gets its own generator, split from the caller's in index
      order before the fan-out.  The trial->stream mapping (and the caller's
      final rng state) is therefore fixed before any scheduling happens, and
@@ -76,7 +132,8 @@ let average_fidelity rng ~n_qubits ~ideal ~steps ~trials =
             cache := Some (n_qubits, st);
             st
         in
-        run_trajectory_into state trial_rng steps;
+        Statevector.reset state;
+        replay plan trial_rng state;
         Statevector.fidelity ideal state)
       seeds
   in

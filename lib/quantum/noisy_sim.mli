@@ -31,17 +31,25 @@ val exchange_unitary : float -> Matrix.t
     convention: [-i sin theta] off-diagonals). *)
 
 val run_trajectory : Rng.t -> n_qubits:int -> step list -> Statevector.t
-(** One stochastic trajectory from |0..0>. *)
+(** One stochastic trajectory from |0..0>: one [Rng.float] draw per
+    [Pauli_noise] event, in step order.
+    @raise Invalid_argument if an event has the wrong operand count or an
+    out-of-range or duplicate qubit (checked before any amplitude moves). *)
 
 val average_fidelity :
   Rng.t -> n_qubits:int -> ideal:Statevector.t -> steps:step list -> trials:int -> float
 (** Mean fidelity of [trials] noisy trajectories against the ideal state —
-    the simulated program success rate.  Trials fan out over the domain pool
-    ({!Fastsc_util.Pool}), each with its own generator split from [rng] in
-    index order before the fan-out and one reusable state buffer per worker,
-    so the result (and the caller's final [rng] state) is bit-identical at
-    any [--jobs] setting.
-    @raise Invalid_argument unless [trials > 0]. *)
+    the simulated program success rate.  The step list is lowered once per
+    call into kernel instructions (gate entries extracted, exchanges as
+    [(cos theta, sin theta)] for {!Statevector.apply_exchange}, Pauli
+    channels as cumulative thresholds) that every trial replays.  Trials fan
+    out over the domain pool ({!Fastsc_util.Pool}), each with its own
+    generator split from [rng] in index order before the fan-out and one
+    reusable state buffer per worker, so the result (and the caller's final
+    [rng] state) is bit-identical at any [--jobs] setting.
+    @raise Invalid_argument unless [trials > 0], [ideal] has [n_qubits]
+    qubits and every event is well formed (as for {!run_trajectory}); all
+    three are checked before any trial runs or [rng] advances. *)
 
 val ideal_of_steps : n_qubits:int -> step list -> Statevector.t
 (** The noise-free reference: applies only the [Unitary] events. *)

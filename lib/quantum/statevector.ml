@@ -23,6 +23,8 @@ let fault_scatter = Fault.enabled "sim-scatter-off-by-one"
 
 let fault_operand_swap = Fault.enabled "sim-operand-swap"
 
+let fault_exchange_phase = Fault.enabled "sim-exchange-phase"
+
 (* Shard boundaries are aligned to this many counter values, so a shard cut
    never lands inside a kernel's contiguous inner run for operand bits below
    log2(kernel_block).  Alignment is a performance choice only — each
@@ -248,6 +250,42 @@ let apply_entries2 ?jobs t e q_first q_second =
     done
   in
   shard ~jobs ~dim:d quarters body
+
+(* The partial exchange [[1,0,0,0],[0,c,-is,0],[0,-is,c,0],[0,0,0,1]] through
+   the same quartet walk as [apply_entries2], touching only the |01>,|10>
+   pair.  Every product the dense kernel would add on top of these four
+   expressions has a zero matrix entry, so it is an exact ±0: the results
+   equal [apply_entries2 (entries2 (exchange_unitary theta))] as floats, and
+   only the sign of a zero amplitude can differ. *)
+let apply_exchange t ~c ~s q_first q_second =
+  check_qubit t q_first;
+  check_qubit t q_second;
+  if q_first = q_second then invalid_arg "Statevector.apply_exchange: duplicate qubit";
+  let s = if fault_exchange_phase then -.s else s in
+  let re = t.re and im = t.im in
+  let hi_m = 1 lsl q_first and lo_m = 1 lsl q_second in
+  let p = min q_first q_second and r = max q_first q_second in
+  let lowp = (1 lsl p) - 1 and lowr = (1 lsl r) - 1 in
+  let quarters = dim t lsr 2 in
+  let k = ref 0 in
+  while !k < quarters do
+    let k0 = !k in
+    let s0 = ((k0 lsr p) lsl (p + 1)) lor (k0 land lowp) in
+    let base = ((s0 lsr r) lsl (r + 1)) lor (s0 land lowr) in
+    let run_end = min quarters ((k0 lor lowp) + 1) in
+    for j = 0 to run_end - k0 - 1 do
+      let i00 = base + j in
+      let i01 = i00 lor lo_m in
+      let i10 = i00 lor hi_m in
+      let a1r = A.unsafe_get re i01 and a1i = A.unsafe_get im i01 in
+      let a2r = A.unsafe_get re i10 and a2i = A.unsafe_get im i10 in
+      A.unsafe_set re i01 ((c *. a1r) +. (s *. a2i));
+      A.unsafe_set im i01 ((c *. a1i) -. (s *. a2r));
+      A.unsafe_set re i10 ((s *. a1i) +. (c *. a2r));
+      A.unsafe_set im i10 ((c *. a2i) -. (s *. a1r))
+    done;
+    k := run_end
+  done
 
 let apply_matrix1 ?jobs t m q =
   if Matrix.rows m <> 2 || Matrix.cols m <> 2 then

@@ -79,6 +79,15 @@ val apply_entries2 : ?jobs:int -> t -> float array -> int -> int -> unit
 (** [apply_entries2 ~jobs t e a b] applies the 4x4 gate [e] (in {!entries2}
     form) to the ordered pair [(a, b)] (first operand = most significant). *)
 
+val apply_exchange : t -> c:float -> s:float -> int -> int -> unit
+(** [apply_exchange t ~c ~s a b] applies the partial exchange with
+    [c = cos theta], [s = sin theta] (the matrix of
+    {!Noisy_sim.exchange_unitary}) to the pair [(a, b)], serially.  It
+    updates only the |01>,|10> amplitudes of each quartet; the values equal
+    those of {!apply_entries2} with that matrix, and only the sign of a zero
+    amplitude may differ.
+    @raise Invalid_argument on qubit-range errors or a duplicate qubit. *)
+
 val apply : ?jobs:int -> t -> Gate.t -> int list -> unit
 (** Apply a gate in place.
     @raise Invalid_argument on arity/range errors. *)

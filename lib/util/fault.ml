@@ -70,6 +70,14 @@ let catalog =
       suites = [ "statevector"; "prop_sim" ];
     };
     {
+      name = "sim-exchange-phase";
+      site = "Statevector.apply_exchange";
+      description =
+        "partial exchange applied with +i sin theta instead of -i sin theta: every leak \
+         probability is unchanged, but the amplitudes' phases are wrong";
+      suites = [ "statevector"; "prop_sim" ];
+    };
+    {
       name = "pool-scramble";
       site = "Pool.mapi_array";
       description = "results written back in reverse index order instead of by input index";

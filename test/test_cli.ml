@@ -69,6 +69,17 @@ let test_validate () =
   check_int "exit 0" 0 code;
   check_true "both estimates" (contains text "heuristic" && contains text "simulated")
 
+let test_validate_usage_errors () =
+  let code, text = run_capture "validate --bench bv --size 4 --trials 0" in
+  check_int "--trials 0: usage error" 124 code;
+  check_true "names --trials" (contains text "--trials");
+  check_true "no uncaught exception" (not (contains text "uncaught exception"));
+  let code, text = run_capture "validate --bench bv --size 30" in
+  check_int "--size 30: usage error" 124 code;
+  (* the message must name an option cmdliner accepts *)
+  check_true "names -n/--size" (contains text "-n/--size");
+  check_true "no --n" (not (contains text "--n "))
+
 let test_compile_qasm_input () =
   (* roundtrip through the CLI: export a circuit, compile it back in *)
   let qasm_file = Filename.temp_file "fastsc_cli" ".qasm" in
@@ -161,6 +172,7 @@ let suite =
     Alcotest.test_case "qasm" `Quick test_qasm;
     Alcotest.test_case "qasm --native" `Quick test_qasm_native_is_native;
     Alcotest.test_case "validate" `Quick test_validate;
+    Alcotest.test_case "validate usage errors" `Quick test_validate_usage_errors;
     Alcotest.test_case "compile --input qasm" `Quick test_compile_qasm_input;
     Alcotest.test_case "compile --chart" `Quick test_compile_chart;
     Alcotest.test_case "budget" `Quick test_budget_command;

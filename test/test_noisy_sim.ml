@@ -63,6 +63,47 @@ let test_average_fidelity_validation () =
     (Invalid_argument "Noisy_sim.average_fidelity: trials must be positive") (fun () ->
       ignore (Noisy_sim.average_fidelity (Rng.create 1) ~n_qubits:1 ~ideal ~steps:[] ~trials:0))
 
+(* Malformed events are rejected while the step list is lowered, on the
+   caller's domain: no trial runs and the caller's rng is not advanced. *)
+let test_average_fidelity_rejects_bad_events () =
+  let ideal = Noisy_sim.ideal_of_steps ~n_qubits:3 [] in
+  let rejects name message event =
+    let rng = Rng.create 7 in
+    Alcotest.check_raises name (Invalid_argument message) (fun () ->
+        ignore
+          (Noisy_sim.average_fidelity rng ~n_qubits:3 ~ideal
+             ~steps:[ [ Noisy_sim.Unitary (Gate.H, [ 0 ]) ]; [ event ] ]
+             ~trials:8));
+    check_true (name ^ ": rng untouched") (Int64.equal (Rng.int64 rng) (Rng.int64 (Rng.create 7)))
+  in
+  rejects "1q gate on two operands" "Noisy_sim: h applied to 2 operand(s)"
+    (Noisy_sim.Unitary (Gate.H, [ 0; 1 ]));
+  rejects "2q gate on one operand" "Noisy_sim: cz applied to 1 operand(s)"
+    (Noisy_sim.Unitary (Gate.Cz, [ 0 ]));
+  rejects "gate out of range" "Noisy_sim: cz on qubit 3, out of range for 3 qubits"
+    (Noisy_sim.Unitary (Gate.Cz, [ 0; 3 ]));
+  rejects "gate on a duplicate qubit" "Noisy_sim: cz on duplicate qubit 1"
+    (Noisy_sim.Unitary (Gate.Cz, [ 1; 1 ]));
+  rejects "exchange out of range" "Noisy_sim: partial exchange on qubit -1, out of range for 3 qubits"
+    (Noisy_sim.Partial_exchange { a = -1; b = 0; theta = 0.1 });
+  rejects "exchange on a duplicate qubit" "Noisy_sim: partial exchange on duplicate qubit 2"
+    (Noisy_sim.Partial_exchange { a = 2; b = 2; theta = 0.1 });
+  rejects "Pauli noise out of range" "Noisy_sim: Pauli noise on qubit 3, out of range for 3 qubits"
+    (Noisy_sim.Pauli_noise { q = 3; p_x = 0.1; p_y = 0.0; p_z = 0.0 })
+
+let test_average_fidelity_rejects_ideal_size () =
+  let ideal = Noisy_sim.ideal_of_steps ~n_qubits:2 [] in
+  Alcotest.check_raises "ideal qubit count"
+    (Invalid_argument "Noisy_sim.average_fidelity: ideal has 2 qubits, expected 3") (fun () ->
+      ignore (Noisy_sim.average_fidelity (Rng.create 1) ~n_qubits:3 ~ideal ~steps:[] ~trials:4))
+
+let test_run_trajectory_rejects_bad_events () =
+  Alcotest.check_raises "trajectory validates its events too"
+    (Invalid_argument "Noisy_sim: partial exchange on duplicate qubit 0") (fun () ->
+      ignore
+        (Noisy_sim.run_trajectory (Rng.create 1) ~n_qubits:2
+           [ [ Noisy_sim.Partial_exchange { a = 0; b = 0; theta = 0.2 } ] ]))
+
 let test_crosstalk_error_matches_eq6 () =
   (* the microscopic simulation reproduces the paper's eq 6 rate: a spectator
      pair detuned by delta for time t suffers sin^2(2 pi g' t) leakage *)
@@ -88,4 +129,10 @@ let suite =
     Alcotest.test_case "fidelity degrades with noise" `Quick test_average_fidelity_degrades_with_noise;
     Alcotest.test_case "fidelity validation" `Quick test_average_fidelity_validation;
     Alcotest.test_case "crosstalk matches eq 6" `Quick test_crosstalk_error_matches_eq6;
+    Alcotest.test_case "malformed events rejected before trials" `Quick
+      test_average_fidelity_rejects_bad_events;
+    Alcotest.test_case "ideal size mismatch rejected" `Quick
+      test_average_fidelity_rejects_ideal_size;
+    Alcotest.test_case "trajectory rejects malformed events" `Quick
+      test_run_trajectory_rejects_bad_events;
   ]

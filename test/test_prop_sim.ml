@@ -1,8 +1,9 @@
 (* Differential properties for the flat-float simulation kernels: the
    unboxed Statevector must agree with the boxed Statevector_ref oracle on
    random full-gate-set circuits, the density-matrix evolution must agree
-   with a noise-free trajectory, and the parallel Monte-Carlo mean must be
-   bit-identical at any job count. *)
+   with a noise-free trajectory, the lowered trajectory plan must agree with
+   the per-event interpreter it replaced, and the parallel Monte-Carlo mean
+   must be bit-identical at any job count. *)
 open Helpers
 
 let circuits = Proptest.circuit ~max_qubits:5 ~max_gates:25 ()
@@ -48,23 +49,161 @@ let prop_sharded_bit_identical =
          the index space exactly whatever the split. *)
       List.for_all (fun jobs -> planes_bit_identical serial (run jobs)) [ 2; 3; 4; 5 ])
 
-(* Lower a circuit to unitary-only noisy steps (one event per step). *)
-let steps_of_circuit c =
+(* Mixing angles for crosstalk exchanges: the identity, the full iSWAP, a
+   near-identity angle and random signed values. *)
+let random_theta rng =
+  match Rng.int rng 5 with
+  | 0 -> 0.0
+  | 1 -> Float.pi /. 2.0
+  | 2 -> 1e-9
+  | _ -> Rng.uniform rng (-.Float.pi) Float.pi
+
+let random_exchange rng n =
+  let a = Rng.int rng n in
+  let b = (a + 1 + Rng.int rng (n - 1)) mod n in
+  Noisy_sim.Partial_exchange { a; b; theta = random_theta rng }
+
+(* Lower a circuit to noise-free steps (one gate per step), each gate
+   followed by a random partial exchange half of the time on registers of
+   two or more qubits. *)
+let steps_of_circuit ~seed c =
+  let rng = Rng.create seed in
+  let n = Circuit.n_qubits c in
   Array.to_list
     (Array.map
-       (fun app -> [ Noisy_sim.Unitary (app.Gate.gate, Array.to_list app.Gate.qubits) ])
+       (fun app ->
+         let gate = Noisy_sim.Unitary (app.Gate.gate, Array.to_list app.Gate.qubits) in
+         if n >= 2 && Rng.bool rng then [ gate; random_exchange rng n ] else [ gate ])
        (Circuit.instructions c))
 
 let prop_density_matches_trajectory =
-  prop_case ~count:60 "density evolution matches statevector on unitary-only steps" circuits
-    (fun c ->
+  prop_case ~count:60 "density evolution matches statevector on noise-free steps"
+    (Proptest.pair circuits (Proptest.int_range 0 1_000_000))
+    (fun (c, seed) ->
       let n_qubits = Circuit.n_qubits c in
-      let steps = steps_of_circuit c in
+      let steps = steps_of_circuit ~seed c in
+      (* Density applies the dense exchange matrix, the trajectory the
+         two-amplitude kernel. *)
       let rho = Density.run_steps ~n_qubits steps in
       (* No noise events: one trajectory is exact and rng-independent. *)
       let psi = Noisy_sim.run_trajectory (Rng.create 0) ~n_qubits steps in
       Float.abs (Density.purity rho -. 1.0) <= 1e-9
       && Float.abs (Density.fidelity_pure rho psi -. 1.0) <= 1e-9)
+
+(* The per-event interpreter that the lowered plan replaced, kept as its
+   oracle: every event rebuilds its boxed matrix and runs the dense kernels,
+   exchanges included. *)
+module Oracle = struct
+  let apply_event rng state = function
+    | Noisy_sim.Unitary (gate, qubits) -> Statevector.apply ~jobs:1 state gate qubits
+    | Noisy_sim.Partial_exchange { a; b; theta } ->
+      Statevector.apply_matrix2 ~jobs:1 state (Noisy_sim.exchange_unitary theta) a b
+    | Noisy_sim.Pauli_noise { q; p_x; p_y; p_z } ->
+      let u = Rng.float rng in
+      if u < p_x then Statevector.apply ~jobs:1 state Gate.X [ q ]
+      else if u < p_x +. p_y then Statevector.apply ~jobs:1 state Gate.Y [ q ]
+      else if u < p_x +. p_y +. p_z then Statevector.apply ~jobs:1 state Gate.Z [ q ]
+
+  let run_trajectory rng ~n_qubits steps =
+    let state = Statevector.create n_qubits in
+    List.iter (fun step -> List.iter (apply_event rng state) step) steps;
+    state
+
+  let average_fidelity rng ~n_qubits ~ideal ~steps ~trials =
+    let total = ref 0.0 in
+    Array.iter
+      (fun trial_rng ->
+        total := !total +. Statevector.fidelity ideal (run_trajectory trial_rng ~n_qubits steps))
+      (Rng.split_n rng trials);
+    !total /. float_of_int trials
+end
+
+(* A noisy program on 2-6 qubits: a random full-gate-set circuit with
+   crosstalk exchanges and Pauli channels interleaved, cut into steps of one
+   to four events, plus the seed its trajectories draw from. *)
+type noisy_case = { n : int; seed : int; steps : Noisy_sim.step list }
+
+let noisy_case_gen rng =
+  let c = circuits.Proptest.gen rng in
+  let n = max (Circuit.n_qubits c) (2 + Rng.int rng 5) in
+  let pauli () =
+    let q = Rng.int rng n in
+    let p_x = Rng.uniform rng 0.0 0.3 in
+    let p_y = Rng.uniform rng 0.0 0.3 in
+    let p_z = Rng.uniform rng 0.0 0.3 in
+    Noisy_sim.Pauli_noise { q; p_x; p_y; p_z }
+  in
+  let noise () =
+    List.init (Rng.int rng 3) (fun _ -> if Rng.bool rng then random_exchange rng n else pauli ())
+  in
+  let events =
+    noise ()
+    @ List.concat_map
+        (fun app -> Noisy_sim.Unitary (app.Gate.gate, Array.to_list app.Gate.qubits) :: noise ())
+        (Array.to_list (Circuit.instructions c))
+  in
+  let rec cut = function
+    | [] -> []
+    | events ->
+      let k = 1 + Rng.int rng 4 in
+      List.filteri (fun i _ -> i < k) events :: cut (List.filteri (fun i _ -> i >= k) events)
+  in
+  let steps = cut events in
+  { n; seed = Rng.int rng 1_000_000; steps }
+
+let print_event = function
+  | Noisy_sim.Unitary (gate, qubits) ->
+    Printf.sprintf "%s %s" (Gate.name gate) (String.concat "," (List.map string_of_int qubits))
+  | Noisy_sim.Partial_exchange { a; b; theta } -> Printf.sprintf "exchange(%h) %d,%d" theta a b
+  | Noisy_sim.Pauli_noise { q; p_x; p_y; p_z } ->
+    Printf.sprintf "pauli(%g,%g,%g) %d" p_x p_y p_z q
+
+let noisy_cases =
+  Proptest.make noisy_case_gen
+    ~shrink:(fun c -> Seq.map (fun steps -> { c with steps }) (Proptest.Shrink.list c.steps))
+    ~print:(fun c ->
+      Printf.sprintf "%d qubits, seed %d: [%s]" c.n c.seed
+        (String.concat " | " (List.map (fun s -> String.concat "; " (List.map print_event s)) c.steps)))
+    ~size:(fun c -> c.n + List.length (List.concat c.steps))
+
+(* Float [=] plane by plane: values must match exactly; +0 and -0 compare
+   equal, the one difference the two-amplitude kernel may introduce. *)
+let same_amplitudes a b =
+  let are, aim = Statevector.buffers a and bre, bim = Statevector.buffers b in
+  let ok = ref true in
+  for k = 0 to Bigarray.Array1.dim are - 1 do
+    if are.{k} <> bre.{k} || aim.{k} <> bim.{k} then ok := false
+  done;
+  !ok
+
+let prop_trajectory_matches_oracle =
+  prop_case ~count:300 "trajectory plan matches the per-event interpreter" noisy_cases
+    (fun { n; seed; steps } ->
+      let rng = Rng.create seed and oracle_rng = Rng.create seed in
+      let got = Noisy_sim.run_trajectory rng ~n_qubits:n steps in
+      let want = Oracle.run_trajectory oracle_rng ~n_qubits:n steps in
+      same_amplitudes got want && Int64.equal (Rng.int64 rng) (Rng.int64 oracle_rng))
+
+let prop_average_fidelity_matches_oracle =
+  prop_case ~count:60 "average_fidelity matches the per-event interpreter bit for bit"
+    noisy_cases (fun { n; seed; steps } ->
+      let ideal = Noisy_sim.ideal_of_steps ~n_qubits:n steps in
+      let trials = 1 + (seed mod 16) in
+      let oracle_rng = Rng.create seed in
+      let want = Oracle.average_fidelity oracle_rng ~n_qubits:n ~ideal ~steps ~trials in
+      let want_rng = Rng.int64 oracle_rng in
+      let before = Pool.default_jobs () in
+      Fun.protect
+        ~finally:(fun () -> Pool.set_default_jobs before)
+        (fun () ->
+          List.for_all
+            (fun jobs ->
+              Pool.set_default_jobs jobs;
+              let rng = Rng.create seed in
+              let got = Noisy_sim.average_fidelity rng ~n_qubits:n ~ideal ~steps ~trials in
+              Int64.bits_of_float got = Int64.bits_of_float want
+              && Int64.equal (Rng.int64 rng) want_rng)
+            [ 1; 2 ]))
 
 let noisy_steps =
   [
@@ -113,6 +252,8 @@ let suite =
     prop_fused_matches_unfused;
     prop_sharded_bit_identical;
     prop_density_matches_trajectory;
+    prop_trajectory_matches_oracle;
+    prop_average_fidelity_matches_oracle;
     Alcotest.test_case "average_fidelity jobs invariance" `Quick
       test_average_fidelity_jobs_invariant;
     Alcotest.test_case "average_fidelity zero trials" `Quick

@@ -118,7 +118,13 @@ let test_apply_validation () =
   let s = Statevector.create 2 in
   Alcotest.check_raises "duplicate qubits"
     (Invalid_argument "Statevector.apply_matrix2: duplicate qubit") (fun () ->
-      Statevector.apply s Gate.Cz [ 1; 1 ])
+      Statevector.apply s Gate.Cz [ 1; 1 ]);
+  Alcotest.check_raises "exchange on a duplicate qubit"
+    (Invalid_argument "Statevector.apply_exchange: duplicate qubit") (fun () ->
+      Statevector.apply_exchange s ~c:1.0 ~s:0.0 0 0);
+  Alcotest.check_raises "exchange out of range"
+    (Invalid_argument "Statevector: qubit 2 out of range") (fun () ->
+      Statevector.apply_exchange s ~c:1.0 ~s:0.0 0 2)
 
 let test_matrix_apply_matches_gate () =
   let s1 = Statevector.create 3 in
@@ -126,6 +132,44 @@ let test_matrix_apply_matches_gate () =
   Statevector.apply s1 Gate.H [ 1 ];
   Statevector.apply_matrix1 s2 (Gate.unitary Gate.H) 1;
   check_float ~eps:1e-12 "same state" 1.0 (Statevector.fidelity s1 s2)
+
+(* The two-amplitude exchange kernel against the dense 4x4 path it replaces
+   in trajectories, on random normalized states and in both operand orders.
+   Float [=] per amplitude: +0 and -0 compare equal, the one difference the
+   kernel may introduce. *)
+let prop_exchange_matches_dense =
+  qcheck_case "exchange kernel matches dense 4x4" QCheck.(int_range 1 2000) (fun seed ->
+      let rng = Rng.create seed in
+      let n = 2 + Rng.int rng 4 in
+      let amps =
+        Array.init (1 lsl n) (fun _ ->
+            let re = Rng.uniform rng (-1.0) 1.0 in
+            let im = Rng.uniform rng (-1.0) 1.0 in
+            { Complex.re; im })
+      in
+      let state = Statevector.of_amplitudes amps in
+      Statevector.normalize state;
+      let theta =
+        match Rng.int rng 4 with
+        | 0 -> 0.0
+        | 1 -> Float.pi /. 2.0
+        | _ -> Rng.uniform rng (-.Float.pi) Float.pi
+      in
+      let a = Rng.int rng n in
+      let b = (a + 1 + Rng.int rng (n - 1)) mod n in
+      let dense_entries = Statevector.entries2 (Noisy_sim.exchange_unitary theta) in
+      List.for_all
+        (fun (a, b) ->
+          let dense = Statevector.copy state and fast = Statevector.copy state in
+          Statevector.apply_entries2 ~jobs:1 dense dense_entries a b;
+          Statevector.apply_exchange fast ~c:(cos theta) ~s:(sin theta) a b;
+          let dre, dim = Statevector.buffers dense and fre, fim = Statevector.buffers fast in
+          let ok = ref true in
+          for k = 0 to (1 lsl n) - 1 do
+            if dre.{k} <> fre.{k} || dim.{k} <> fim.{k} then ok := false
+          done;
+          !ok)
+        [ (a, b); (b, a) ])
 
 let prop_unitarity_preserves_norm =
   qcheck_case "norm preserved by random circuits" QCheck.(int_range 1 2000) (fun seed ->
@@ -173,6 +217,7 @@ let suite =
     Alcotest.test_case "reset" `Quick test_reset;
     Alcotest.test_case "apply validation" `Quick test_apply_validation;
     Alcotest.test_case "matrix apply" `Quick test_matrix_apply_matches_gate;
+    prop_exchange_matches_dense;
     prop_unitarity_preserves_norm;
     prop_probabilities_sum_to_one;
   ]
