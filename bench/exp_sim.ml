@@ -174,19 +174,24 @@ let run () =
     done;
     !ok
   in
+  (* The default-jobs rows shard only when the pool default asks for more
+     than one job; say how many shards they used, so a serial reading is not
+     taken for a sharded one. *)
+  let shards = Statevector.auto_shards state in
   let t2 = Tablefmt.create [ "engine"; "ns/gate"; "vs flat" ] in
   Tablefmt.add_row t2 [ "flat (gate-at-a-time, serial)"; fmt_ns big_flat; "1.0x" ];
   Tablefmt.add_row t2
     [ "fused (serial)"; fmt_ns big_fused; Printf.sprintf "%.1fx" (big_flat /. big_fused) ];
   Tablefmt.add_row t2
     [
-      "fused+blocked+sharded";
+      Printf.sprintf "fused+blocked+sharded (%d shard(s))" shards;
       fmt_ns big_sharded;
       Printf.sprintf "%.1fx" (big_flat /. big_sharded);
     ];
   Tablefmt.print t2;
-  Printf.printf "fusion: %d source gates -> %d fused ops; lone 2q %s serial / %s sharded%s\n"
-    total_gates (Fusion.length plan) (fmt_ns lone_serial) (fmt_ns lone_sharded)
+  Printf.printf
+    "fusion: %d source gates -> %d fused ops; lone 2q %s serial / %s on %d shard(s)%s\n"
+    total_gates (Fusion.length plan) (fmt_ns lone_serial) (fmt_ns lone_sharded) shards
     (if bit_identical then " (bit-identical at jobs 1 vs 4)" else " (BIT MISMATCH jobs 1 vs 4)");
 
   (* Trajectory batch: the validation workload end to end — compile a

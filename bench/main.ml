@@ -35,6 +35,7 @@ let experiments =
     ("ext-anneal", "extension: snake-style annealing comparison", Exp_extensions.snake_comparison);
     ("ext-generations", "extension: hardware generations", Exp_generations.generations);
     ("compile-bits", "bit patterns of compile metrics (test golden)", Exp_compile_bits.run);
+    ("sim-bits", "bit patterns of trajectory means (test golden)", Exp_sim_bits.run);
   ]
 
 (* `fig9` and `fig10` share one sweep when running everything. *)

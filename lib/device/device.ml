@@ -64,6 +64,7 @@ type t = {
   seed : int;
   qubits : qubit array;
   distances : int array array;
+  common : float * float;  (** Intersection of every qubit's tunable range. *)
 }
 
 let create ?(params = default_params) ~seed topology =
@@ -87,7 +88,13 @@ let create ?(params = default_params) ~seed topology =
         { transmon; t1; t2 })
   in
   let distances = Paths.all_pairs topology.Topology.graph in
-  { params; topology; seed; qubits; distances }
+  let common =
+    Array.fold_left
+      (fun (lo, hi) qb ->
+        (Float.max lo qb.transmon.Transmon.omega_min, Float.min hi qb.transmon.Transmon.omega_max))
+      (neg_infinity, infinity) qubits
+  in
+  { params; topology; seed; qubits; distances; common }
 
 let params t = t.params
 
@@ -120,14 +127,12 @@ let tunable_range t q =
   let tr = transmon t q in
   (tr.Transmon.omega_min, tr.Transmon.omega_max)
 
-let common_range t =
-  Array.fold_left
-    (fun (lo, hi) qb ->
-      (Float.max lo qb.transmon.Transmon.omega_min, Float.min hi qb.transmon.Transmon.omega_max))
-    (neg_infinity, infinity) t.qubits
+let common_range t = t.common
 
+(* Split on every call, so a device whose common range is empty still builds
+   and raises only when a partition is asked for. *)
 let partition t =
-  let lo, hi = common_range t in
+  let lo, hi = t.common in
   Partition.make ~lo ~hi
 
 let coupling t a b =

@@ -68,10 +68,12 @@ val tunable_range : t -> int -> float * float
 
 val common_range : t -> float * float
 (** The frequency window reachable by {e every} qubit — the intersection of
-    all tunable ranges; frequency assignment is confined to it. *)
+    all tunable ranges; frequency assignment is confined to it.  Computed
+    once by {!create}. *)
 
 val partition : t -> Partition.t
-(** The 2:1:2 split of {!common_range}. *)
+(** The {!Partition.make} split of {!common_range}.
+    @raise Invalid_argument if the common range is empty. *)
 
 val distances : t -> int array array
 (** The hop-distance matrix of {!graph} ([Paths.all_pairs], [-1] for

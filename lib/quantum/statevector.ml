@@ -3,12 +3,11 @@
    gate application can be sharded across the pool by amplitude range with no
    marshalling and no GC traffic.  The kernels below are allocation-free
    loops over scalar floats with the 2x2 / 4x4 gate entries hoisted out of
-   the loop, and they walk the state run-structured: instead of re-scattering
-   the counter around the operand bit(s) at every index, each maximal run of
-   low counter bits becomes one contiguous inner loop — cache-friendly tiles
-   at high qubit counts, identical arithmetic per amplitude pair.  The boxed
-   implementation survives as Statevector_ref, the reference the differential
-   suite checks this module against. *)
+   the loop, and they walk the state in nested blocks: loops over the high
+   (and, for two operands, middle) blocks of the pair counter, whose index
+   bases advance by addition, around one contiguous run of low bits.  The
+   boxed implementation survives as Statevector_ref, the reference the
+   differential suite checks this module against. *)
 
 module A = Bigarray.Array1
 
@@ -37,6 +36,10 @@ let kernel_block = 256
    parallelism applies. *)
 let auto_shard_dim = 1 lsl 16
 
+let auto_shards_of_dim dim =
+  let j = Pool.default_jobs () in
+  if j > 1 && dim >= auto_shard_dim then j else 1
+
 (* [shard ~jobs ~dim n body] runs [body lo hi] over a partition of [0, n).
    An explicit [~jobs] forces that shard count even on tiny states (the
    bit-identity tests need real shards at 5 qubits, hence the unaligned cut
@@ -49,8 +52,8 @@ let shard ~jobs ~dim n body =
   | Some 1 -> body 0 n
   | Some j -> cut j
   | None ->
-    let j = Pool.default_jobs () in
-    if j > 1 && dim >= auto_shard_dim then cut j else body 0 n
+    let j = auto_shards_of_dim dim in
+    if j > 1 then cut j else body 0 n
 
 let create n =
   if n < 1 || n > 24 then invalid_arg "Statevector.create: supported range is 1..24 qubits";
@@ -63,6 +66,8 @@ let create n =
   { n; re; im }
 
 let dim t = 1 lsl t.n
+
+let auto_shards t = auto_shards_of_dim (dim t)
 
 let reset t =
   A.fill t.re 0.0;
@@ -124,136 +129,148 @@ let entries2 m =
 
 (* --- kernels --- *)
 
+(* Nested-block walk.  A 1q kernel on qubit [q] counts its amplitude pairs
+   with a dense counter k = h*2^q + l (l < 2^q); the pair's |0> index is
+   h*2^(q+1) + l, so the walk is a loop over high blocks [h], whose base
+   advances by 2^(q+1), around a contiguous run of [l].  A 2q kernel on bits
+   p < r splits k = h*2^(r-1) + m*2^p + l into a high block, a middle block
+   and a low run, with index bases advancing by 2^(r+1) and 2^(p+1).  A
+   shard body walks the counter range [lo, hi): only the first and the last
+   block of each level can be partial, so the loop bounds are clamped there
+   and nowhere else.  Each pair or quartet is visited exactly once with the
+   same float expression, whatever the cut, which is what makes sharding
+   bit-identical.  The body reads its gate entries from [e] itself, so the
+   closure captures the array instead of one boxed float per entry. *)
+
 let apply_entries1 ?jobs t e q =
   if Array.length e <> 8 then invalid_arg "Statevector.apply_entries1: expected 8 entries";
   check_qubit t q;
-  let m00r = e.(0) and m00i = e.(1) and m01r = e.(2) and m01i = e.(3) in
-  let m10r = e.(4) and m10i = e.(5) and m11r = e.(6) and m11i = e.(7) in
   let re = t.re and im = t.im in
-  let mask = 1 lsl q in
-  let low = mask - 1 in
+  let run = 1 lsl q in
+  (* The seeded fault drops the operand bit from the block stride, so
+     consecutive blocks overlap and pairs alias. *)
+  let stride = if fault_scatter then run else run lsl 1 in
   let d = dim t in
-  let pairs = d lsr 1 in
-  let shift = if fault_scatter then q else q + 1 in
   let body lo hi =
-    (* Run-structured walk: for all counter values sharing their high bits,
-       the scattered index increments by exactly 1, so the scatter is
-       computed once per run and the inner loop is contiguous. *)
-    let k = ref lo in
-    while !k < hi do
-      let k0 = !k in
-      let base = ((k0 lsr q) lsl shift) lor (k0 land low) in
-      let run_end = min hi ((k0 lor low) + 1) in
-      let len = run_end - k0 in
-      for j = 0 to len - 1 do
-        let i0 = base + j in
-        let i1 = i0 lor mask in
-        let a0r = A.unsafe_get re i0 and a0i = A.unsafe_get im i0 in
-        let a1r = A.unsafe_get re i1 and a1i = A.unsafe_get im i1 in
-        A.unsafe_set re i0 ((m00r *. a0r) -. (m00i *. a0i) +. ((m01r *. a1r) -. (m01i *. a1i)));
-        A.unsafe_set im i0 ((m00r *. a0i) +. (m00i *. a0r) +. ((m01r *. a1i) +. (m01i *. a1r)));
-        A.unsafe_set re i1 ((m10r *. a0r) -. (m10i *. a0i) +. ((m11r *. a1r) -. (m11i *. a1i)));
-        A.unsafe_set im i1 ((m10r *. a0i) +. (m10i *. a0r) +. ((m11r *. a1i) +. (m11i *. a1r)))
-      done;
-      k := run_end
-    done
+    let m00r = e.(0) and m00i = e.(1) and m01r = e.(2) and m01i = e.(3) in
+    let m10r = e.(4) and m10i = e.(5) and m11r = e.(6) and m11i = e.(7) in
+    if lo < hi then begin
+      let last = hi - 1 in
+      let h0 = lo lsr q and h1 = last lsr q in
+      let base = ref (h0 * stride) in
+      for h = h0 to h1 do
+        let l0 = if h = h0 then lo land (run - 1) else 0 in
+        let l1 = if h = h1 then (last land (run - 1)) + 1 else run in
+        let b = !base in
+        for i0 = b + l0 to b + l1 - 1 do
+          let i1 = i0 lor run in
+          let a0r = A.unsafe_get re i0 and a0i = A.unsafe_get im i0 in
+          let a1r = A.unsafe_get re i1 and a1i = A.unsafe_get im i1 in
+          A.unsafe_set re i0 ((m00r *. a0r) -. (m00i *. a0i) +. ((m01r *. a1r) -. (m01i *. a1i)));
+          A.unsafe_set im i0 ((m00r *. a0i) +. (m00i *. a0r) +. ((m01r *. a1i) +. (m01i *. a1r)));
+          A.unsafe_set re i1 ((m10r *. a0r) -. (m10i *. a0i) +. ((m11r *. a1r) -. (m11i *. a1i)));
+          A.unsafe_set im i1 ((m10r *. a0i) +. (m10i *. a0r) +. ((m11r *. a1i) +. (m11i *. a1r)))
+        done;
+        base := b + stride
+      done
+    end
   in
-  shard ~jobs ~dim:d pairs body
+  shard ~jobs ~dim:d (d lsr 1) body
+
+(* Unchecked read of a gate entry; each kernel checks the entry count first.
+   The 2q body reads its 32 entries at every use instead of binding them:
+   32 live floats (plus the 8 amplitudes) would not fit in registers, and
+   their spills cost more than the loads. *)
+external entry : float array -> int -> float = "%array_unsafe_get"
 
 let apply_entries2 ?jobs t e q_first q_second =
   if Array.length e <> 32 then invalid_arg "Statevector.apply_entries2: expected 32 entries";
   check_qubit t q_first;
   check_qubit t q_second;
   if q_first = q_second then invalid_arg "Statevector.apply_matrix2: duplicate qubit";
-  (* Hoist the 32 scalar entries of the 4x4 gate out of the loop. *)
-  let m00r = e.(0) and m00i = e.(1) and m01r = e.(2) and m01i = e.(3) in
-  let m02r = e.(4) and m02i = e.(5) and m03r = e.(6) and m03i = e.(7) in
-  let m10r = e.(8) and m10i = e.(9) and m11r = e.(10) and m11i = e.(11) in
-  let m12r = e.(12) and m12i = e.(13) and m13r = e.(14) and m13i = e.(15) in
-  let m20r = e.(16) and m20i = e.(17) and m21r = e.(18) and m21i = e.(19) in
-  let m22r = e.(20) and m22i = e.(21) and m23r = e.(22) and m23i = e.(23) in
-  let m30r = e.(24) and m30i = e.(25) and m31r = e.(26) and m31i = e.(27) in
-  let m32r = e.(28) and m32i = e.(29) and m33r = e.(30) and m33i = e.(31) in
   let re = t.re and im = t.im in
   let hi_m, lo_m =
     if fault_operand_swap then (1 lsl q_second, 1 lsl q_first)
     else (1 lsl q_first, 1 lsl q_second)
   in
-  (* Enumerate the indices with both operand bits clear by scattering the
-     counter around the two bit positions (lowest position first). *)
-  let p = min q_first q_second and r = max q_first q_second in
-  let lowp = (1 lsl p) - 1 and lowr = (1 lsl r) - 1 in
+  let p = if q_first < q_second then q_first else q_second in
+  let r = if q_first < q_second then q_second else q_first in
+  let run = 1 lsl p and mid = (1 lsl (r - 1 - p)) - 1 in
   let d = dim t in
-  let quarters = d lsr 2 in
   let body lo hi =
-    (* Same run structure as the 1q kernel: within a run of the low [p]
-       counter bits all four scattered indices increment by 1, giving four
-       contiguous streams per run. *)
-    let k = ref lo in
-    while !k < hi do
-      let k0 = !k in
-      let s = ((k0 lsr p) lsl (p + 1)) lor (k0 land lowp) in
-      let base = ((s lsr r) lsl (r + 1)) lor (s land lowr) in
-      let run_end = min hi ((k0 lor lowp) + 1) in
-      let len = run_end - k0 in
-      for j = 0 to len - 1 do
-        let i00 = base + j in
-        let i01 = i00 lor lo_m in
-        let i10 = i00 lor hi_m in
-        let i11 = i00 lor hi_m lor lo_m in
-        let a0r = A.unsafe_get re i00 and a0i = A.unsafe_get im i00 in
-        let a1r = A.unsafe_get re i01 and a1i = A.unsafe_get im i01 in
-        let a2r = A.unsafe_get re i10 and a2i = A.unsafe_get im i10 in
-        let a3r = A.unsafe_get re i11 and a3i = A.unsafe_get im i11 in
-        A.unsafe_set re i00
-          ((m00r *. a0r) -. (m00i *. a0i)
-          +. ((m01r *. a1r) -. (m01i *. a1i))
-          +. ((m02r *. a2r) -. (m02i *. a2i))
-          +. ((m03r *. a3r) -. (m03i *. a3i)));
-        A.unsafe_set im i00
-          ((m00r *. a0i) +. (m00i *. a0r)
-          +. ((m01r *. a1i) +. (m01i *. a1r))
-          +. ((m02r *. a2i) +. (m02i *. a2r))
-          +. ((m03r *. a3i) +. (m03i *. a3r)));
-        A.unsafe_set re i01
-          ((m10r *. a0r) -. (m10i *. a0i)
-          +. ((m11r *. a1r) -. (m11i *. a1i))
-          +. ((m12r *. a2r) -. (m12i *. a2i))
-          +. ((m13r *. a3r) -. (m13i *. a3i)));
-        A.unsafe_set im i01
-          ((m10r *. a0i) +. (m10i *. a0r)
-          +. ((m11r *. a1i) +. (m11i *. a1r))
-          +. ((m12r *. a2i) +. (m12i *. a2r))
-          +. ((m13r *. a3i) +. (m13i *. a3r)));
-        A.unsafe_set re i10
-          ((m20r *. a0r) -. (m20i *. a0i)
-          +. ((m21r *. a1r) -. (m21i *. a1i))
-          +. ((m22r *. a2r) -. (m22i *. a2i))
-          +. ((m23r *. a3r) -. (m23i *. a3i)));
-        A.unsafe_set im i10
-          ((m20r *. a0i) +. (m20i *. a0r)
-          +. ((m21r *. a1i) +. (m21i *. a1r))
-          +. ((m22r *. a2i) +. (m22i *. a2r))
-          +. ((m23r *. a3i) +. (m23i *. a3r)));
-        A.unsafe_set re i11
-          ((m30r *. a0r) -. (m30i *. a0i)
-          +. ((m31r *. a1r) -. (m31i *. a1i))
-          +. ((m32r *. a2r) -. (m32i *. a2i))
-          +. ((m33r *. a3r) -. (m33i *. a3i)));
-        A.unsafe_set im i11
-          ((m30r *. a0i) +. (m30i *. a0r)
-          +. ((m31r *. a1i) +. (m31i *. a1r))
-          +. ((m32r *. a2i) +. (m32i *. a2r))
-          +. ((m33r *. a3i) +. (m33i *. a3r)))
-      done;
-      k := run_end
-    done
+    if lo < hi then begin
+      let last = hi - 1 in
+      let h0 = lo lsr (r - 1) and h1 = last lsr (r - 1) in
+      let bh = ref (h0 lsl (r + 1)) in
+      for h = h0 to h1 do
+        let m0 = if h = h0 then (lo lsr p) land mid else 0 in
+        let m1 = if h = h1 then (last lsr p) land mid else mid in
+        let bm = ref (!bh + (m0 lsl (p + 1))) in
+        for m = m0 to m1 do
+          let l0 = if h = h0 && m = m0 then lo land (run - 1) else 0 in
+          let l1 = if h = h1 && m = m1 then (last land (run - 1)) + 1 else run in
+          let b = !bm in
+          for i00 = b + l0 to b + l1 - 1 do
+            let i01 = i00 lor lo_m in
+            let i10 = i00 lor hi_m in
+            let i11 = i00 lor hi_m lor lo_m in
+            let a0r = A.unsafe_get re i00 and a0i = A.unsafe_get im i00 in
+            let a1r = A.unsafe_get re i01 and a1i = A.unsafe_get im i01 in
+            let a2r = A.unsafe_get re i10 and a2i = A.unsafe_get im i10 in
+            let a3r = A.unsafe_get re i11 and a3i = A.unsafe_get im i11 in
+            A.unsafe_set re i00
+              ((entry e 0 *. a0r) -. (entry e 1 *. a0i)
+              +. ((entry e 2 *. a1r) -. (entry e 3 *. a1i))
+              +. ((entry e 4 *. a2r) -. (entry e 5 *. a2i))
+              +. ((entry e 6 *. a3r) -. (entry e 7 *. a3i)));
+            A.unsafe_set im i00
+              ((entry e 0 *. a0i) +. (entry e 1 *. a0r)
+              +. ((entry e 2 *. a1i) +. (entry e 3 *. a1r))
+              +. ((entry e 4 *. a2i) +. (entry e 5 *. a2r))
+              +. ((entry e 6 *. a3i) +. (entry e 7 *. a3r)));
+            A.unsafe_set re i01
+              ((entry e 8 *. a0r) -. (entry e 9 *. a0i)
+              +. ((entry e 10 *. a1r) -. (entry e 11 *. a1i))
+              +. ((entry e 12 *. a2r) -. (entry e 13 *. a2i))
+              +. ((entry e 14 *. a3r) -. (entry e 15 *. a3i)));
+            A.unsafe_set im i01
+              ((entry e 8 *. a0i) +. (entry e 9 *. a0r)
+              +. ((entry e 10 *. a1i) +. (entry e 11 *. a1r))
+              +. ((entry e 12 *. a2i) +. (entry e 13 *. a2r))
+              +. ((entry e 14 *. a3i) +. (entry e 15 *. a3r)));
+            A.unsafe_set re i10
+              ((entry e 16 *. a0r) -. (entry e 17 *. a0i)
+              +. ((entry e 18 *. a1r) -. (entry e 19 *. a1i))
+              +. ((entry e 20 *. a2r) -. (entry e 21 *. a2i))
+              +. ((entry e 22 *. a3r) -. (entry e 23 *. a3i)));
+            A.unsafe_set im i10
+              ((entry e 16 *. a0i) +. (entry e 17 *. a0r)
+              +. ((entry e 18 *. a1i) +. (entry e 19 *. a1r))
+              +. ((entry e 20 *. a2i) +. (entry e 21 *. a2r))
+              +. ((entry e 22 *. a3i) +. (entry e 23 *. a3r)));
+            A.unsafe_set re i11
+              ((entry e 24 *. a0r) -. (entry e 25 *. a0i)
+              +. ((entry e 26 *. a1r) -. (entry e 27 *. a1i))
+              +. ((entry e 28 *. a2r) -. (entry e 29 *. a2i))
+              +. ((entry e 30 *. a3r) -. (entry e 31 *. a3i)));
+            A.unsafe_set im i11
+              ((entry e 24 *. a0i) +. (entry e 25 *. a0r)
+              +. ((entry e 26 *. a1i) +. (entry e 27 *. a1r))
+              +. ((entry e 28 *. a2i) +. (entry e 29 *. a2r))
+              +. ((entry e 30 *. a3i) +. (entry e 31 *. a3r)))
+          done;
+          bm := b + (run lsl 1)
+        done;
+        bh := !bh + (1 lsl (r + 1))
+      done
+    end
   in
-  shard ~jobs ~dim:d quarters body
+  shard ~jobs ~dim:d (d lsr 2) body
 
 (* The partial exchange [[1,0,0,0],[0,c,-is,0],[0,-is,c,0],[0,0,0,1]] through
-   the same quartet walk as [apply_entries2], touching only the |01>,|10>
-   pair.  Every product the dense kernel would add on top of these four
+   the same nested quartet walk as [apply_entries2], touching only the
+   |01>,|10> pair.  The kernel is serial, so it walks the whole counter range
+   and no bound needs clamping.  Every product the dense kernel would add on top of these four
    expressions has a zero matrix entry, so it is an exact ±0: the results
    equal [apply_entries2 (entries2 (exchange_unitary theta))] as floats, and
    only the sign of a zero amplitude can differ. *)
@@ -264,27 +281,27 @@ let apply_exchange t ~c ~s q_first q_second =
   let s = if fault_exchange_phase then -.s else s in
   let re = t.re and im = t.im in
   let hi_m = 1 lsl q_first and lo_m = 1 lsl q_second in
-  let p = min q_first q_second and r = max q_first q_second in
-  let lowp = (1 lsl p) - 1 and lowr = (1 lsl r) - 1 in
-  let quarters = dim t lsr 2 in
-  let k = ref 0 in
-  while !k < quarters do
-    let k0 = !k in
-    let s0 = ((k0 lsr p) lsl (p + 1)) lor (k0 land lowp) in
-    let base = ((s0 lsr r) lsl (r + 1)) lor (s0 land lowr) in
-    let run_end = min quarters ((k0 lor lowp) + 1) in
-    for j = 0 to run_end - k0 - 1 do
-      let i00 = base + j in
-      let i01 = i00 lor lo_m in
-      let i10 = i00 lor hi_m in
-      let a1r = A.unsafe_get re i01 and a1i = A.unsafe_get im i01 in
-      let a2r = A.unsafe_get re i10 and a2i = A.unsafe_get im i10 in
-      A.unsafe_set re i01 ((c *. a1r) +. (s *. a2i));
-      A.unsafe_set im i01 ((c *. a1i) -. (s *. a2r));
-      A.unsafe_set re i10 ((s *. a1i) +. (c *. a2r));
-      A.unsafe_set im i10 ((c *. a2i) -. (s *. a1r))
+  let p = if q_first < q_second then q_first else q_second in
+  let r = if q_first < q_second then q_second else q_first in
+  let run = 1 lsl p and mid = (1 lsl (r - 1 - p)) - 1 in
+  let bh = ref 0 in
+  for _ = 0 to (dim t lsr (r + 1)) - 1 do
+    let bm = ref !bh in
+    for _ = 0 to mid do
+      let b = !bm in
+      for i00 = b to b + run - 1 do
+        let i01 = i00 lor lo_m in
+        let i10 = i00 lor hi_m in
+        let a1r = A.unsafe_get re i01 and a1i = A.unsafe_get im i01 in
+        let a2r = A.unsafe_get re i10 and a2i = A.unsafe_get im i10 in
+        A.unsafe_set re i01 ((c *. a1r) +. (s *. a2i));
+        A.unsafe_set im i01 ((c *. a1i) -. (s *. a2r));
+        A.unsafe_set re i10 ((s *. a1i) +. (c *. a2r));
+        A.unsafe_set im i10 ((c *. a2i) -. (s *. a1r))
+      done;
+      bm := b + (run lsl 1)
     done;
-    k := run_end
+    bh := !bh + (1 lsl (r + 1))
   done
 
 let apply_matrix1 ?jobs t m q =

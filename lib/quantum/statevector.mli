@@ -13,13 +13,17 @@
 
     Amplitudes are stored unboxed in two [Bigarray] float64 planes (split
     re/im), which live outside the OCaml heap so domains share one state
-    zero-copy.  Gate kernels walk the state in contiguous runs
-    (cache-blocked index enumeration) and a single gate application can be
-    sharded across the pool by amplitude range: shard boundaries are a pure
-    function of the requested job count (see {!Fastsc_util.Pool.ranges}),
-    and each amplitude pair is written by exactly one shard, so results are
-    {e bit-identical} at any [--jobs].  Every kernel takes [?jobs]: [~jobs:1]
-    forces the serial walk, an explicit [~jobs:k] forces [k] shards even on
+    zero-copy.  Gate kernels walk the state in nested blocks — high
+    block, middle block (two operands only), contiguous run of low bits —
+    whose index bases advance by addition, so no index is re-scattered
+    around the operand bits.  The same walk serves the serial path and every
+    shard: a single gate application can be sharded across the pool by
+    amplitude range, shard boundaries are a pure function of the requested
+    job count (see {!Fastsc_util.Pool.ranges}), and each amplitude pair is
+    written by exactly one shard with the same float expression, so results
+    are {e bit-identical} at any [--jobs].  Every gate kernel but
+    {!apply_exchange} (serial only) takes [?jobs]: [~jobs:1] forces the
+    serial walk, an explicit [~jobs:k] forces [k] shards even on
     tiny states (for bit-identity tests), and the default shards only when
     the state has at least 2{^16} amplitudes and {!Fastsc_util.Pool.default_jobs}
     asks for parallelism.  {!Statevector_ref} is the boxed reference
@@ -87,6 +91,11 @@ val apply_exchange : t -> c:float -> s:float -> int -> int -> unit
     those of {!apply_entries2} with that matrix, and only the sign of a zero
     amplitude may differ.
     @raise Invalid_argument on qubit-range errors or a duplicate qubit. *)
+
+val auto_shards : t -> int
+(** How many shards a kernel call without [?jobs] cuts this state into:
+    {!Fastsc_util.Pool.default_jobs} once the state has 2{^16} amplitudes,
+    else 1 (serial). *)
 
 val apply : ?jobs:int -> t -> Gate.t -> int list -> unit
 (** Apply a gate in place.

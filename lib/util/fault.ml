@@ -57,10 +57,10 @@ let catalog =
     };
     {
       name = "sim-scatter-off-by-one";
-      site = "Statevector.apply_matrix1";
+      site = "Statevector.apply_entries1";
       description =
-        "bit-scatter index shift off by one: amplitude pairs overlap and the kernel \
-         overwrites amplitudes it still needs";
+        "high-block stride of the pair walk off by one bit: consecutive blocks overlap, \
+         amplitude pairs alias and the kernel overwrites amplitudes it still needs";
       suites = [ "statevector"; "prop_sim" ];
     };
     {

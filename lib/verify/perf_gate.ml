@@ -42,12 +42,14 @@ type comparison = {
 
 type result = {
   timings : comparison list;
+  exact_checked : int;
   exact_mismatches : string list;
   structural_errors : string list;
   ignored : int;
 }
 
-let empty = { timings = []; exact_mismatches = []; structural_errors = []; ignored = 0 }
+let empty =
+  { timings = []; exact_checked = 0; exact_mismatches = []; structural_errors = []; ignored = 0 }
 
 let number = function
   | Json.Int i -> Some (float_of_int i)
@@ -67,6 +69,7 @@ let compare_timing ~path ~higher_better ~noise_floor ~baseline ~fresh acc =
   if baseline = 0.0 then
     (* scrubbed-field convention: a zeroed baseline field only gates a doc
        scrubbed the same way, so the comparison degrades to exactness *)
+    let acc = { acc with exact_checked = acc.exact_checked + 1 } in
     if fresh = 0.0 then acc
     else
       {
@@ -93,6 +96,7 @@ let rec compare_values ~path ~key acc (baseline : Json.t) (fresh : Json.t) =
     | Timing { higher_better; noise_floor } ->
       compare_timing ~path ~higher_better ~noise_floor ~baseline:b ~fresh:f acc
     | Exact ->
+      let acc = { acc with exact_checked = acc.exact_checked + 1 } in
       if b = f then acc
       else
         {
@@ -155,10 +159,10 @@ let rec compare_values ~path ~key acc (baseline : Json.t) (fresh : Json.t) =
 let compare_docs ~baseline ~fresh =
   let acc = compare_values ~path:"$" ~key:"" empty baseline fresh in
   {
+    acc with
     timings = List.rev acc.timings;
     exact_mismatches = List.rev acc.exact_mismatches;
     structural_errors = List.rev acc.structural_errors;
-    ignored = acc.ignored;
   }
 
 let median_regression r =
@@ -196,9 +200,7 @@ let render ?(tolerance = default_tolerance) ~label r =
   let buf = Buffer.create 512 in
   let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   add "perf gate [%s]: %d timing field(s), %d exact field(s) checked, %d ignored\n" label
-    (List.length r.timings)
-    (List.length r.exact_mismatches)
-    r.ignored;
+    (List.length r.timings) r.exact_checked r.ignored;
   List.iter (fun e -> add "  structural: %s\n" e) r.structural_errors;
   List.iter (fun e -> add "  drift: %s\n" e) r.exact_mismatches;
   let worst =

@@ -43,6 +43,9 @@ type comparison = {
 
 type result = {
   timings : comparison list;
+  exact_checked : int;
+      (** Numeric fields compared for equality: those classified {!Exact},
+          plus scrubbed timing fields. *)
   exact_mismatches : string list;
   structural_errors : string list;
   ignored : int;

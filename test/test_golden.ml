@@ -62,11 +62,20 @@ let test_validate_byte_identical () =
    it pins them to the outputs of the code they replaced; any change to the
    low bits of a metric, a depth, a gate count or a SWAP count fails here
    with the first differing line. *)
-let check_compile_bits jobs () =
-  let expected = String.split_on_char '\n' (read_file "compile_bits.golden") in
-  let actual = String.split_on_char '\n' (run_driver "compile-bits" jobs) in
+let check_bits ~golden driver jobs () =
+  let expected = String.split_on_char '\n' (read_file golden) in
+  let actual = String.split_on_char '\n' (run_driver driver jobs) in
   check_int "line count" (List.length expected) (List.length actual);
-  List.iter2 (fun e a -> Alcotest.(check string) "compile-bits line" e a) expected actual
+  List.iter2 (fun e a -> Alcotest.(check string) (driver ^ " line") e a) expected actual
+
+let check_compile_bits = check_bits ~golden:"compile_bits.golden" "compile-bits"
+
+(* Bit-for-bit trajectory means (bench/exp_sim_bits.ml): validate-sim's 39
+   cells, 16 trials each, printed as IEEE-754 bit patterns.  The golden
+   predates the nested-block kernel walk, so it pins every statevector
+   kernel to the arithmetic of the run-structured walk it replaced, at one
+   job and with the trials spread over four. *)
+let check_sim_bits = check_bits ~golden:"sim_bits.golden" "sim-bits"
 
 let suite =
   [
@@ -76,4 +85,6 @@ let suite =
     Alcotest.test_case "validate jobs=1 vs jobs=4" `Quick test_validate_byte_identical;
     Alcotest.test_case "compile bits jobs=1" `Quick (check_compile_bits 1);
     Alcotest.test_case "compile bits jobs=4" `Quick (check_compile_bits 4);
+    Alcotest.test_case "sim bits jobs=1" `Quick (check_sim_bits 1);
+    Alcotest.test_case "sim bits jobs=4" `Quick (check_sim_bits 4);
   ]

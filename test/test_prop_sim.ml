@@ -49,6 +49,207 @@ let prop_sharded_bit_identical =
          the index space exactly whatever the split. *)
       List.for_all (fun jobs -> planes_bit_identical serial (run jobs)) [ 2; 3; 4; 5 ])
 
+(* The run-structured kernels that the nested-block walk replaced, kept
+   verbatim as the bit-level oracle: each computes the bit scatter once per
+   run of low counter bits.  Only their frames differ from the originals —
+   planes come from [Statevector.buffers], the body walks the whole counter
+   range (the originals' [~jobs:1] path), and argument checks and seeded
+   faults are gone, so the oracle stays correct under any FASTSC_FAULT. *)
+module Run_structured = struct
+  module A = Bigarray.Array1
+
+  let apply_entries1 t e q =
+    let m00r = e.(0) and m00i = e.(1) and m01r = e.(2) and m01i = e.(3) in
+    let m10r = e.(4) and m10i = e.(5) and m11r = e.(6) and m11i = e.(7) in
+    let re, im = Statevector.buffers t in
+    let mask = 1 lsl q in
+    let low = mask - 1 in
+    let d = A.dim re in
+    let pairs = d lsr 1 in
+    let shift = q + 1 in
+    let body lo hi =
+      let k = ref lo in
+      while !k < hi do
+        let k0 = !k in
+        let base = ((k0 lsr q) lsl shift) lor (k0 land low) in
+        let run_end = min hi ((k0 lor low) + 1) in
+        let len = run_end - k0 in
+        for j = 0 to len - 1 do
+          let i0 = base + j in
+          let i1 = i0 lor mask in
+          let a0r = A.unsafe_get re i0 and a0i = A.unsafe_get im i0 in
+          let a1r = A.unsafe_get re i1 and a1i = A.unsafe_get im i1 in
+          A.unsafe_set re i0 ((m00r *. a0r) -. (m00i *. a0i) +. ((m01r *. a1r) -. (m01i *. a1i)));
+          A.unsafe_set im i0 ((m00r *. a0i) +. (m00i *. a0r) +. ((m01r *. a1i) +. (m01i *. a1r)));
+          A.unsafe_set re i1 ((m10r *. a0r) -. (m10i *. a0i) +. ((m11r *. a1r) -. (m11i *. a1i)));
+          A.unsafe_set im i1 ((m10r *. a0i) +. (m10i *. a0r) +. ((m11r *. a1i) +. (m11i *. a1r)))
+        done;
+        k := run_end
+      done
+    in
+    body 0 pairs
+
+  let apply_entries2 t e q_first q_second =
+    let m00r = e.(0) and m00i = e.(1) and m01r = e.(2) and m01i = e.(3) in
+    let m02r = e.(4) and m02i = e.(5) and m03r = e.(6) and m03i = e.(7) in
+    let m10r = e.(8) and m10i = e.(9) and m11r = e.(10) and m11i = e.(11) in
+    let m12r = e.(12) and m12i = e.(13) and m13r = e.(14) and m13i = e.(15) in
+    let m20r = e.(16) and m20i = e.(17) and m21r = e.(18) and m21i = e.(19) in
+    let m22r = e.(20) and m22i = e.(21) and m23r = e.(22) and m23i = e.(23) in
+    let m30r = e.(24) and m30i = e.(25) and m31r = e.(26) and m31i = e.(27) in
+    let m32r = e.(28) and m32i = e.(29) and m33r = e.(30) and m33i = e.(31) in
+    let re, im = Statevector.buffers t in
+    let hi_m, lo_m = (1 lsl q_first, 1 lsl q_second) in
+    let p = min q_first q_second and r = max q_first q_second in
+    let lowp = (1 lsl p) - 1 and lowr = (1 lsl r) - 1 in
+    let d = A.dim re in
+    let quarters = d lsr 2 in
+    let body lo hi =
+      let k = ref lo in
+      while !k < hi do
+        let k0 = !k in
+        let s = ((k0 lsr p) lsl (p + 1)) lor (k0 land lowp) in
+        let base = ((s lsr r) lsl (r + 1)) lor (s land lowr) in
+        let run_end = min hi ((k0 lor lowp) + 1) in
+        let len = run_end - k0 in
+        for j = 0 to len - 1 do
+          let i00 = base + j in
+          let i01 = i00 lor lo_m in
+          let i10 = i00 lor hi_m in
+          let i11 = i00 lor hi_m lor lo_m in
+          let a0r = A.unsafe_get re i00 and a0i = A.unsafe_get im i00 in
+          let a1r = A.unsafe_get re i01 and a1i = A.unsafe_get im i01 in
+          let a2r = A.unsafe_get re i10 and a2i = A.unsafe_get im i10 in
+          let a3r = A.unsafe_get re i11 and a3i = A.unsafe_get im i11 in
+          A.unsafe_set re i00
+            ((m00r *. a0r) -. (m00i *. a0i)
+            +. ((m01r *. a1r) -. (m01i *. a1i))
+            +. ((m02r *. a2r) -. (m02i *. a2i))
+            +. ((m03r *. a3r) -. (m03i *. a3i)));
+          A.unsafe_set im i00
+            ((m00r *. a0i) +. (m00i *. a0r)
+            +. ((m01r *. a1i) +. (m01i *. a1r))
+            +. ((m02r *. a2i) +. (m02i *. a2r))
+            +. ((m03r *. a3i) +. (m03i *. a3r)));
+          A.unsafe_set re i01
+            ((m10r *. a0r) -. (m10i *. a0i)
+            +. ((m11r *. a1r) -. (m11i *. a1i))
+            +. ((m12r *. a2r) -. (m12i *. a2i))
+            +. ((m13r *. a3r) -. (m13i *. a3i)));
+          A.unsafe_set im i01
+            ((m10r *. a0i) +. (m10i *. a0r)
+            +. ((m11r *. a1i) +. (m11i *. a1r))
+            +. ((m12r *. a2i) +. (m12i *. a2r))
+            +. ((m13r *. a3i) +. (m13i *. a3r)));
+          A.unsafe_set re i10
+            ((m20r *. a0r) -. (m20i *. a0i)
+            +. ((m21r *. a1r) -. (m21i *. a1i))
+            +. ((m22r *. a2r) -. (m22i *. a2i))
+            +. ((m23r *. a3r) -. (m23i *. a3i)));
+          A.unsafe_set im i10
+            ((m20r *. a0i) +. (m20i *. a0r)
+            +. ((m21r *. a1i) +. (m21i *. a1r))
+            +. ((m22r *. a2i) +. (m22i *. a2r))
+            +. ((m23r *. a3i) +. (m23i *. a3r)));
+          A.unsafe_set re i11
+            ((m30r *. a0r) -. (m30i *. a0i)
+            +. ((m31r *. a1r) -. (m31i *. a1i))
+            +. ((m32r *. a2r) -. (m32i *. a2i))
+            +. ((m33r *. a3r) -. (m33i *. a3i)));
+          A.unsafe_set im i11
+            ((m30r *. a0i) +. (m30i *. a0r)
+            +. ((m31r *. a1i) +. (m31i *. a1r))
+            +. ((m32r *. a2i) +. (m32i *. a2r))
+            +. ((m33r *. a3i) +. (m33i *. a3r)))
+        done;
+        k := run_end
+      done
+    in
+    body 0 quarters
+
+  let apply_exchange t ~c ~s q_first q_second =
+    let re, im = Statevector.buffers t in
+    let hi_m = 1 lsl q_first and lo_m = 1 lsl q_second in
+    let p = min q_first q_second and r = max q_first q_second in
+    let lowp = (1 lsl p) - 1 and lowr = (1 lsl r) - 1 in
+    let quarters = A.dim re lsr 2 in
+    let k = ref 0 in
+    while !k < quarters do
+      let k0 = !k in
+      let s0 = ((k0 lsr p) lsl (p + 1)) lor (k0 land lowp) in
+      let base = ((s0 lsr r) lsl (r + 1)) lor (s0 land lowr) in
+      let run_end = min quarters ((k0 lor lowp) + 1) in
+      for j = 0 to run_end - k0 - 1 do
+        let i00 = base + j in
+        let i01 = i00 lor lo_m in
+        let i10 = i00 lor hi_m in
+        let a1r = A.unsafe_get re i01 and a1i = A.unsafe_get im i01 in
+        let a2r = A.unsafe_get re i10 and a2i = A.unsafe_get im i10 in
+        A.unsafe_set re i01 ((c *. a1r) +. (s *. a2i));
+        A.unsafe_set im i01 ((c *. a1i) -. (s *. a2r));
+        A.unsafe_set re i10 ((s *. a1i) +. (c *. a2r));
+        A.unsafe_set im i10 ((c *. a2i) -. (s *. a1r))
+      done;
+      k := run_end
+    done
+end
+
+(* A random normalized state on [n] qubits and random kernel operands: the
+   entries are not unitary, so every product and sum of the kernels moves
+   real bits. *)
+let random_state rng n =
+  let sv =
+    Statevector.of_amplitudes
+      (Array.init (1 lsl n) (fun _ ->
+           { Complex.re = Rng.uniform rng (-1.0) 1.0; im = Rng.uniform rng (-1.0) 1.0 }))
+  in
+  Statevector.normalize sv;
+  sv
+
+let prop_nested_walk_matches_run_structured =
+  prop_case "nested-block kernels match the run-structured ones bit for bit"
+    (Proptest.pair (Proptest.int_range 1 10) (Proptest.int_range 0 1_000_000))
+    (fun (n, seed) ->
+      let rng = Rng.create seed in
+      let state = random_state rng n in
+      let e1 = Array.init 8 (fun _ -> Rng.uniform rng (-1.0) 1.0) in
+      let e2 = Array.init 32 (fun _ -> Rng.uniform rng (-1.0) 1.0) in
+      let theta = Rng.uniform rng (-.Float.pi) Float.pi in
+      let c = cos theta and s = sin theta in
+      let same kernel oracle =
+        let got = Statevector.copy state and want = Statevector.copy state in
+        kernel got;
+        oracle want;
+        planes_bit_identical got want
+      in
+      let jobs = [ 1; 2; 3; 4; 5 ] in
+      let qubits = List.init n Fun.id in
+      List.for_all
+        (fun q ->
+          List.for_all
+            (fun j ->
+              same
+                (fun sv -> Statevector.apply_entries1 ~jobs:j sv e1 q)
+                (fun sv -> Run_structured.apply_entries1 sv e1 q))
+            jobs)
+        qubits
+      && List.for_all
+           (fun a ->
+             List.for_all
+               (fun b ->
+                 a = b
+                 || same
+                      (fun sv -> Statevector.apply_exchange sv ~c ~s a b)
+                      (fun sv -> Run_structured.apply_exchange sv ~c ~s a b)
+                    && List.for_all
+                         (fun j ->
+                           same
+                             (fun sv -> Statevector.apply_entries2 ~jobs:j sv e2 a b)
+                             (fun sv -> Run_structured.apply_entries2 sv e2 a b))
+                         jobs)
+               qubits)
+           qubits)
+
 (* Mixing angles for crosstalk exchanges: the identity, the full iSWAP, a
    near-identity angle and random signed values. *)
 let random_theta rng =
@@ -251,6 +452,7 @@ let suite =
     prop_flat_matches_boxed;
     prop_fused_matches_unfused;
     prop_sharded_bit_identical;
+    prop_nested_walk_matches_run_structured;
     prop_density_matches_trajectory;
     prop_trajectory_matches_oracle;
     prop_average_fidelity_matches_oracle;

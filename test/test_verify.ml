@@ -112,6 +112,33 @@ let test_exact_drift_fails () =
   | Perf_gate.Regression why -> check_true "names the field" (contains why "cycles")
   | _ -> Alcotest.fail "expected Regression verdict"
 
+(* The report's header counts the exact fields compared, not the ones that
+   drifted: a passing sim gate once read "0 exact field(s) checked". *)
+let test_report_counts_exact_fields () =
+  let doc =
+    obj
+      [
+        ("jobs", Json.Int 2);
+        ("qubits", Json.Int 8);
+        ("engine", obj [ ("cycles", Json.Int 3); ("warm_ms", Json.Float 8.0) ]);
+        ( "runs",
+          Json.List
+            [ obj [ ("mean_fidelity", Json.Float 0.25) ]; obj [ ("mean_fidelity", Json.Float 0.5) ] ]
+        );
+        ("wall_seconds", Json.Float 0.0);
+        ("label", Json.String "sim");
+      ]
+  in
+  let r = Perf_gate.compare_docs ~baseline:doc ~fresh:doc in
+  check_int "exact fields compared" 5 r.Perf_gate.exact_checked;
+  check_true "report says 5"
+    (contains (Perf_gate.render ~label:"t" r)
+       "1 timing field(s), 5 exact field(s) checked, 1 ignored");
+  let sim = fixture "sim.json" in
+  let r = Perf_gate.compare_docs ~baseline:sim ~fresh:sim in
+  check_true "sim baseline report counts its nine exact fields"
+    (contains (Perf_gate.render ~label:"sim" r) "9 exact field(s) checked")
+
 let test_structural_mismatch_fails () =
   let baseline = obj [ ("a", Json.Int 1); ("b", Json.Int 2) ] in
   let fresh = obj [ ("a", Json.Int 1); ("c", Json.Int 3) ] in
@@ -240,6 +267,7 @@ let suite =
     Alcotest.test_case "classify by key name" `Quick test_classify;
     Alcotest.test_case "identical docs pass" `Quick test_identical_docs_pass;
     Alcotest.test_case "2x slowdown fails" `Quick test_twofold_slowdown_fails;
+    Alcotest.test_case "report counts exact fields" `Quick test_report_counts_exact_fields;
     Alcotest.test_case "exact drift fails" `Quick test_exact_drift_fails;
     Alcotest.test_case "structural mismatch fails" `Quick test_structural_mismatch_fails;
     Alcotest.test_case "scrubbed baseline convention" `Quick
