@@ -80,11 +80,13 @@ serve-smoke:
 	$(DUNE) build bin/fastsc.exe
 	sh scripts/serve_smoke.sh
 
-# Concurrency smoke: two jobs-4 commands whose pool domains run library code
-# for the first time concurrently, 25 runs each; any non-zero exit fails.  A
-# module-level `lazy` forced for the first time from two domains at once
-# raises CamlinternalLazy.Undefined, which killed each command a few times in
-# thirty runs while the fault flags were lazy (docs/DESIGN.md §11).
+# Concurrency smoke: three jobs-4 commands whose pool domains run library
+# code for the first time concurrently, 25 runs each; any non-zero exit
+# fails.  A module-level `lazy` forced for the first time from two domains at
+# once raises CamlinternalLazy.Undefined, which killed each command a few
+# times in thirty runs while the fault flags were lazy (docs/DESIGN.md §11).
+# The validate run fans a trajectory batch over the pool, whose trials all
+# read the snapshots and no-hit fidelity the batch shares (docs/DESIGN.md §9).
 race-smoke:
 	$(DUNE) build bench/main.exe bin/fastsc.exe
 	@for i in $$(seq 1 25); do \
@@ -92,6 +94,9 @@ race-smoke:
 	    || { echo "race-smoke: bench/main.exe --jobs 4 fig6 failed on run $$i"; exit 1; }; \
 	  FASTSC_JOBS=4 ./_build/default/bin/fastsc.exe sweep --bench xeb --size 4 > /dev/null 2>&1 \
 	    || { echo "race-smoke: FASTSC_JOBS=4 fastsc sweep failed on run $$i"; exit 1; }; \
+	  FASTSC_JOBS=4 ./_build/default/bin/fastsc.exe validate --bench qaoa --size 9 --trials 64 \
+	    > /dev/null 2>&1 \
+	    || { echo "race-smoke: FASTSC_JOBS=4 fastsc validate failed on run $$i"; exit 1; }; \
 	done; echo "race-smoke: 25 runs of each command exited 0"
 
 # The PR gate: full build (warnings are errors, see the root `dune` env

@@ -32,7 +32,8 @@ val exchange_unitary : float -> Matrix.t
 
 val run_trajectory : Rng.t -> n_qubits:int -> step list -> Statevector.t
 (** One stochastic trajectory from |0..0>: one [Rng.float] draw per
-    [Pauli_noise] event, in step order.
+    [Pauli_noise] event, in step order, on the kernels
+    {!average_fidelity} lowers to.
     @raise Invalid_argument if an event has the wrong operand count or an
     out-of-range or duplicate qubit (checked before any amplitude moves). *)
 
@@ -40,13 +41,24 @@ val average_fidelity :
   Rng.t -> n_qubits:int -> ideal:Statevector.t -> steps:step list -> trials:int -> float
 (** Mean fidelity of [trials] noisy trajectories against the ideal state —
     the simulated program success rate.  The step list is lowered once per
-    call into kernel instructions (gate entries extracted, exchanges as
-    [(cos theta, sin theta)] for {!Statevector.apply_exchange}, Pauli
-    channels as cumulative thresholds) that every trial replays.  Trials fan
-    out over the domain pool ({!Fastsc_util.Pool}), each with its own
-    generator split from [rng] in index order before the fan-out and one
-    reusable state buffer per worker, so the result (and the caller's final
-    [rng] state) is bit-identical at any [--jobs] setting.
+    call into kernel instructions that every trial replays: one-qubit gate
+    entries extracted; two-qubit gates on the kernel their entries' exact
+    zeros select (exchange-form matrices such as iSWAP, sqrt-iSWAP and XY
+    on {!Statevector.apply_exchange}, diagonal ones such as CZ on
+    {!Statevector.apply_diagonal2}, the rest on the dense 4x4 kernel);
+    exchanges as [(cos theta, sin theta)]; Pauli channels as cumulative
+    thresholds.  Each trial gets its own generator, split from [rng] in
+    index order, and draws it once per Pauli channel up to its first hit
+    before any state moves.  One error-free replay then serves the batch:
+    it keeps a copy of the state at each distinct first-hit position, and
+    trials with no hit share its final fidelity.  The other trials fan out
+    over the domain pool ({!Fastsc_util.Pool}): each copies its snapshot
+    into its worker's reusable state, applies its hit and replays the rest
+    with its own generator.  The snapshots take at most (distinct first-hit
+    positions) x 2{^n_qubits} x 16 bytes.  Every trial draws as a full
+    replay would, and the mean is summed in trial order, so the result (and
+    the caller's final [rng] state) is bit-identical at any [--jobs]
+    setting.
     @raise Invalid_argument unless [trials > 0], [ideal] has [n_qubits]
     qubits and every event is well formed (as for {!run_trajectory}); all
     three are checked before any trial runs or [rng] advances. *)

@@ -21,13 +21,15 @@
     amplitude range, shard boundaries are a pure function of the requested
     job count (see {!Fastsc_util.Pool.ranges}), and each amplitude pair is
     written by exactly one shard with the same float expression, so results
-    are {e bit-identical} at any [--jobs].  Every gate kernel but
-    {!apply_exchange} (serial only) takes [?jobs]: [~jobs:1] forces the
-    serial walk, an explicit [~jobs:k] forces [k] shards even on
-    tiny states (for bit-identity tests), and the default shards only when
-    the state has at least 2{^16} amplitudes and {!Fastsc_util.Pool.default_jobs}
-    asks for parallelism.  {!Statevector_ref} is the boxed reference
-    implementation the differential tests compare against. *)
+    are {e bit-identical} at any [--jobs].  Every gate kernel but the
+    serial-only sparse ones ({!apply_diagonal2}, {!apply_exchange}) takes
+    [?jobs]: [~jobs:1] forces the serial walk, an explicit [~jobs:k] forces
+    [k] shards even on tiny states (for bit-identity tests), and the
+    default shards only when the state has at least 2{^16} amplitudes and
+    {!Fastsc_util.Pool.default_jobs} asks for parallelism.  A call that runs
+    serially allocates nothing; only a sharded call builds a closure.
+    {!Statevector_ref} is the boxed reference implementation the
+    differential tests compare against. *)
 
 type t
 
@@ -50,6 +52,12 @@ val of_amplitudes : Complex.t array -> t
 val n_qubits : t -> int
 
 val copy : t -> t
+
+val blit : src:t -> dst:t -> unit
+(** [blit ~src ~dst] overwrites [dst]'s amplitudes with [src]'s, reusing
+    [dst]'s buffers (a trajectory continuation copies its shared snapshot
+    into its worker's state this way instead of allocating one).
+    @raise Invalid_argument on a qubit-count mismatch. *)
 
 val buffers : t -> plane * plane
 (** [(re, im)] — the {e live} amplitude planes, indexed by basis state.
@@ -82,6 +90,17 @@ val apply_entries1 : ?jobs:int -> t -> float array -> int -> unit
 val apply_entries2 : ?jobs:int -> t -> float array -> int -> int -> unit
 (** [apply_entries2 ~jobs t e a b] applies the 4x4 gate [e] (in {!entries2}
     form) to the ordered pair [(a, b)] (first operand = most significant). *)
+
+val apply_diagonal2 : t -> float array -> int -> int -> unit
+(** [apply_diagonal2 t d a b] applies the diagonal 4x4
+    [diag(d00, d01, d10, d11)] to the ordered pair [(a, b)] (first operand =
+    most significant), serially.  [d] holds the four entries as
+    [|re; im|] pairs in that order (8 floats: entries 0, 1, 10, 11, 20, 21,
+    30 and 31 of the {!entries2} form).  Each amplitude is multiplied by its
+    own entry; the values equal those of {!apply_entries2} with the full
+    matrix, and only the sign of a zero amplitude may differ.
+    @raise Invalid_argument on entry-count or qubit-range errors or a
+    duplicate qubit. *)
 
 val apply_exchange : t -> c:float -> s:float -> int -> int -> unit
 (** [apply_exchange t ~c ~s a b] applies the partial exchange with

@@ -65,7 +65,7 @@ let catalog =
     };
     {
       name = "sim-operand-swap";
-      site = "Statevector.apply_matrix2";
+      site = "Statevector.apply_entries2";
       description = "operand bit masks swapped: the 4x4 gate acts with its qubits reversed";
       suites = [ "statevector"; "prop_sim" ];
     };
@@ -76,6 +76,23 @@ let catalog =
         "partial exchange applied with +i sin theta instead of -i sin theta: every leak \
          probability is unchanged, but the amplitudes' phases are wrong";
       suites = [ "statevector"; "prop_sim" ];
+    };
+    {
+      name = "sim-diag-index";
+      site = "Statevector.apply_diagonal2";
+      description =
+        "diagonal kernel exchanges its |10> and |11> entries: on CZ the -1 phase lands on \
+         |10> instead of |11>, which neither conjugating the entries nor swapping the \
+         operands would do";
+      suites = [ "statevector"; "prop_sim" ];
+    };
+    {
+      name = "sim-prefix-resume";
+      site = "Noisy_sim.average_fidelity";
+      description =
+        "a trial's continuation resumes at its first-hit Pauli instruction instead of after \
+         it, so that channel is drawn, and may fire, a second time";
+      suites = [ "noisy_sim"; "prop_sim" ];
     };
     {
       name = "pool-scramble";

@@ -57,6 +57,27 @@ let test_average_fidelity_degrades_with_noise () =
   check_float ~eps:1e-9 "no noise = 1" 1.0 clean;
   check_true "fidelity decreases" (noisy > noisier && clean > noisy)
 
+(* A channel that always fires applies its Pauli exactly once, at the first
+   instruction here, so every trial shares one first-hit position; a channel
+   that never fires leaves every trial on the shared error-free state. *)
+let test_average_fidelity_certain_and_silent_channels () =
+  let certain = Noisy_sim.Pauli_noise { q = 0; p_x = 1.0; p_y = 0.0; p_z = 0.0 } in
+  let silent = Noisy_sim.Pauli_noise { q = 1; p_x = 0.0; p_y = 0.0; p_z = 0.0 } in
+  let gates = [ Noisy_sim.Unitary (Gate.H, [ 1 ]); Noisy_sim.Unitary (Gate.Cz, [ 0; 1 ]) ] in
+  let fid ~ideal steps trials =
+    Noisy_sim.average_fidelity (Rng.create 5) ~n_qubits:2 ~ideal ~steps ~trials
+  in
+  let flipped =
+    Noisy_sim.ideal_of_steps ~n_qubits:2 [ [ Noisy_sim.Unitary (Gate.X, [ 0 ]) ]; gates ]
+  in
+  let clean = Noisy_sim.ideal_of_steps ~n_qubits:2 [ gates ] in
+  List.iter
+    (fun trials ->
+      check_float ~eps:1e-12 "certain X applied once" 1.0
+        (fid ~ideal:flipped [ [ certain ]; gates ] trials);
+      check_float ~eps:1e-12 "silent channel" 1.0 (fid ~ideal:clean [ [ silent ]; gates; [ silent ] ] trials))
+    [ 1; 7 ]
+
 let test_average_fidelity_validation () =
   let ideal = Noisy_sim.ideal_of_steps ~n_qubits:1 [] in
   Alcotest.check_raises "trials"
@@ -127,6 +148,8 @@ let suite =
     Alcotest.test_case "partial exchange leaks" `Quick test_partial_exchange_leaks;
     Alcotest.test_case "pauli noise statistics" `Quick test_pauli_noise_statistics;
     Alcotest.test_case "fidelity degrades with noise" `Quick test_average_fidelity_degrades_with_noise;
+    Alcotest.test_case "certain and silent channels" `Quick
+      test_average_fidelity_certain_and_silent_channels;
     Alcotest.test_case "fidelity validation" `Quick test_average_fidelity_validation;
     Alcotest.test_case "crosstalk matches eq 6" `Quick test_crosstalk_error_matches_eq6;
     Alcotest.test_case "malformed events rejected before trials" `Quick

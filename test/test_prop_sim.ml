@@ -320,25 +320,64 @@ module Oracle = struct
 end
 
 (* A noisy program on 2-6 qubits: a random full-gate-set circuit with
-   crosstalk exchanges and Pauli channels interleaved, cut into steps of one
-   to four events, plus the seed its trajectories draw from. *)
+   crosstalk exchanges, Pauli channels and extra two-qubit gates
+   interleaved, cut into steps of one to four events, plus the seed its
+   trajectories draw from.  A per-case regime sets the channels, so batches
+   range from every trial hit at the first instruction (a certain channel
+   leads the program) through many trials sharing one first hit (certain
+   channels among random ones) and mostly clean trials (rare channels) to
+   no trial hit at all (silent channels only).  The extra gates cover every
+   4x4 form the plan lowers: Cz (diagonal), Iswap, Sqrt_iswap and Xy
+   (exchange form), Cnot (dense), and [Xy 0.0], the identity, which is
+   both diagonal and of exchange form. *)
 type noisy_case = { n : int; seed : int; steps : Noisy_sim.step list }
 
 let noisy_case_gen rng =
   let c = circuits.Proptest.gen rng in
   let n = max (Circuit.n_qubits c) (2 + Rng.int rng 5) in
-  let pauli () =
-    let q = Rng.int rng n in
-    let p_x = Rng.uniform rng 0.0 0.3 in
-    let p_y = Rng.uniform rng 0.0 0.3 in
-    let p_z = Rng.uniform rng 0.0 0.3 in
+  let regime = Rng.int rng 4 in
+  let certain q =
+    let p_x, p_y, p_z =
+      Rng.choose rng [| (1.0, 0.0, 0.0); (0.0, 1.0, 0.0); (0.0, 0.0, 1.0); (0.5, 0.25, 0.25) |]
+    in
     Noisy_sim.Pauli_noise { q; p_x; p_y; p_z }
   in
-  let noise () =
-    List.init (Rng.int rng 3) (fun _ -> if Rng.bool rng then random_exchange rng n else pauli ())
+  let pauli () =
+    let q = Rng.int rng n in
+    let p hi = Rng.uniform rng 0.0 hi in
+    match (regime, Rng.int rng 8) with
+    | 3, _ | _, 0 -> Noisy_sim.Pauli_noise { q; p_x = 0.0; p_y = 0.0; p_z = 0.0 }
+    | _, 1 -> certain q
+    | 2, _ ->
+      let p_x = p 0.01 in
+      let p_y = p 0.01 in
+      Noisy_sim.Pauli_noise { q; p_x; p_y; p_z = p 0.01 }
+    | _ ->
+      let p_x = p 0.3 in
+      let p_y = p 0.3 in
+      Noisy_sim.Pauli_noise { q; p_x; p_y; p_z = p 0.3 }
   in
+  let two_qubit_gate () =
+    let a = Rng.int rng n in
+    let b = (a + 1 + Rng.int rng (n - 1)) mod n in
+    let theta = Rng.uniform rng (-.Float.pi) Float.pi in
+    let gate =
+      Rng.choose rng
+        [| Gate.Cz; Gate.Iswap; Gate.Sqrt_iswap; Gate.Xy theta; Gate.Xy 0.0; Gate.Cnot |]
+    in
+    Noisy_sim.Unitary (gate, [ a; b ])
+  in
+  let noise () =
+    List.init (Rng.int rng 3) (fun _ ->
+        match Rng.int rng 5 with
+        | 0 | 1 -> random_exchange rng n
+        | 2 | 3 -> pauli ()
+        | _ -> two_qubit_gate ())
+  in
+  let lead = if regime < 3 && Rng.int rng 4 = 0 then [ certain (Rng.int rng n) ] else [] in
   let events =
-    noise ()
+    lead
+    @ noise ()
     @ List.concat_map
         (fun app -> Noisy_sim.Unitary (app.Gate.gate, Array.to_list app.Gate.qubits) :: noise ())
         (Array.to_list (Circuit.instructions c))
@@ -385,26 +424,63 @@ let prop_trajectory_matches_oracle =
       let want = Oracle.run_trajectory oracle_rng ~n_qubits:n steps in
       same_amplitudes got want && Int64.equal (Rng.int64 rng) (Rng.int64 oracle_rng))
 
+(* [average_fidelity] against the oracle at jobs 1-4: the mean bit for bit,
+   and the caller's final rng state. *)
+let matches_oracle { n; seed; steps } ~trials =
+  let ideal = Noisy_sim.ideal_of_steps ~n_qubits:n steps in
+  let oracle_rng = Rng.create seed in
+  let want = Oracle.average_fidelity oracle_rng ~n_qubits:n ~ideal ~steps ~trials in
+  let want_rng = Rng.int64 oracle_rng in
+  let before = Pool.default_jobs () in
+  Fun.protect
+    ~finally:(fun () -> Pool.set_default_jobs before)
+    (fun () ->
+      List.for_all
+        (fun jobs ->
+          Pool.set_default_jobs jobs;
+          let rng = Rng.create seed in
+          let got = Noisy_sim.average_fidelity rng ~n_qubits:n ~ideal ~steps ~trials in
+          Int64.bits_of_float got = Int64.bits_of_float want
+          && Int64.equal (Rng.int64 rng) want_rng)
+        [ 1; 2; 3; 4 ])
+
 let prop_average_fidelity_matches_oracle =
   prop_case ~count:60 "average_fidelity matches the per-event interpreter bit for bit"
-    noisy_cases (fun { n; seed; steps } ->
-      let ideal = Noisy_sim.ideal_of_steps ~n_qubits:n steps in
-      let trials = 1 + (seed mod 16) in
-      let oracle_rng = Rng.create seed in
-      let want = Oracle.average_fidelity oracle_rng ~n_qubits:n ~ideal ~steps ~trials in
-      let want_rng = Rng.int64 oracle_rng in
-      let before = Pool.default_jobs () in
-      Fun.protect
-        ~finally:(fun () -> Pool.set_default_jobs before)
-        (fun () ->
-          List.for_all
-            (fun jobs ->
-              Pool.set_default_jobs jobs;
-              let rng = Rng.create seed in
-              let got = Noisy_sim.average_fidelity rng ~n_qubits:n ~ideal ~steps ~trials in
-              Int64.bits_of_float got = Int64.bits_of_float want
-              && Int64.equal (Rng.int64 rng) want_rng)
-            [ 1; 2 ]))
+    noisy_cases (fun case -> matches_oracle case ~trials:(1 + (case.seed mod 16)))
+
+(* Fixed batches at the edges of the shared prefix: every trial hit at the
+   first instruction, every trial hit at one later position, no trial hit,
+   and a single trial, each on a program holding every 4x4 form. *)
+let test_average_fidelity_edge_batches () =
+  let pauli q (p_x, p_y, p_z) = Noisy_sim.Pauli_noise { q; p_x; p_y; p_z } in
+  let gates =
+    List.map
+      (fun (g, qs) -> Noisy_sim.Unitary (g, qs))
+      [
+        (Gate.H, [ 0 ]); (Gate.Sx, [ 2 ]); (Gate.Cz, [ 0; 1 ]); (Gate.Iswap, [ 2; 0 ]);
+        (Gate.Sqrt_iswap, [ 1; 2 ]); (Gate.Xy 0.7, [ 0; 2 ]); (Gate.Xy 0.0, [ 2; 1 ]);
+        (Gate.Cnot, [ 1; 0 ]); (Gate.Swap, [ 0; 2 ]);
+      ]
+  in
+  let exchange = Noisy_sim.Partial_exchange { a = 1; b = 2; theta = 0.3 } in
+  let silent q = pauli q (0.0, 0.0, 0.0) and noisy q = pauli q (0.1, 0.05, 0.15) in
+  let cases =
+    [
+      ("hit at the first instruction", [ [ pauli 1 (0.0, 1.0, 0.0) ]; gates; [ noisy 0; exchange ] ]);
+      ("one shared later hit", [ gates; [ silent 0; pauli 2 (0.5, 0.25, 0.25) ]; gates; [ noisy 1 ] ]);
+      ("no trial hit", [ [ silent 0 ]; gates; [ exchange; silent 1; silent 2 ]; gates ]);
+      ("mixed", [ gates; [ noisy 0; noisy 1 ]; gates; [ exchange; noisy 2 ] ]);
+    ]
+  in
+  List.iter
+    (fun (name, steps) ->
+      List.iter
+        (fun trials ->
+          check_true
+            (Printf.sprintf "%s, %d trial(s)" name trials)
+            (matches_oracle { n = 3; seed = 17; steps } ~trials))
+        [ 1; 2; 16 ])
+    cases
 
 let noisy_steps =
   [
@@ -456,6 +532,7 @@ let suite =
     prop_density_matches_trajectory;
     prop_trajectory_matches_oracle;
     prop_average_fidelity_matches_oracle;
+    Alcotest.test_case "average_fidelity edge batches" `Quick test_average_fidelity_edge_batches;
     Alcotest.test_case "average_fidelity jobs invariance" `Quick
       test_average_fidelity_jobs_invariant;
     Alcotest.test_case "average_fidelity zero trials" `Quick

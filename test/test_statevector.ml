@@ -124,7 +124,20 @@ let test_apply_validation () =
       Statevector.apply_exchange s ~c:1.0 ~s:0.0 0 0);
   Alcotest.check_raises "exchange out of range"
     (Invalid_argument "Statevector: qubit 2 out of range") (fun () ->
-      Statevector.apply_exchange s ~c:1.0 ~s:0.0 0 2)
+      Statevector.apply_exchange s ~c:1.0 ~s:0.0 0 2);
+  let cz = [| 1.0; 0.0; 1.0; 0.0; 1.0; 0.0; -1.0; 0.0 |] in
+  Alcotest.check_raises "diagonal on a duplicate qubit"
+    (Invalid_argument "Statevector.apply_diagonal2: duplicate qubit") (fun () ->
+      Statevector.apply_diagonal2 s cz 1 1);
+  Alcotest.check_raises "diagonal out of range"
+    (Invalid_argument "Statevector: qubit 2 out of range") (fun () ->
+      Statevector.apply_diagonal2 s cz 2 0);
+  Alcotest.check_raises "diagonal entry count"
+    (Invalid_argument "Statevector.apply_diagonal2: expected 8 entries") (fun () ->
+      Statevector.apply_diagonal2 s (Array.sub cz 0 6) 0 1);
+  Alcotest.check_raises "blit size mismatch"
+    (Invalid_argument "Statevector.blit: qubit count mismatch") (fun () ->
+      Statevector.blit ~src:(Statevector.create 3) ~dst:s)
 
 let test_matrix_apply_matches_gate () =
   let s1 = Statevector.create 3 in
@@ -170,6 +183,74 @@ let prop_exchange_matches_dense =
           done;
           !ok)
         [ (a, b); (b, a) ])
+
+(* The diagonal kernel against the dense 4x4 path on random diagonal
+   unitaries (four random phases, so every entry is distinct), random
+   normalized states and both operand orders.  Float [=] per amplitude, as
+   for the exchange kernel. *)
+let prop_diagonal_matches_dense =
+  qcheck_case "diagonal kernel matches dense 4x4" QCheck.(int_range 1 2000) (fun seed ->
+      let rng = Rng.create seed in
+      let n = 2 + Rng.int rng 4 in
+      let state =
+        Statevector.of_amplitudes
+          (Array.init (1 lsl n) (fun _ ->
+               { Complex.re = Rng.uniform rng (-1.0) 1.0; im = Rng.uniform rng (-1.0) 1.0 }))
+      in
+      Statevector.normalize state;
+      let phases = Array.init 4 (fun _ -> Rng.uniform rng (-.Float.pi) Float.pi) in
+      let d = Array.init 8 (fun k -> if k land 1 = 0 then cos phases.(k / 2) else sin phases.(k / 2)) in
+      let dense_entries = Array.make 32 0.0 in
+      for k = 0 to 3 do
+        dense_entries.(10 * k) <- d.(2 * k);
+        dense_entries.((10 * k) + 1) <- d.((2 * k) + 1)
+      done;
+      let a = Rng.int rng n in
+      let b = (a + 1 + Rng.int rng (n - 1)) mod n in
+      List.for_all
+        (fun (a, b) ->
+          let dense = Statevector.copy state and fast = Statevector.copy state in
+          Statevector.apply_entries2 ~jobs:1 dense dense_entries a b;
+          Statevector.apply_diagonal2 fast d a b;
+          let dre, dim = Statevector.buffers dense and fre, fim = Statevector.buffers fast in
+          let ok = ref true in
+          for k = 0 to (1 lsl n) - 1 do
+            if dre.{k} <> fre.{k} || dim.{k} <> fim.{k} then ok := false
+          done;
+          !ok)
+        [ (a, b); (b, a) ])
+
+(* A serial kernel call runs its walk directly: 1,000 calls of each kernel,
+   at [~jobs:1] and on the default path below the sharding threshold,
+   allocate no minor word. *)
+let test_serial_kernels_allocate_nothing () =
+  let s = Statevector.create 6 in
+  let e1 = Statevector.entries1 (Gate.unitary Gate.H) in
+  let e2 = Statevector.entries2 (Gate.unitary Gate.Cnot) in
+  let cz = [| 1.0; 0.0; 1.0; 0.0; 1.0; 0.0; -1.0; 0.0 |] in
+  let words name f =
+    let before = Gc.minor_words () in
+    for _ = 1 to 1000 do
+      f ()
+    done;
+    let after = Gc.minor_words () in
+    Alcotest.(check (float 0.0)) (name ^ " allocates nothing") 0.0 (after -. before)
+  in
+  words "apply_entries1 ~jobs:1" (fun () -> Statevector.apply_entries1 ~jobs:1 s e1 3);
+  words "apply_entries1" (fun () -> Statevector.apply_entries1 s e1 0);
+  words "apply_entries2 ~jobs:1" (fun () -> Statevector.apply_entries2 ~jobs:1 s e2 4 1);
+  words "apply_entries2" (fun () -> Statevector.apply_entries2 s e2 0 5);
+  words "apply_diagonal2" (fun () -> Statevector.apply_diagonal2 s cz 2 3);
+  words "apply_exchange" (fun () -> Statevector.apply_exchange s ~c:0.6 ~s:0.8 5 0)
+
+let test_blit () =
+  let src = Statevector.create 3 and dst = Statevector.create 3 in
+  Statevector.apply src Gate.H [ 0 ];
+  Statevector.apply src Gate.Cnot [ 0; 2 ];
+  Statevector.blit ~src ~dst;
+  check_true "same amplitudes" (Statevector.amplitudes src = Statevector.amplitudes dst);
+  Statevector.apply dst Gate.X [ 1 ];
+  check_float ~eps:0.0 "buffers stay separate" 0.0 (Statevector.probability src 2)
 
 let prop_unitarity_preserves_norm =
   qcheck_case "norm preserved by random circuits" QCheck.(int_range 1 2000) (fun seed ->
@@ -218,6 +299,10 @@ let suite =
     Alcotest.test_case "apply validation" `Quick test_apply_validation;
     Alcotest.test_case "matrix apply" `Quick test_matrix_apply_matches_gate;
     prop_exchange_matches_dense;
+    prop_diagonal_matches_dense;
+    Alcotest.test_case "serial kernels allocate nothing" `Quick
+      test_serial_kernels_allocate_nothing;
+    Alcotest.test_case "blit" `Quick test_blit;
     prop_unitarity_preserves_norm;
     prop_probabilities_sum_to_one;
   ]
