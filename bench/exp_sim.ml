@@ -1,40 +1,45 @@
 (* Simulation-kernel microbenchmark: the Bigarray state-vector kernels
-   against the boxed Statevector_ref baseline, the tier-2 engine (gate
-   fusion + blocked kernels + amplitude-range sharding) against gate-at-a-
-   time application on a deep ≥20-qubit workload, Monte-Carlo trajectory
-   throughput through the domain pool, and the density superoperator loop.
-   Emits BENCH_sim.json so kernel throughput is tracked across commits like
-   the compiler timings (BENCH_timing.json).
+   against the boxed Statevector_ref baseline, gate-at-a-time replay of a
+   brickwork circuit and a lone two-qubit gate on a larger state, Monte-Carlo
+   trajectory throughput through the domain pool, and the density
+   superoperator loop.  Emits BENCH_sim.json so kernel throughput is tracked
+   across commits like the compiler timings (BENCH_timing.json); tier W of
+   `make verify` gates a pinned run against bench/baselines/sim.json.
 
    Env knobs (all optional; the `make bench-sim` smoke run shrinks them):
      FASTSC_SIM_QUBITS          state size for the flat-vs-boxed kernels (default 16)
-     FASTSC_SIM_BIG_QUBITS      state size for the fused/sharded engine row (default 20)
+     FASTSC_SIM_BIG_QUBITS      state size for the engine rows (default 20)
      FASTSC_SIM_CYCLES          brickwork cycles in the big workload (default 3)
      FASTSC_SIM_TRIALS          trajectory batch size (default 200)
      FASTSC_SIM_TRAJ_QUBITS     trajectory workload size (default 12)
      FASTSC_SIM_DENSITY_QUBITS  density-matrix size (default 8, capped at 10)
-     FASTSC_SIM_BUDGET_MS       min measuring time per kernel (default 300)
-     FASTSC_SIM_FUSION          0 = diagnostic: replay the big workload
-                                gate-at-a-time in the fused rows too *)
+     FASTSC_SIM_BUDGET_MS       min measuring time per batch (default 300) *)
 
 let env_int name default =
   match Option.bind (Sys.getenv_opt name) int_of_string_opt with
   | Some v when v > 0 -> v
   | _ -> default
 
-(* Seconds per run: repeat the thunk, growing the batch until it fills the
-   measuring budget, like bechamel's quota but without the harness weight. *)
+(* Seconds per run: grow the batch until one batch fills the measuring
+   budget, like bechamel's quota but without the harness weight, then time
+   [batches] more batches of that size and take the median, so no single
+   noisy batch decides a row. *)
+let batches = 5
+
 let time_per_run ~budget f =
   f ();
-  let rec go reps =
+  let batch reps =
     let t0 = Unix.gettimeofday () in
     for _ = 1 to reps do
       f ()
     done;
-    let dt = Unix.gettimeofday () -. t0 in
-    if dt < budget && reps < 1 lsl 20 then go (reps * 4) else dt /. float_of_int reps
+    Unix.gettimeofday () -. t0
   in
-  go 1
+  let rec grow reps = if batch reps < budget && reps < 1 lsl 20 then grow (reps * 4) else reps in
+  let reps = grow 1 in
+  let times = Array.init batches (fun _ -> batch reps) in
+  Array.sort Float.compare times;
+  times.(batches / 2) /. float_of_int reps
 
 let fmt_ns ns =
   if ns > 1e6 then Printf.sprintf "%.2f ms" (ns /. 1e6)
@@ -50,10 +55,8 @@ let u1 =
 let u2 = Noisy_sim.exchange_unitary 0.37
 
 (* The big-section workload: [cycles] brickwork layers — two rotation layers
-   (Rz then Ry, angles from a fixed seed so no fused product is the exact
-   identity) followed by one sqrt-iSWAP layer on alternating even/odd
-   neighbour pairings.  The canonical fusion shape: every 1q run is adjacent
-   to a 2q gate that can absorb it. *)
+   (Rz then Ry, angles from a fixed seed) followed by one sqrt-iSWAP layer on
+   alternating even/odd neighbour pairings. *)
 let brickwork ~n ~cycles =
   let rng = Rng.create 41 in
   let b = Circuit.builder n in
@@ -82,7 +85,6 @@ let run () =
   let traj_n = max 2 (env_int "FASTSC_SIM_TRAJ_QUBITS" 12) in
   let dn = min 10 (env_int "FASTSC_SIM_DENSITY_QUBITS" 8) in
   let budget = float_of_int (env_int "FASTSC_SIM_BUDGET_MS" 300) /. 1000.0 in
-  let fusion_on = env_int "FASTSC_SIM_FUSION" 1 > 0 in
 
   (* Gate kernels: one run = the gate applied once to every qubit (resp.
      every neighbouring pair), so ns/gate divides by the application count. *)
@@ -103,9 +105,9 @@ let run () =
     in
     time_per_run ~budget run_all *. 1e9 /. float_of_int (n - 1)
   in
-  let flat1 = per_gate1 flat (fun s m q -> Statevector.apply_matrix1 ~jobs:1 s m q) in
+  let flat1 = per_gate1 flat Statevector.apply_matrix1 in
   let boxed1 = per_gate1 boxed Statevector_ref.apply_matrix1 in
-  let flat2 = per_gate2 flat (fun s m a b -> Statevector.apply_matrix2 ~jobs:1 s m a b) in
+  let flat2 = per_gate2 flat Statevector.apply_matrix2 in
   let boxed2 = per_gate2 boxed Statevector_ref.apply_matrix2 in
   let speedup1 = boxed1 /. flat1 and speedup2 = boxed2 /. flat2 in
 
@@ -126,73 +128,25 @@ let run () =
     ];
   Tablefmt.print t;
 
-  (* Tier-2 engine on the deep workload: gate-at-a-time serial vs fused
-     replay vs fused replay with amplitude-range sharding at the default job
-     count.  All three rows divide by *source* gates, so they are directly
-     comparable per-gate costs of the same circuit. *)
-  Exp_common.heading
-    (Printf.sprintf "Tier-2 engine: %d-qubit brickwork, %d cycles" big_n cycles);
+  (* The engine rows on the big state: the brickwork circuit gate at a time,
+     per source gate, and one 2q gate on the outermost pair. *)
+  Exp_common.heading (Printf.sprintf "Engine: %d-qubit brickwork, %d cycles" big_n cycles);
   let circuit = brickwork ~n:big_n ~cycles in
   let total_gates = Circuit.length circuit in
-  let plan = Fusion.plan circuit in
   let state = Statevector.create big_n in
-  let gates = float_of_int total_gates in
   let big_flat =
-    time_per_run ~budget (fun () -> Statevector.run ~jobs:1 state circuit) *. 1e9 /. gates
-  in
-  let big_fused =
-    time_per_run ~budget (fun () ->
-        if fusion_on then Fusion.apply ~jobs:1 state plan
-        else Statevector.run ~jobs:1 state circuit)
-    *. 1e9 /. gates
-  in
-  let big_sharded =
-    time_per_run ~budget (fun () ->
-        if fusion_on then Fusion.apply state plan else Statevector.run state circuit)
-    *. 1e9 /. gates
-  in
-  (* Lone 2q gate at the big size: the sharding row of the acceptance
-     criterion, plus the jobs-1-vs-4 bit-identity witness on the same gate. *)
-  let lone_serial =
-    time_per_run ~budget (fun () -> Statevector.apply_matrix2 ~jobs:1 state u2 0 (big_n - 1))
+    time_per_run ~budget (fun () -> Statevector.run state circuit)
     *. 1e9
+    /. float_of_int total_gates
   in
-  let lone_sharded =
+  let lone_serial =
     time_per_run ~budget (fun () -> Statevector.apply_matrix2 state u2 0 (big_n - 1)) *. 1e9
   in
-  let bit_identical =
-    let a = Statevector.copy state and b = Statevector.copy state in
-    Statevector.apply_matrix2 ~jobs:1 a u2 0 (big_n - 1);
-    Statevector.apply_matrix2 ~jobs:4 b u2 0 (big_n - 1);
-    let are, aim = Statevector.buffers a and bre, bim = Statevector.buffers b in
-    let ok = ref true in
-    for k = 0 to (1 lsl big_n) - 1 do
-      if
-        Int64.bits_of_float are.{k} <> Int64.bits_of_float bre.{k}
-        || Int64.bits_of_float aim.{k} <> Int64.bits_of_float bim.{k}
-      then ok := false
-    done;
-    !ok
-  in
-  (* The default-jobs rows shard only when the pool default asks for more
-     than one job; say how many shards they used, so a serial reading is not
-     taken for a sharded one. *)
-  let shards = Statevector.auto_shards state in
-  let t2 = Tablefmt.create [ "engine"; "ns/gate"; "vs flat" ] in
-  Tablefmt.add_row t2 [ "flat (gate-at-a-time, serial)"; fmt_ns big_flat; "1.0x" ];
+  let t2 = Tablefmt.create [ "engine"; "ns/gate" ] in
   Tablefmt.add_row t2
-    [ "fused (serial)"; fmt_ns big_fused; Printf.sprintf "%.1fx" (big_flat /. big_fused) ];
-  Tablefmt.add_row t2
-    [
-      Printf.sprintf "fused+blocked+sharded (%d shard(s))" shards;
-      fmt_ns big_sharded;
-      Printf.sprintf "%.1fx" (big_flat /. big_sharded);
-    ];
+    [ Printf.sprintf "brickwork, gate at a time (%d gates)" total_gates; fmt_ns big_flat ];
+  Tablefmt.add_row t2 [ Printf.sprintf "lone 2q gate on (0, %d)" (big_n - 1); fmt_ns lone_serial ];
   Tablefmt.print t2;
-  Printf.printf
-    "fusion: %d source gates -> %d fused ops; lone 2q %s serial / %s on %d shard(s)%s\n"
-    total_gates (Fusion.length plan) (fmt_ns lone_serial) (fmt_ns lone_sharded) shards
-    (if bit_identical then " (bit-identical at jobs 1 vs 4)" else " (BIT MISMATCH jobs 1 vs 4)");
 
   (* Trajectory batch: the validation workload end to end — compile a
      circuit, lower to noisy steps, fan the Monte-Carlo trials over the
@@ -261,20 +215,8 @@ let run () =
               ("qubits", Json.Int big_n);
               ("cycles", Json.Int cycles);
               ("cycle_gates", Json.Int total_gates);
-              ("fused_instrs", Json.Int (Fusion.length plan));
-              ("fusion_enabled", Json.Bool fusion_on);
               ("ns_per_gate_flat", Json.Float big_flat);
-              ("ns_per_gate_fused", Json.Float big_fused);
-              ("ns_per_gate_fused_sharded", Json.Float big_sharded);
-              ("speedup_fused_vs_flat", Json.Float (big_flat /. big_fused));
-              ("speedup_total_vs_flat", Json.Float (big_flat /. big_sharded));
-              ( "lone_2q",
-                Json.Obj
-                  [
-                    ("ns_serial", Json.Float lone_serial);
-                    ("ns_sharded", Json.Float lone_sharded);
-                    ("sharded_bit_identical", Json.Bool bit_identical);
-                  ] );
+              ("lone_2q", Json.Obj [ ("ns_serial", Json.Float lone_serial) ]);
             ] );
         ( "trajectories",
           Json.Obj

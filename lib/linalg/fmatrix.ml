@@ -26,13 +26,6 @@ let set m r c v =
 
 let copy m = { m with re = Array.copy m.re; im = Array.copy m.im }
 
-let identity n =
-  let m = create n n in
-  for k = 0 to n - 1 do
-    m.re.((k * n) + k) <- 1.0
-  done;
-  m
-
 let of_matrix a =
   let m = create (Matrix.rows a) (Matrix.cols a) in
   for r = 0 to m.rows - 1 do
@@ -78,30 +71,6 @@ let mul a b =
           out.im.(orow + j) <- out.im.(orow + j) +. ((ar *. bi) +. (ai *. br))
         done
       end
-    done
-  done;
-  out
-
-(* Kronecker product with the first factor on the most-significant index
-   bits: [kron a b] at row (ra*b.rows + rb), col (ca*b.cols + cb) is
-   a(ra,ca) * b(rb,cb).  The fusion pass uses this to lift per-qubit 2x2s
-   into the 4x4 basis of a following two-qubit gate, where the first
-   operand owns the high bit (see Statevector.apply_matrix2). *)
-let kron a b =
-  let out = create (a.rows * b.rows) (a.cols * b.cols) in
-  for ra = 0 to a.rows - 1 do
-    for ca = 0 to a.cols - 1 do
-      let ar = a.re.((ra * a.cols) + ca) and ai = a.im.((ra * a.cols) + ca) in
-      if ar <> 0.0 || ai <> 0.0 then
-        for rb = 0 to b.rows - 1 do
-          let orow = (((ra * b.rows) + rb) * out.cols) + (ca * b.cols) in
-          let brow = rb * b.cols in
-          for cb = 0 to b.cols - 1 do
-            let br = b.re.(brow + cb) and bi = b.im.(brow + cb) in
-            out.re.(orow + cb) <- (ar *. br) -. (ai *. bi);
-            out.im.(orow + cb) <- (ar *. bi) +. (ai *. br)
-          done
-        done
     done
   done;
   out

@@ -16,8 +16,6 @@ val create : int -> int -> t
 (** [create rows cols] is the zero matrix.
     @raise Invalid_argument on non-positive dimensions. *)
 
-val identity : int -> t
-
 val of_matrix : Matrix.t -> t
 (** Unbox a boxed matrix (copies). *)
 
@@ -44,12 +42,6 @@ val adjoint : t -> t
 val mul : t -> t -> t
 (** Allocation-free-inner-loop matrix product (one result allocation).
     @raise Invalid_argument on dimension mismatch. *)
-
-val kron : t -> t -> t
-(** [kron a b] is the Kronecker product with [a] on the most-significant
-    index bits: entry at row [ra * rows b + rb], col [ca * cols b + cb] is
-    [a(ra,ca) * b(rb,cb)].  Matches the statevector convention that a
-    two-qubit gate's first operand owns the high bit. *)
 
 val interleaved : t -> float array
 (** Row-major interleaved [[|re; im; re; im; ...|]] copy of the entries —

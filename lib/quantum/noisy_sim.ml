@@ -101,14 +101,11 @@ let lower_event ~n_qubits = function
 let lower ~n_qubits steps =
   Array.of_list (List.concat_map (List.map (lower_event ~n_qubits)) steps)
 
-(* Trajectory states are small and trials already fan out across the pool,
-   so gate application inside a trial stays serial ([~jobs:1]) — nesting
-   amplitude-range shards under trajectory parallelism would only contend
-   for the same workers.  A Pauli instruction never changes the state
-   unless its draw fires; [apply_unitary] skips it. *)
+(* A Pauli instruction never changes the state unless its draw fires;
+   [apply_unitary] skips it. *)
 let apply_unitary state = function
-  | Gate1 (e, q) -> Statevector.apply_entries1 ~jobs:1 state e q
-  | Gate2 (e, a, b) -> Statevector.apply_entries2 ~jobs:1 state e a b
+  | Gate1 (e, q) -> Statevector.apply_entries1 state e q
+  | Gate2 (e, a, b) -> Statevector.apply_entries2 state e a b
   | Diagonal2 (d, a, b) -> Statevector.apply_diagonal2 state d a b
   | Exchange { a; b; c; s } -> Statevector.apply_exchange state ~c ~s a b
   | Pauli _ -> ()
@@ -116,9 +113,9 @@ let apply_unitary state = function
 (* The Pauli that draw [u] selects on a Pauli instruction, if any. *)
 let apply_pauli state u = function
   | Pauli { q; x; xy; xyz } ->
-    if u < x then Statevector.apply_entries1 ~jobs:1 state pauli_x q
-    else if u < xy then Statevector.apply_entries1 ~jobs:1 state pauli_y q
-    else if u < xyz then Statevector.apply_entries1 ~jobs:1 state pauli_z q
+    if u < x then Statevector.apply_entries1 state pauli_x q
+    else if u < xy then Statevector.apply_entries1 state pauli_y q
+    else if u < xyz then Statevector.apply_entries1 state pauli_z q
   | Gate1 _ | Gate2 _ | Diagonal2 _ | Exchange _ -> ()
 
 (* Replay [plan] from index [from] on: one [Rng.float] per Pauli

@@ -1,12 +1,10 @@
-(* Amplitudes live in two Bigarray float64 planes (split re/im).  Bigarrays
-   sit outside the OCaml heap, so domains share one state zero-copy: a single
-   gate application can be sharded across the pool by amplitude range with no
-   marshalling and no GC traffic.  The kernels below are allocation-free
-   loops over scalar floats with the 2x2 / 4x4 gate entries hoisted out of
-   the loop, and they walk the state in nested blocks: loops over the high
-   (and, for two operands, middle) blocks of the pair counter, whose index
-   bases advance by addition, around one contiguous run of low bits.  The
-   boxed implementation survives as Statevector_ref, the reference the
+(* Amplitudes live in two Bigarray float64 planes (split re/im), outside
+   the OCaml heap.  The kernels below are allocation-free loops over scalar
+   floats with the 2x2 / 4x4 gate entries hoisted out of the loop, and they
+   walk the state in nested blocks: loops over the high (and, for two
+   operands, middle) blocks of the pair counter, whose index bases advance
+   by addition, around one contiguous run of low bits.  The boxed
+   implementation survives as Statevector_ref, the reference the
    differential suite checks this module against. *)
 
 module A = Bigarray.Array1
@@ -26,33 +24,6 @@ let fault_exchange_phase = Fault.enabled "sim-exchange-phase"
 
 let fault_diag_index = Fault.enabled "sim-diag-index"
 
-(* Shard boundaries are aligned to this many counter values, so a shard cut
-   never lands inside a kernel's contiguous inner run for operand bits below
-   log2(kernel_block).  Alignment is a performance choice only — each
-   amplitude pair is updated independently, so results are bit-identical at
-   any shard count regardless (docs/DESIGN.md §14). *)
-let kernel_block = 256
-
-(* Below this state size a gate application is too small to amortize the
-   pool handoff; the auto path stays serial and only across-trajectory
-   parallelism applies. *)
-let auto_shard_dim = 1 lsl 16
-
-let auto_shards_of_dim dim = if dim < auto_shard_dim then 1 else Pool.default_jobs ()
-
-(* How many shards a kernel call cuts the state into.  An explicit [~jobs]
-   forces that count even on tiny states (the bit-identity tests need real
-   shards at 5 qubits); the default shards only when the state is large and
-   the process-wide default asks for parallelism.  A count of 1 means the
-   caller runs its walk directly, so the serial path builds no closure. *)
-let shards ~jobs ~dim = match jobs with Some j -> j | None -> auto_shards_of_dim dim
-
-(* [cut j n body] runs [body lo hi] over a [j]-way partition of [0, n),
-   aligned to [kernel_block] unless the state is too small to give every
-   shard a full block. *)
-let cut j n body =
-  Pool.run_ranges ~jobs:j ~align:(if n >= j * kernel_block then kernel_block else 1) n body
-
 let create n =
   if n < 1 || n > 24 then invalid_arg "Statevector.create: supported range is 1..24 qubits";
   let dim = 1 lsl n in
@@ -64,8 +35,6 @@ let create n =
   { n; re; im }
 
 let dim t = 1 lsl t.n
-
-let auto_shards t = auto_shards_of_dim (dim t)
 
 let reset t =
   A.fill t.re 0.0;
@@ -117,8 +86,8 @@ let check_qubit t q =
 (* --- gate entries in kernel form --- *)
 
 (* The kernels consume gate matrices as interleaved [|re; im; ...|] rows, so
-   a fused program can pre-extract every matrix once and replay it without
-   touching boxed [Complex.t] again. *)
+   a caller can pre-extract every matrix once and replay it without touching
+   boxed [Complex.t] again. *)
 
 let entries1 m =
   if Matrix.rows m <> 2 || Matrix.cols m <> 2 then
@@ -137,53 +106,36 @@ let entries2 m =
    h*2^(q+1) + l, so the walk is a loop over high blocks [h], whose base
    advances by 2^(q+1), around a contiguous run of [l].  A 2q kernel on bits
    p < r splits k = h*2^(r-1) + m*2^p + l into a high block, a middle block
-   and a low run, with index bases advancing by 2^(r+1) and 2^(p+1).  A
-   walk covers the counter range [lo, hi): only the first and the last
-   block of each level can be partial, so the loop bounds are clamped there
-   and nowhere else.  Each pair or quartet is visited exactly once with the
-   same float expression, whatever the cut, which is what makes sharding
-   bit-identical.  The walks are top-level functions: a serial call runs
-   one directly and only a sharded call wraps it in a closure, so the
-   serial path allocates nothing.  Their planes are annotated [plane];
-   without the annotation they compile to generic Bigarray accessors that
-   box every amplitude. *)
+   and a low run, with index bases advancing by 2^(r+1) and 2^(p+1).  Every
+   kernel walks the whole counter range, each pair or quartet exactly once,
+   and allocates nothing.  The planes come from the state record, so they
+   are typed [plane]; an unannotated plane compiles to generic Bigarray
+   accessors that box every amplitude. *)
 
-let walk1 (re : plane) (im : plane) e q stride lo hi =
-  let m00r = e.(0) and m00i = e.(1) and m01r = e.(2) and m01i = e.(3) in
-  let m10r = e.(4) and m10i = e.(5) and m11r = e.(6) and m11i = e.(7) in
-  if lo < hi then begin
-    let run = 1 lsl q in
-    let last = hi - 1 in
-    let h0 = lo lsr q and h1 = last lsr q in
-    let base = ref (h0 * stride) in
-    for h = h0 to h1 do
-      let l0 = if h = h0 then lo land (run - 1) else 0 in
-      let l1 = if h = h1 then (last land (run - 1)) + 1 else run in
-      let b = !base in
-      for i0 = b + l0 to b + l1 - 1 do
-        let i1 = i0 lor run in
-        let a0r = A.unsafe_get re i0 and a0i = A.unsafe_get im i0 in
-        let a1r = A.unsafe_get re i1 and a1i = A.unsafe_get im i1 in
-        A.unsafe_set re i0 ((m00r *. a0r) -. (m00i *. a0i) +. ((m01r *. a1r) -. (m01i *. a1i)));
-        A.unsafe_set im i0 ((m00r *. a0i) +. (m00i *. a0r) +. ((m01r *. a1i) +. (m01i *. a1r)));
-        A.unsafe_set re i1 ((m10r *. a0r) -. (m10i *. a0i) +. ((m11r *. a1r) -. (m11i *. a1i)));
-        A.unsafe_set im i1 ((m10r *. a0i) +. (m10i *. a0r) +. ((m11r *. a1i) +. (m11i *. a1r)))
-      done;
-      base := b + stride
-    done
-  end
-
-let apply_entries1 ?jobs t e q =
+let apply_entries1 t e q =
   if Array.length e <> 8 then invalid_arg "Statevector.apply_entries1: expected 8 entries";
   check_qubit t q;
+  let m00r = e.(0) and m00i = e.(1) and m01r = e.(2) and m01i = e.(3) in
+  let m10r = e.(4) and m10i = e.(5) and m11r = e.(6) and m11i = e.(7) in
+  let re = t.re and im = t.im in
+  let run = 1 lsl q in
   (* The seeded fault drops the operand bit from the block stride, so
      consecutive blocks overlap and pairs alias. *)
-  let stride = if fault_scatter then 1 lsl q else 2 lsl q in
-  let d = dim t in
-  let pairs = d lsr 1 in
-  match shards ~jobs ~dim:d with
-  | 1 -> walk1 t.re t.im e q stride 0 pairs
-  | j -> cut j pairs (fun lo hi -> walk1 t.re t.im e q stride lo hi)
+  let stride = if fault_scatter then run else run lsl 1 in
+  let base = ref 0 in
+  for _ = 0 to (dim t lsr (q + 1)) - 1 do
+    let b = !base in
+    for i0 = b to b + run - 1 do
+      let i1 = i0 lor run in
+      let a0r = A.unsafe_get re i0 and a0i = A.unsafe_get im i0 in
+      let a1r = A.unsafe_get re i1 and a1i = A.unsafe_get im i1 in
+      A.unsafe_set re i0 ((m00r *. a0r) -. (m00i *. a0i) +. ((m01r *. a1r) -. (m01i *. a1i)));
+      A.unsafe_set im i0 ((m00r *. a0i) +. (m00i *. a0r) +. ((m01r *. a1i) +. (m01i *. a1r)));
+      A.unsafe_set re i1 ((m10r *. a0r) -. (m10i *. a0i) +. ((m11r *. a1r) -. (m11i *. a1i)));
+      A.unsafe_set im i1 ((m10r *. a0i) +. (m10i *. a0r) +. ((m11r *. a1i) +. (m11i *. a1r)))
+    done;
+    base := b + stride
+  done
 
 (* Unchecked read of a gate entry; each kernel checks the entry count first.
    The 2q walk reads its 32 entries at every use instead of binding them:
@@ -191,95 +143,79 @@ let apply_entries1 ?jobs t e q =
    their spills cost more than the loads. *)
 external entry : float array -> int -> float = "%array_unsafe_get"
 
-(* [hi_m] and [lo_m] are the masks of the first and second operand;
-   [p < r] are their bit positions in increasing order. *)
-let walk2 (re : plane) (im : plane) e hi_m lo_m p r lo hi =
-  if lo < hi then begin
-    let run = 1 lsl p and mid = (1 lsl (r - 1 - p)) - 1 in
-    let last = hi - 1 in
-    let h0 = lo lsr (r - 1) and h1 = last lsr (r - 1) in
-    let bh = ref (h0 lsl (r + 1)) in
-    for h = h0 to h1 do
-      let m0 = if h = h0 then (lo lsr p) land mid else 0 in
-      let m1 = if h = h1 then (last lsr p) land mid else mid in
-      let bm = ref (!bh + (m0 lsl (p + 1))) in
-      for m = m0 to m1 do
-        let l0 = if h = h0 && m = m0 then lo land (run - 1) else 0 in
-        let l1 = if h = h1 && m = m1 then (last land (run - 1)) + 1 else run in
-        let b = !bm in
-        for i00 = b + l0 to b + l1 - 1 do
-          let i01 = i00 lor lo_m in
-          let i10 = i00 lor hi_m in
-          let i11 = i00 lor hi_m lor lo_m in
-          let a0r = A.unsafe_get re i00 and a0i = A.unsafe_get im i00 in
-          let a1r = A.unsafe_get re i01 and a1i = A.unsafe_get im i01 in
-          let a2r = A.unsafe_get re i10 and a2i = A.unsafe_get im i10 in
-          let a3r = A.unsafe_get re i11 and a3i = A.unsafe_get im i11 in
-          A.unsafe_set re i00
-            ((entry e 0 *. a0r) -. (entry e 1 *. a0i)
-            +. ((entry e 2 *. a1r) -. (entry e 3 *. a1i))
-            +. ((entry e 4 *. a2r) -. (entry e 5 *. a2i))
-            +. ((entry e 6 *. a3r) -. (entry e 7 *. a3i)));
-          A.unsafe_set im i00
-            ((entry e 0 *. a0i) +. (entry e 1 *. a0r)
-            +. ((entry e 2 *. a1i) +. (entry e 3 *. a1r))
-            +. ((entry e 4 *. a2i) +. (entry e 5 *. a2r))
-            +. ((entry e 6 *. a3i) +. (entry e 7 *. a3r)));
-          A.unsafe_set re i01
-            ((entry e 8 *. a0r) -. (entry e 9 *. a0i)
-            +. ((entry e 10 *. a1r) -. (entry e 11 *. a1i))
-            +. ((entry e 12 *. a2r) -. (entry e 13 *. a2i))
-            +. ((entry e 14 *. a3r) -. (entry e 15 *. a3i)));
-          A.unsafe_set im i01
-            ((entry e 8 *. a0i) +. (entry e 9 *. a0r)
-            +. ((entry e 10 *. a1i) +. (entry e 11 *. a1r))
-            +. ((entry e 12 *. a2i) +. (entry e 13 *. a2r))
-            +. ((entry e 14 *. a3i) +. (entry e 15 *. a3r)));
-          A.unsafe_set re i10
-            ((entry e 16 *. a0r) -. (entry e 17 *. a0i)
-            +. ((entry e 18 *. a1r) -. (entry e 19 *. a1i))
-            +. ((entry e 20 *. a2r) -. (entry e 21 *. a2i))
-            +. ((entry e 22 *. a3r) -. (entry e 23 *. a3i)));
-          A.unsafe_set im i10
-            ((entry e 16 *. a0i) +. (entry e 17 *. a0r)
-            +. ((entry e 18 *. a1i) +. (entry e 19 *. a1r))
-            +. ((entry e 20 *. a2i) +. (entry e 21 *. a2r))
-            +. ((entry e 22 *. a3i) +. (entry e 23 *. a3r)));
-          A.unsafe_set re i11
-            ((entry e 24 *. a0r) -. (entry e 25 *. a0i)
-            +. ((entry e 26 *. a1r) -. (entry e 27 *. a1i))
-            +. ((entry e 28 *. a2r) -. (entry e 29 *. a2i))
-            +. ((entry e 30 *. a3r) -. (entry e 31 *. a3i)));
-          A.unsafe_set im i11
-            ((entry e 24 *. a0i) +. (entry e 25 *. a0r)
-            +. ((entry e 26 *. a1i) +. (entry e 27 *. a1r))
-            +. ((entry e 28 *. a2i) +. (entry e 29 *. a2r))
-            +. ((entry e 30 *. a3i) +. (entry e 31 *. a3r)))
-        done;
-        bm := b + (run lsl 1)
-      done;
-      bh := !bh + (1 lsl (r + 1))
-    done
-  end
-
-let apply_entries2 ?jobs t e q_first q_second =
+let apply_entries2 t e q_first q_second =
   if Array.length e <> 32 then invalid_arg "Statevector.apply_entries2: expected 32 entries";
   check_qubit t q_first;
   check_qubit t q_second;
-  if q_first = q_second then invalid_arg "Statevector.apply_matrix2: duplicate qubit";
+  if q_first = q_second then invalid_arg "Statevector.apply_entries2: duplicate qubit";
   let hi_m = 1 lsl (if fault_operand_swap then q_second else q_first) in
   let lo_m = 1 lsl (if fault_operand_swap then q_first else q_second) in
+  let re = t.re and im = t.im in
   let p = if q_first < q_second then q_first else q_second in
   let r = if q_first < q_second then q_second else q_first in
-  let d = dim t in
-  let quartets = d lsr 2 in
-  match shards ~jobs ~dim:d with
-  | 1 -> walk2 t.re t.im e hi_m lo_m p r 0 quartets
-  | j -> cut j quartets (fun lo hi -> walk2 t.re t.im e hi_m lo_m p r lo hi)
+  let run = 1 lsl p and mid = (1 lsl (r - 1 - p)) - 1 in
+  let bh = ref 0 in
+  for _ = 0 to (dim t lsr (r + 1)) - 1 do
+    let bm = ref !bh in
+    for _ = 0 to mid do
+      let b = !bm in
+      for i00 = b to b + run - 1 do
+        let i01 = i00 lor lo_m in
+        let i10 = i00 lor hi_m in
+        let i11 = i00 lor hi_m lor lo_m in
+        let a0r = A.unsafe_get re i00 and a0i = A.unsafe_get im i00 in
+        let a1r = A.unsafe_get re i01 and a1i = A.unsafe_get im i01 in
+        let a2r = A.unsafe_get re i10 and a2i = A.unsafe_get im i10 in
+        let a3r = A.unsafe_get re i11 and a3i = A.unsafe_get im i11 in
+        A.unsafe_set re i00
+          ((entry e 0 *. a0r) -. (entry e 1 *. a0i)
+          +. ((entry e 2 *. a1r) -. (entry e 3 *. a1i))
+          +. ((entry e 4 *. a2r) -. (entry e 5 *. a2i))
+          +. ((entry e 6 *. a3r) -. (entry e 7 *. a3i)));
+        A.unsafe_set im i00
+          ((entry e 0 *. a0i) +. (entry e 1 *. a0r)
+          +. ((entry e 2 *. a1i) +. (entry e 3 *. a1r))
+          +. ((entry e 4 *. a2i) +. (entry e 5 *. a2r))
+          +. ((entry e 6 *. a3i) +. (entry e 7 *. a3r)));
+        A.unsafe_set re i01
+          ((entry e 8 *. a0r) -. (entry e 9 *. a0i)
+          +. ((entry e 10 *. a1r) -. (entry e 11 *. a1i))
+          +. ((entry e 12 *. a2r) -. (entry e 13 *. a2i))
+          +. ((entry e 14 *. a3r) -. (entry e 15 *. a3i)));
+        A.unsafe_set im i01
+          ((entry e 8 *. a0i) +. (entry e 9 *. a0r)
+          +. ((entry e 10 *. a1i) +. (entry e 11 *. a1r))
+          +. ((entry e 12 *. a2i) +. (entry e 13 *. a2r))
+          +. ((entry e 14 *. a3i) +. (entry e 15 *. a3r)));
+        A.unsafe_set re i10
+          ((entry e 16 *. a0r) -. (entry e 17 *. a0i)
+          +. ((entry e 18 *. a1r) -. (entry e 19 *. a1i))
+          +. ((entry e 20 *. a2r) -. (entry e 21 *. a2i))
+          +. ((entry e 22 *. a3r) -. (entry e 23 *. a3i)));
+        A.unsafe_set im i10
+          ((entry e 16 *. a0i) +. (entry e 17 *. a0r)
+          +. ((entry e 18 *. a1i) +. (entry e 19 *. a1r))
+          +. ((entry e 20 *. a2i) +. (entry e 21 *. a2r))
+          +. ((entry e 22 *. a3i) +. (entry e 23 *. a3r)));
+        A.unsafe_set re i11
+          ((entry e 24 *. a0r) -. (entry e 25 *. a0i)
+          +. ((entry e 26 *. a1r) -. (entry e 27 *. a1i))
+          +. ((entry e 28 *. a2r) -. (entry e 29 *. a2i))
+          +. ((entry e 30 *. a3r) -. (entry e 31 *. a3i)));
+        A.unsafe_set im i11
+          ((entry e 24 *. a0i) +. (entry e 25 *. a0r)
+          +. ((entry e 26 *. a1i) +. (entry e 27 *. a1r))
+          +. ((entry e 28 *. a2i) +. (entry e 29 *. a2r))
+          +. ((entry e 30 *. a3i) +. (entry e 31 *. a3r)))
+      done;
+      bm := b + (run lsl 1)
+    done;
+    bh := !bh + (1 lsl (r + 1))
+  done
 
 (* The diagonal 4x4 diag(d00, d01, d10, d11), given as the 8 floats
    [|re; im|] of its entries in basis order (first operand = most
-   significant), through the same nested quartet walk, serially.  Each
+   significant), through the same nested quartet walk.  Each
    amplitude is multiplied by its own entry with the first product of the
    dense kernel's row; every other product there has a zero matrix entry,
    so, as for [apply_exchange] below, the results equal [apply_entries2]'s
@@ -327,9 +263,8 @@ let apply_diagonal2 t d q_first q_second =
 
 (* The partial exchange [[1,0,0,0],[0,c,-is,0],[0,-is,c,0],[0,0,0,1]] through
    the same nested quartet walk as [apply_entries2], touching only the
-   |01>,|10> pair.  The kernel is serial, so it walks the whole counter range
-   and no bound needs clamping.  Every product the dense kernel would add on top of these four
-   expressions has a zero matrix entry, so it is an exact ±0: the results
+   |01>,|10> pair.  Every product the dense kernel would add on top of these
+   four expressions has a zero matrix entry, so it is an exact ±0: the results
    equal [apply_entries2 (entries2 (exchange_unitary theta))] as floats, and
    only the sign of a zero amplitude can differ. *)
 let apply_exchange t ~c ~s q_first q_second =
@@ -362,29 +297,29 @@ let apply_exchange t ~c ~s q_first q_second =
     bh := !bh + (1 lsl (r + 1))
   done
 
-let apply_matrix1 ?jobs t m q =
+let apply_matrix1 t m q =
   if Matrix.rows m <> 2 || Matrix.cols m <> 2 then
     invalid_arg "Statevector.apply_matrix1: expected 2x2";
-  apply_entries1 ?jobs t (entries1 m) q
+  apply_entries1 t (entries1 m) q
 
-let apply_matrix2 ?jobs t m q_first q_second =
+let apply_matrix2 t m q_first q_second =
   if Matrix.rows m <> 4 || Matrix.cols m <> 4 then
     invalid_arg "Statevector.apply_matrix2: expected 4x4";
-  apply_entries2 ?jobs t (entries2 m) q_first q_second
+  apply_entries2 t (entries2 m) q_first q_second
 
-let apply ?jobs t gate qubits =
+let apply t gate qubits =
   match (Gate.arity gate, qubits) with
-  | 1, [ q ] -> apply_matrix1 ?jobs t (Gate.unitary gate) q
-  | 2, [ a; b ] -> apply_matrix2 ?jobs t (Gate.unitary gate) a b
+  | 1, [ q ] -> apply_matrix1 t (Gate.unitary gate) q
+  | 2, [ a; b ] -> apply_matrix2 t (Gate.unitary gate) a b
   | _ ->
     invalid_arg
       (Printf.sprintf "Statevector.apply: %s applied to %d operand(s)" (Gate.name gate)
          (List.length qubits))
 
-let run ?jobs t circuit =
+let run t circuit =
   if Circuit.n_qubits circuit <> t.n then invalid_arg "Statevector.run: qubit count mismatch";
   Array.iter
-    (fun app -> apply ?jobs t app.Gate.gate (Array.to_list app.Gate.qubits))
+    (fun app -> apply t app.Gate.gate (Array.to_list app.Gate.qubits))
     (Circuit.instructions circuit)
 
 let of_circuit circuit =

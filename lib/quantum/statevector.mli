@@ -12,24 +12,14 @@
     {!Gate.unitary}.
 
     Amplitudes are stored unboxed in two [Bigarray] float64 planes (split
-    re/im), which live outside the OCaml heap so domains share one state
-    zero-copy.  Gate kernels walk the state in nested blocks — high
-    block, middle block (two operands only), contiguous run of low bits —
-    whose index bases advance by addition, so no index is re-scattered
-    around the operand bits.  The same walk serves the serial path and every
-    shard: a single gate application can be sharded across the pool by
-    amplitude range, shard boundaries are a pure function of the requested
-    job count (see {!Fastsc_util.Pool.ranges}), and each amplitude pair is
-    written by exactly one shard with the same float expression, so results
-    are {e bit-identical} at any [--jobs].  Every gate kernel but the
-    serial-only sparse ones ({!apply_diagonal2}, {!apply_exchange}) takes
-    [?jobs]: [~jobs:1] forces the serial walk, an explicit [~jobs:k] forces
-    [k] shards even on tiny states (for bit-identity tests), and the
-    default shards only when the state has at least 2{^16} amplitudes and
-    {!Fastsc_util.Pool.default_jobs} asks for parallelism.  A call that runs
-    serially allocates nothing; only a sharded call builds a closure.
-    {!Statevector_ref} is the boxed reference implementation the
-    differential tests compare against. *)
+    re/im) outside the OCaml heap.  Gate kernels walk the whole state in
+    nested blocks — high block, middle block (two operands only),
+    contiguous run of low bits — whose index bases advance by addition, so
+    no index is re-scattered around the operand bits.  Every kernel runs
+    serially on the calling domain, and the entries-form, diagonal and
+    exchange kernels allocate nothing; trajectory batches get their
+    parallelism by fanning trials over the pool ({!Noisy_sim}).  {!Statevector_ref} is the boxed reference
+    implementation the differential tests compare against. *)
 
 type t
 
@@ -73,28 +63,30 @@ val amplitude : t -> int -> Complex.t
 
 val entries1 : Matrix.t -> float array
 (** Pre-extract a 2x2 gate into the interleaved [|re; im; ...|] kernel form
-    consumed by {!apply_entries1} (8 floats, row-major).  The fusion pass
-    extracts each matrix once and replays the float array.
+    consumed by {!apply_entries1} (8 floats, row-major).  The trajectory
+    plan ({!Noisy_sim}) extracts each matrix once and replays the float
+    array.
     @raise Invalid_argument unless the matrix is 2x2. *)
 
 val entries2 : Matrix.t -> float array
 (** Kernel form of a 4x4 gate (32 floats, row-major interleaved).
     @raise Invalid_argument unless the matrix is 4x4. *)
 
-val apply_entries1 : ?jobs:int -> t -> float array -> int -> unit
-(** [apply_entries1 ~jobs t e q] applies the 2x2 gate [e] (in {!entries1}
-    form) to qubit [q].  See the module preamble for the [?jobs] sharding
-    contract.
+val apply_entries1 : t -> float array -> int -> unit
+(** [apply_entries1 t e q] applies the 2x2 gate [e] (in {!entries1} form)
+    to qubit [q].
     @raise Invalid_argument on entry-count or qubit-range errors. *)
 
-val apply_entries2 : ?jobs:int -> t -> float array -> int -> int -> unit
-(** [apply_entries2 ~jobs t e a b] applies the 4x4 gate [e] (in {!entries2}
-    form) to the ordered pair [(a, b)] (first operand = most significant). *)
+val apply_entries2 : t -> float array -> int -> int -> unit
+(** [apply_entries2 t e a b] applies the 4x4 gate [e] (in {!entries2} form)
+    to the ordered pair [(a, b)] (first operand = most significant).
+    @raise Invalid_argument on entry-count or qubit-range errors or a
+    duplicate qubit. *)
 
 val apply_diagonal2 : t -> float array -> int -> int -> unit
 (** [apply_diagonal2 t d a b] applies the diagonal 4x4
     [diag(d00, d01, d10, d11)] to the ordered pair [(a, b)] (first operand =
-    most significant), serially.  [d] holds the four entries as
+    most significant).  [d] holds the four entries as
     [|re; im|] pairs in that order (8 floats: entries 0, 1, 10, 11, 20, 21,
     30 and 31 of the {!entries2} form).  Each amplitude is multiplied by its
     own entry; the values equal those of {!apply_entries2} with the full
@@ -105,31 +97,25 @@ val apply_diagonal2 : t -> float array -> int -> int -> unit
 val apply_exchange : t -> c:float -> s:float -> int -> int -> unit
 (** [apply_exchange t ~c ~s a b] applies the partial exchange with
     [c = cos theta], [s = sin theta] (the matrix of
-    {!Noisy_sim.exchange_unitary}) to the pair [(a, b)], serially.  It
+    {!Noisy_sim.exchange_unitary}) to the pair [(a, b)].  It
     updates only the |01>,|10> amplitudes of each quartet; the values equal
     those of {!apply_entries2} with that matrix, and only the sign of a zero
     amplitude may differ.
     @raise Invalid_argument on qubit-range errors or a duplicate qubit. *)
 
-val auto_shards : t -> int
-(** How many shards a kernel call without [?jobs] cuts this state into:
-    {!Fastsc_util.Pool.default_jobs} once the state has 2{^16} amplitudes,
-    else 1 (serial). *)
-
-val apply : ?jobs:int -> t -> Gate.t -> int list -> unit
+val apply : t -> Gate.t -> int list -> unit
 (** Apply a gate in place.
     @raise Invalid_argument on arity/range errors. *)
 
-val apply_matrix1 : ?jobs:int -> t -> Matrix.t -> int -> unit
+val apply_matrix1 : t -> Matrix.t -> int -> unit
 (** Apply an arbitrary 2x2 unitary to one qubit. *)
 
-val apply_matrix2 : ?jobs:int -> t -> Matrix.t -> int -> int -> unit
+val apply_matrix2 : t -> Matrix.t -> int -> int -> unit
 (** Apply an arbitrary 4x4 unitary to an ordered qubit pair (first operand =
     most significant). *)
 
-val run : ?jobs:int -> t -> Circuit.t -> unit
-(** Apply every instruction of the circuit in order.  [?jobs] is threaded to
-    every gate application; see {!Fusion.run} for the fused fast path. *)
+val run : t -> Circuit.t -> unit
+(** Apply every instruction of the circuit in order, one gate at a time. *)
 
 val of_circuit : Circuit.t -> t
 (** Fresh |0..0> state with the circuit applied. *)

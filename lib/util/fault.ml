@@ -145,22 +145,6 @@ let catalog =
       suites = [ "snapshot" ];
     };
     {
-      name = "fusion-identity-skip";
-      site = "Fusion.plan";
-      description =
-        "end-of-circuit flush drops every pending fused 2x2 as if it were the identity: \
-         trailing 1q gate runs vanish from the fused program";
-      suites = [ "fusion"; "prop_sim" ];
-    };
-    {
-      name = "shard-boundary-off-by-one";
-      site = "Pool.ranges";
-      description =
-        "interior shard starts shifted up by one: each boundary skips one amplitude index, \
-         so sharded gate application diverges from the serial reference";
-      suites = [ "pool"; "prop_sim" ];
-    };
-    {
       name = "murali-delay-threshold";
       site = "Murali_delay.pack";
       description =

@@ -223,57 +223,6 @@ let run ?pool ?jobs n work =
     else
       with_global_pool (fun p -> run_batch ~width:p.pool_jobs ~submit_helper:(submit p) n work)
 
-(* --- deterministic range sharding --- *)
-
-(* Seeded fault for the verification harness (docs/DESIGN.md §11): interior
-   shard starts shifted up by one, so one element per boundary is skipped. *)
-let fault_shard = Fault.enabled "shard-boundary-off-by-one"
-
-let ranges ?(align = 1) ~jobs n =
-  if align < 1 then invalid_arg "Pool.ranges: align must be >= 1";
-  if jobs < 1 then invalid_arg "Pool.ranges: jobs must be >= 1";
-  if n <= 0 then [||]
-  else begin
-    (* Boundaries are a pure function of (n, jobs, align): cut the index
-       space into align-sized blocks and spread whole blocks evenly over at
-       most [jobs] shards.  Execution never feeds back into the cut, which
-       is what lets range-sharded kernels promise identical results at any
-       actual parallelism. *)
-    let blocks = (n + align - 1) / align in
-    let w = min jobs blocks in
-    let skew = if fault_shard then 1 else 0 in
-    let bound i = if i = w then n else min n (i * blocks / w * align) in
-    Array.init w (fun i ->
-        let lo = bound i and hi = bound (i + 1) in
-        ((if i > 0 then min hi (lo + skew) else lo), hi))
-  end
-
-let run_ranges ?pool ?jobs ?align n f =
-  (* The *requested* width fixes the shard boundaries; the pool's actual
-     size only caps how many executors run them.  A bit-identity test can
-     therefore ask for [~jobs:4] shards on a serial pool and still exercise
-     exactly the boundaries a 4-domain run would use. *)
-  let requested =
-    match (jobs, pool) with
-    | Some j, _ ->
-      if j < 1 then invalid_arg "Pool.run_ranges: jobs must be >= 1";
-      j
-    | None, Some p -> p.pool_jobs
-    | None, None -> default_jobs ()
-  in
-  let rs = ranges ?align ~jobs:requested n in
-  let k = Array.length rs in
-  let work i =
-    let lo, hi = rs.(i) in
-    f lo hi
-  in
-  if k = 0 then ()
-  else if k = 1 then work 0
-  else begin
-    let go p = run_batch ~width:(min k p.pool_jobs) ~submit_helper:(submit p) k work in
-    match pool with Some p -> go p | None -> with_global_pool go
-  end
-
 (* --- combinators --- *)
 
 (* Seeded fault for the verification harness (docs/DESIGN.md §11). *)

@@ -1,7 +1,9 @@
 (** Fixed-size domain pool for data-parallel sweeps.
 
     The experiment drivers fan large grids of independent
-    compile-and-evaluate cells over OCaml 5 domains.  This module is the
+    compile-and-evaluate cells over OCaml 5 domains, and the trajectory
+    sampler fans its Monte-Carlo trials the same way; work is parallel
+    across cells, never inside one gate application.  This module is the
     from-scratch substitute for [domainslib]: a pool of worker domains plus
     chunked [map]/[iter] combinators over lists and arrays with
 
@@ -63,24 +65,6 @@ val submit : t -> (unit -> unit) -> unit
     With [jobs = 1] the pool has no workers and a submitted job would never
     run — callers must execute inline in that configuration (see {!jobs}).
     @raise Invalid_argument after {!shutdown}. *)
-
-val ranges : ?align:int -> jobs:int -> int -> (int * int) array
-(** [ranges ~align ~jobs n] cuts the index space [0, n) into at most [jobs]
-    contiguous half-open ranges [(lo, hi)].  Every interior boundary is a
-    multiple of [align] (default 1), ranges are non-empty and cover [0, n)
-    exactly, and the cut is a pure function of [(n, jobs, align)] — it never
-    depends on pool size or execution order, which is what lets
-    range-sharded kernels stay bit-identical at any actual parallelism.
-    Returns [[||]] when [n <= 0].
-    @raise Invalid_argument if [align < 1] or [jobs < 1]. *)
-
-val run_ranges : ?pool:t -> ?jobs:int -> ?align:int -> int -> (int -> int -> unit) -> unit
-(** [run_ranges ~jobs ~align n f] partitions [0, n) with {!ranges} and runs
-    [f lo hi] on each range in parallel.  The {e requested} width ([~jobs]
-    when given, else the [~pool]'s size, else {!default_jobs}) fixes the
-    shard boundaries; the pool's actual size only caps how many executors
-    run them — so results are identical whether the shards run on one
-    domain or many.  A single-range cut runs inline on the caller. *)
 
 val map_array : ?pool:t -> ?jobs:int -> ('a -> 'b) -> 'a array -> 'b array
 (** Parallel [Array.map] with deterministic ordering.  Uses [~pool] when

@@ -110,85 +110,6 @@ let test_default_jobs_override () =
     (fun () -> Pool.set_default_jobs 0);
   Pool.set_default_jobs before
 
-(* -- deterministic range sharding ------------------------------------------- *)
-
-let test_ranges_partition_exactly () =
-  (* ranges must tile [0, n) exactly — non-empty, contiguous, in order —
-     for power-of-two and ragged sizes alike.  This is also the test with
-     teeth against the shard-boundary-off-by-one fault: a shifted interior
-     start leaves a gap. *)
-  List.iter
-    (fun (n, jobs, align) ->
-      let rs = Pool.ranges ~align ~jobs n in
-      check_true
-        (Printf.sprintf "ranges n=%d jobs=%d align=%d: at most jobs shards" n jobs align)
-        (Array.length rs <= jobs && Array.length rs >= 1);
-      let expected = ref 0 in
-      Array.iter
-        (fun (lo, hi) ->
-          check_int (Printf.sprintf "n=%d jobs=%d align=%d: contiguous at %d" n jobs align lo)
-            !expected lo;
-          check_true "non-empty" (hi > lo);
-          expected := hi)
-        rs;
-      check_int (Printf.sprintf "n=%d jobs=%d align=%d: covers to n" n jobs align) n !expected)
-    [
-      (100, 3, 1);
-      (100, 3, 4);
-      (16, 4, 1);
-      (16, 5, 1);
-      (1, 4, 1);
-      (1024, 4, 256);
-      (1000, 7, 8);
-      (255, 2, 256);
-    ]
-
-let test_ranges_alignment_and_purity () =
-  let rs = Pool.ranges ~align:8 ~jobs:4 1000 in
-  Array.iteri
-    (fun i (lo, _) -> if i > 0 then check_int "interior boundary aligned" 0 (lo mod 8))
-    rs;
-  (* pure function of (n, jobs, align): two calls agree *)
-  check_true "ranges is deterministic" (rs = Pool.ranges ~align:8 ~jobs:4 1000);
-  check_true "empty input" (Pool.ranges ~jobs:4 0 = [||]);
-  Alcotest.check_raises "rejects jobs=0" (Invalid_argument "Pool.ranges: jobs must be >= 1")
-    (fun () -> ignore (Pool.ranges ~jobs:0 10));
-  Alcotest.check_raises "rejects align=0" (Invalid_argument "Pool.ranges: align must be >= 1")
-    (fun () -> ignore (Pool.ranges ~align:0 ~jobs:2 10))
-
-let test_run_ranges_visits_every_index_once () =
-  (* each index must be touched exactly once, at every requested width —
-     including widths above the pool size and non-powers of two *)
-  let n = 999 in
-  List.iter
-    (fun jobs ->
-      let hits = Array.make n (Atomic.make 0) in
-      Array.iteri (fun i _ -> hits.(i) <- Atomic.make 0) hits;
-      Pool.run_ranges ~jobs n (fun lo hi ->
-          for i = lo to hi - 1 do
-            Atomic.incr hits.(i)
-          done);
-      check_true
-        (Printf.sprintf "run_ranges ~jobs:%d touches every index once" jobs)
-        (Array.for_all (fun a -> Atomic.get a = 1) hits))
-    [ 1; 2; 3; 5; 8; 64 ]
-
-let test_run_ranges_boundaries_from_requested_width () =
-  (* the cut depends on the *requested* width, not the pool's size: a 1-job
-     pool executing a ~jobs:4 cut must see exactly the ranges of a 4-shard
-     partition *)
-  let pool = Pool.create ~jobs:1 () in
-  let seen = ref [] in
-  let mutex = Mutex.create () in
-  Pool.run_ranges ~pool ~jobs:4 ~align:4 64 (fun lo hi ->
-      Mutex.lock mutex;
-      seen := (lo, hi) :: !seen;
-      Mutex.unlock mutex);
-  Pool.shutdown pool;
-  let sorted = List.sort compare !seen in
-  check_true "4 shards on a serial pool"
-    (sorted = Array.to_list (Pool.ranges ~align:4 ~jobs:4 64))
-
 (* -- teardown edges: submit, shutdown, and exceptions in flight -------------- *)
 
 let test_submit_exception_does_not_kill_worker () =
@@ -245,12 +166,6 @@ let suite =
     Alcotest.test_case "iter visits every cell" `Quick test_iter_collects_every_index;
     Alcotest.test_case "explicit pool reuse" `Quick test_explicit_pool_reuse;
     Alcotest.test_case "default jobs override" `Quick test_default_jobs_override;
-    Alcotest.test_case "ranges partition exactly" `Quick test_ranges_partition_exactly;
-    Alcotest.test_case "ranges alignment and purity" `Quick test_ranges_alignment_and_purity;
-    Alcotest.test_case "run_ranges visits every index once" `Quick
-      test_run_ranges_visits_every_index_once;
-    Alcotest.test_case "run_ranges boundaries from requested width" `Quick
-      test_run_ranges_boundaries_from_requested_width;
     Alcotest.test_case "submit exception does not kill worker" `Quick
       test_submit_exception_does_not_kill_worker;
     Alcotest.test_case "shutdown drains queued submits" `Quick

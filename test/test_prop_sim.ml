@@ -18,12 +18,7 @@ let prop_flat_matches_boxed =
         flat;
       !worst <= 1e-9)
 
-let prop_fused_matches_unfused =
-  prop_case "fused plan is unitary-equivalent to the source circuit" circuits (fun c ->
-      Fusion.verify ~tol:1e-9 c (Fusion.plan c))
-
-(* Bitwise plane comparison: sharded execution must be indistinguishable
-   from serial down to the last ulp, whatever the shard count. *)
+(* Bitwise plane comparison, down to the last ulp and the sign of zero. *)
 let planes_bit_identical a b =
   let are, aim = Statevector.buffers a and bre, bim = Statevector.buffers b in
   let ok = ref true in
@@ -35,26 +30,12 @@ let planes_bit_identical a b =
   done;
   !ok
 
-let prop_sharded_bit_identical =
-  prop_case "sharded gate application bit-identical to serial at any job count" circuits
-    (fun c ->
-      let n = Circuit.n_qubits c in
-      let run jobs =
-        let sv = Statevector.create n in
-        Statevector.run ~jobs sv c;
-        sv
-      in
-      let serial = run 1 in
-      (* Non-power-of-two widths included: shard boundaries must partition
-         the index space exactly whatever the split. *)
-      List.for_all (fun jobs -> planes_bit_identical serial (run jobs)) [ 2; 3; 4; 5 ])
-
 (* The run-structured kernels that the nested-block walk replaced, kept
    verbatim as the bit-level oracle: each computes the bit scatter once per
    run of low counter bits.  Only their frames differ from the originals —
    planes come from [Statevector.buffers], the body walks the whole counter
-   range (the originals' [~jobs:1] path), and argument checks and seeded
-   faults are gone, so the oracle stays correct under any FASTSC_FAULT. *)
+   range, and argument checks and seeded faults are gone, so the oracle
+   stays correct under any FASTSC_FAULT. *)
 module Run_structured = struct
   module A = Bigarray.Array1
 
@@ -222,16 +203,12 @@ let prop_nested_walk_matches_run_structured =
         oracle want;
         planes_bit_identical got want
       in
-      let jobs = [ 1; 2; 3; 4; 5 ] in
       let qubits = List.init n Fun.id in
       List.for_all
         (fun q ->
-          List.for_all
-            (fun j ->
-              same
-                (fun sv -> Statevector.apply_entries1 ~jobs:j sv e1 q)
-                (fun sv -> Run_structured.apply_entries1 sv e1 q))
-            jobs)
+          same
+            (fun sv -> Statevector.apply_entries1 sv e1 q)
+            (fun sv -> Run_structured.apply_entries1 sv e1 q))
         qubits
       && List.for_all
            (fun a ->
@@ -241,12 +218,9 @@ let prop_nested_walk_matches_run_structured =
                  || same
                       (fun sv -> Statevector.apply_exchange sv ~c ~s a b)
                       (fun sv -> Run_structured.apply_exchange sv ~c ~s a b)
-                    && List.for_all
-                         (fun j ->
-                           same
-                             (fun sv -> Statevector.apply_entries2 ~jobs:j sv e2 a b)
-                             (fun sv -> Run_structured.apply_entries2 sv e2 a b))
-                         jobs)
+                    && same
+                         (fun sv -> Statevector.apply_entries2 sv e2 a b)
+                         (fun sv -> Run_structured.apply_entries2 sv e2 a b))
                qubits)
            qubits)
 
@@ -296,14 +270,14 @@ let prop_density_matches_trajectory =
    exchanges included. *)
 module Oracle = struct
   let apply_event rng state = function
-    | Noisy_sim.Unitary (gate, qubits) -> Statevector.apply ~jobs:1 state gate qubits
+    | Noisy_sim.Unitary (gate, qubits) -> Statevector.apply state gate qubits
     | Noisy_sim.Partial_exchange { a; b; theta } ->
-      Statevector.apply_matrix2 ~jobs:1 state (Noisy_sim.exchange_unitary theta) a b
+      Statevector.apply_matrix2 state (Noisy_sim.exchange_unitary theta) a b
     | Noisy_sim.Pauli_noise { q; p_x; p_y; p_z } ->
       let u = Rng.float rng in
-      if u < p_x then Statevector.apply ~jobs:1 state Gate.X [ q ]
-      else if u < p_x +. p_y then Statevector.apply ~jobs:1 state Gate.Y [ q ]
-      else if u < p_x +. p_y +. p_z then Statevector.apply ~jobs:1 state Gate.Z [ q ]
+      if u < p_x then Statevector.apply state Gate.X [ q ]
+      else if u < p_x +. p_y then Statevector.apply state Gate.Y [ q ]
+      else if u < p_x +. p_y +. p_z then Statevector.apply state Gate.Z [ q ]
 
   let run_trajectory rng ~n_qubits steps =
     let state = Statevector.create n_qubits in
@@ -526,8 +500,6 @@ let test_average_fidelity_rejects_zero_trials () =
 let suite =
   [
     prop_flat_matches_boxed;
-    prop_fused_matches_unfused;
-    prop_sharded_bit_identical;
     prop_nested_walk_matches_run_structured;
     prop_density_matches_trajectory;
     prop_trajectory_matches_oracle;

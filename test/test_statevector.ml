@@ -117,8 +117,11 @@ let test_reset () =
 let test_apply_validation () =
   let s = Statevector.create 2 in
   Alcotest.check_raises "duplicate qubits"
-    (Invalid_argument "Statevector.apply_matrix2: duplicate qubit") (fun () ->
+    (Invalid_argument "Statevector.apply_entries2: duplicate qubit") (fun () ->
       Statevector.apply s Gate.Cz [ 1; 1 ]);
+  Alcotest.check_raises "entries2 on a duplicate qubit"
+    (Invalid_argument "Statevector.apply_entries2: duplicate qubit") (fun () ->
+      Statevector.apply_entries2 s (Statevector.entries2 (Gate.unitary Gate.Cz)) 0 0);
   Alcotest.check_raises "exchange on a duplicate qubit"
     (Invalid_argument "Statevector.apply_exchange: duplicate qubit") (fun () ->
       Statevector.apply_exchange s ~c:1.0 ~s:0.0 0 0);
@@ -174,7 +177,7 @@ let prop_exchange_matches_dense =
       List.for_all
         (fun (a, b) ->
           let dense = Statevector.copy state and fast = Statevector.copy state in
-          Statevector.apply_entries2 ~jobs:1 dense dense_entries a b;
+          Statevector.apply_entries2 dense dense_entries a b;
           Statevector.apply_exchange fast ~c:(cos theta) ~s:(sin theta) a b;
           let dre, dim = Statevector.buffers dense and fre, fim = Statevector.buffers fast in
           let ok = ref true in
@@ -210,7 +213,7 @@ let prop_diagonal_matches_dense =
       List.for_all
         (fun (a, b) ->
           let dense = Statevector.copy state and fast = Statevector.copy state in
-          Statevector.apply_entries2 ~jobs:1 dense dense_entries a b;
+          Statevector.apply_entries2 dense dense_entries a b;
           Statevector.apply_diagonal2 fast d a b;
           let dre, dim = Statevector.buffers dense and fre, fim = Statevector.buffers fast in
           let ok = ref true in
@@ -220,28 +223,33 @@ let prop_diagonal_matches_dense =
           !ok)
         [ (a, b); (b, a) ])
 
-(* A serial kernel call runs its walk directly: 1,000 calls of each kernel,
-   at [~jobs:1] and on the default path below the sharding threshold,
-   allocate no minor word. *)
+(* No kernel call allocates a minor word, whatever the state size and the
+   job count: 1,000 calls of each kernel on 6 qubits, and 20 on 16 qubits
+   (2^16 amplitudes). *)
 let test_serial_kernels_allocate_nothing () =
-  let s = Statevector.create 6 in
   let e1 = Statevector.entries1 (Gate.unitary Gate.H) in
   let e2 = Statevector.entries2 (Gate.unitary Gate.Cnot) in
   let cz = [| 1.0; 0.0; 1.0; 0.0; 1.0; 0.0; -1.0; 0.0 |] in
-  let words name f =
-    let before = Gc.minor_words () in
-    for _ = 1 to 1000 do
-      f ()
-    done;
-    let after = Gc.minor_words () in
-    Alcotest.(check (float 0.0)) (name ^ " allocates nothing") 0.0 (after -. before)
-  in
-  words "apply_entries1 ~jobs:1" (fun () -> Statevector.apply_entries1 ~jobs:1 s e1 3);
-  words "apply_entries1" (fun () -> Statevector.apply_entries1 s e1 0);
-  words "apply_entries2 ~jobs:1" (fun () -> Statevector.apply_entries2 ~jobs:1 s e2 4 1);
-  words "apply_entries2" (fun () -> Statevector.apply_entries2 s e2 0 5);
-  words "apply_diagonal2" (fun () -> Statevector.apply_diagonal2 s cz 2 3);
-  words "apply_exchange" (fun () -> Statevector.apply_exchange s ~c:0.6 ~s:0.8 5 0)
+  List.iter
+    (fun (n, calls) ->
+      let s = Statevector.create n in
+      let words name f =
+        let before = Gc.minor_words () in
+        for _ = 1 to calls do
+          f ()
+        done;
+        let after = Gc.minor_words () in
+        Alcotest.(check (float 0.0))
+          (Printf.sprintf "%s on %d qubits allocates nothing" name n)
+          0.0 (after -. before)
+      in
+      words "apply_entries1" (fun () -> Statevector.apply_entries1 s e1 3);
+      words "apply_entries1 on qubit 0" (fun () -> Statevector.apply_entries1 s e1 0);
+      words "apply_entries2" (fun () -> Statevector.apply_entries2 s e2 4 1);
+      words "apply_entries2 on the outer pair" (fun () -> Statevector.apply_entries2 s e2 0 (n - 1));
+      words "apply_diagonal2" (fun () -> Statevector.apply_diagonal2 s cz 2 3);
+      words "apply_exchange" (fun () -> Statevector.apply_exchange s ~c:0.6 ~s:0.8 (n - 1) 0))
+    [ (6, 1000); (16, 20) ]
 
 let test_blit () =
   let src = Statevector.create 3 and dst = Statevector.create 3 in

@@ -136,8 +136,40 @@ let test_report_counts_exact_fields () =
        "1 timing field(s), 5 exact field(s) checked, 1 ignored");
   let sim = fixture "sim.json" in
   let r = Perf_gate.compare_docs ~baseline:sim ~fresh:sim in
-  check_true "sim baseline report counts its nine exact fields"
-    (contains (Perf_gate.render ~label:"sim" r) "9 exact field(s) checked")
+  check_true "sim baseline report counts its eight exact fields"
+    (contains (Perf_gate.render ~label:"sim" r) "8 exact field(s) checked")
+
+(* A change to the shape of BENCH_sim.json must come with the matching
+   baseline edit.  One smoke-sized run (the knobs of `make bench-sim`) in a
+   temp directory must compare against bench/baselines/sim.json with no
+   structural error; its values are not compared, since smoke sizes differ
+   from the pinned run's. *)
+let test_sim_bench_matches_baseline_schema () =
+  let bench = Filename.concat (Sys.getcwd ()) "../bench/main.exe" in
+  let dir = Filename.temp_file "fastsc_bench_sim" "" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o755;
+  let fresh_path = Filename.concat dir "BENCH_sim.json" in
+  Fun.protect
+    ~finally:(fun () ->
+      if Sys.file_exists fresh_path then Sys.remove fresh_path;
+      Sys.rmdir dir)
+    (fun () ->
+      let knobs =
+        "FASTSC_SIM_QUBITS=6 FASTSC_SIM_BIG_QUBITS=8 FASTSC_SIM_CYCLES=2 FASTSC_SIM_TRIALS=20 \
+         FASTSC_SIM_TRAJ_QUBITS=4 FASTSC_SIM_DENSITY_QUBITS=4 FASTSC_SIM_BUDGET_MS=20"
+      in
+      check_int "bench sim exits 0" 0
+        (Sys.command
+           (Printf.sprintf "cd %s && %s %s sim > /dev/null 2>&1" (Filename.quote dir) knobs
+              (Filename.quote bench)));
+      let r =
+        Perf_gate.compare_docs ~baseline:(fixture "sim.json") ~fresh:(Json.parse_file fresh_path)
+      in
+      check_true
+        (Printf.sprintf "no structural error against the baseline [%s]"
+           (String.concat "; " r.Perf_gate.structural_errors))
+        (r.Perf_gate.structural_errors = []))
 
 let test_structural_mismatch_fails () =
   let baseline = obj [ ("a", Json.Int 1); ("b", Json.Int 2) ] in
@@ -275,6 +307,8 @@ let suite =
     Alcotest.test_case "noise floor snaps to parity" `Quick test_noise_floor_snaps_to_parity;
     Alcotest.test_case "median math" `Quick test_median_math;
     Alcotest.test_case "gate executable exit codes" `Quick test_gate_exe_exit_codes;
+    Alcotest.test_case "sim bench matches the baseline schema" `Quick
+      test_sim_bench_matches_baseline_schema;
     Alcotest.test_case "report round-trips" `Quick test_report_round_trips;
     Alcotest.test_case "report summaries" `Quick test_report_summaries;
   ]
