@@ -3,8 +3,8 @@
    brickwork circuit and a lone two-qubit gate on a larger state, Monte-Carlo
    trajectory throughput through the domain pool, and the density
    superoperator loop.  Emits BENCH_sim.json so kernel throughput is tracked
-   across commits like the compiler timings (BENCH_timing.json); tier W of
-   `make verify` gates a pinned run against bench/baselines/sim.json.
+   across commits; tier W of `make verify` gates a pinned run against
+   bench/baselines/sim.json.
 
    Env knobs (all optional; the `make bench-sim` smoke run shrinks them):
      FASTSC_SIM_QUBITS          state size for the flat-vs-boxed kernels (default 16)
@@ -21,9 +21,8 @@ let env_int name default =
   | _ -> default
 
 (* Seconds per run: grow the batch until one batch fills the measuring
-   budget, like bechamel's quota but without the harness weight, then time
-   [batches] more batches of that size and take the median, so no single
-   noisy batch decides a row. *)
+   budget, then time [batches] more batches of that size and take the
+   median, so no single noisy batch decides a row. *)
 let batches = 5
 
 let time_per_run ~budget f =

@@ -7,8 +7,14 @@
    XEB cycles).  Each cell is compiled, lowered to noisy steps, and
    [Noisy_sim.average_fidelity] runs 16 trials from a fixed per-cell seed;
    one line prints the IEEE-754 bits of the mean, so a change in the lowest
-   bit of any statevector kernel's output shows as a diff.  Regenerate the
-   golden with `dune exec bench/main.exe -- sim-bits > test/sim_bits.golden`. *)
+   bit of any statevector kernel's output shows as a diff.  The n = 4 cells
+   also print the bits of [Density.fidelity_pure] of the exact density-matrix
+   run against the ideal state, which pins the density kernels and the
+   matrices they are fed ([Gate.unitary], the exchange unitary, the Pauli
+   channel's Kraus operators); the larger cells skip it, since [run_steps]
+   costs about 1.4 s over the n = 6 cells and 20-75 s per n = 9 cell.
+   Regenerate the golden with
+   `dune exec bench/main.exe -- sim-bits > test/sim_bits.golden`. *)
 
 let algorithms = [ "baseline-n"; "baseline-u"; "color-dynamic" ]
 
@@ -43,5 +49,11 @@ let run () =
       let mean =
         Noisy_sim.average_fidelity (Rng.create (7919 + i)) ~n_qubits ~ideal ~steps ~trials
       in
-      Printf.printf "%s(%d)/%s mean=%016Lx\n" bench n algorithm (Int64.bits_of_float mean))
+      let exact =
+        if n > 4 then ""
+        else
+          Printf.sprintf " exact=%016Lx"
+            (Int64.bits_of_float (Density.fidelity_pure (Density.run_steps ~n_qubits steps) ideal))
+      in
+      Printf.printf "%s(%d)/%s mean=%016Lx%s\n" bench n algorithm (Int64.bits_of_float mean) exact)
     cells

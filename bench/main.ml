@@ -26,7 +26,6 @@ let experiments =
     ("ablate-threshold", "conflict threshold ablation", Exp_ablations.threshold);
     ("ablate-optimize", "peephole optimizer ablation", Exp_ablations.optimize);
     ("ablate-router", "SWAP router ablation", Exp_ablations.router);
-    ("time", "bechamel timing suite", Exp_timing.run);
     ("sim", "simulation kernel microbenchmark", Exp_sim.run);
     ("shootout", "cross-compiler shootout: scheduler zoo x topology zoo", Exp_shootout.run);
     ("ext-bench", "extension: GHZ/QFT workloads", Exp_extensions.extra_benchmarks);
@@ -58,7 +57,6 @@ let run_all () =
   Exp_ablations.all ();
   Exp_extensions.all ();
   Exp_generations.generations ();
-  Exp_timing.run ();
   Exp_sim.run ();
   Exp_shootout.run ()
 

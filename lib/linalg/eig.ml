@@ -90,10 +90,8 @@ let eigh h =
 let expm_hermitian h t =
   let values, vectors = eigh h in
   let n = Matrix.rows h in
-  (* The two n^3 products run on the flat fast path; boxed only at the rim. *)
-  let v = Fmatrix.of_matrix vectors in
-  let phases = Fmatrix.create n n in
+  let phases = Matrix.create n n in
   for r = 0 to n - 1 do
-    Fmatrix.set phases r r (Complex_ext.exp_i (-.values.(r) *. t))
+    Matrix.set phases r r (Complex_ext.exp_i (-.values.(r) *. t))
   done;
-  Fmatrix.to_matrix (Fmatrix.mul (Fmatrix.mul v phases) (Fmatrix.adjoint v))
+  Matrix.mul (Matrix.mul vectors phases) (Matrix.adjoint vectors)

@@ -1,32 +1,46 @@
-type t = { rows : int; cols : int; data : Complex.t array }
+type t = { rows : int; cols : int; re : float array; im : float array }
 
 let create rows cols =
   if rows <= 0 || cols <= 0 then invalid_arg "Matrix.create: non-positive dimension";
-  { rows; cols; data = Array.make (rows * cols) Complex.zero }
+  { rows; cols; re = Array.make (rows * cols) 0.0; im = Array.make (rows * cols) 0.0 }
 
 let rows m = m.rows
 
 let cols m = m.cols
+
+let buffers m = (m.re, m.im)
 
 let index m r c =
   if r < 0 || r >= m.rows || c < 0 || c >= m.cols then
     invalid_arg (Printf.sprintf "Matrix: index (%d,%d) out of %dx%d" r c m.rows m.cols);
   (r * m.cols) + c
 
-let get m r c = m.data.(index m r c)
+let get m r c =
+  let k = index m r c in
+  { Complex.re = m.re.(k); im = m.im.(k) }
 
-let set m r c v = m.data.(index m r c) <- v
+let set m r c v =
+  let k = index m r c in
+  m.re.(k) <- v.Complex.re;
+  m.im.(k) <- v.Complex.im
 
 let init rows cols f =
   let m = create rows cols in
   for r = 0 to rows - 1 do
     for c = 0 to cols - 1 do
-      m.data.((r * cols) + c) <- f r c
+      let z = f r c in
+      m.re.((r * cols) + c) <- z.Complex.re;
+      m.im.((r * cols) + c) <- z.Complex.im
     done
   done;
   m
 
-let identity n = init n n (fun r c -> if r = c then Complex.one else Complex.zero)
+let identity n =
+  let m = create n n in
+  for k = 0 to n - 1 do
+    m.re.((k * n) + k) <- 1.0
+  done;
+  m
 
 let of_arrays arr =
   let rows = Array.length arr in
@@ -38,97 +52,105 @@ let of_arrays arr =
     arr;
   init rows cols (fun r c -> arr.(r).(c))
 
-let of_real_arrays arr =
-  of_arrays (Array.map (Array.map (fun x -> { Complex.re = x; im = 0.0 })) arr)
+(* The entries of [add], [scale], [scale_re], [mul], [kron] and [mat_vec] are
+   the float expressions [Complex.add]/[Complex.mul] compute on the same
+   operands, so results match the boxed arithmetic bit for bit, sign of zero
+   included. *)
 
-let copy m = { m with data = Array.copy m.data }
-
-let map2 op a b =
+let add a b =
   if a.rows <> b.rows || a.cols <> b.cols then invalid_arg "Matrix: dimension mismatch";
-  { a with data = Array.init (Array.length a.data) (fun i -> op a.data.(i) b.data.(i)) }
+  {
+    a with
+    re = Array.mapi (fun k x -> x +. b.re.(k)) a.re;
+    im = Array.mapi (fun k x -> x +. b.im.(k)) a.im;
+  }
 
-let add = map2 Complex.add
-
-let sub = map2 Complex.sub
-
-let scale s m = { m with data = Array.map (Complex.mul s) m.data }
+let scale s m =
+  let sr = s.Complex.re and si = s.Complex.im in
+  {
+    m with
+    re = Array.mapi (fun k x -> (sr *. x) -. (si *. m.im.(k))) m.re;
+    im = Array.mapi (fun k y -> (sr *. y) +. (si *. m.re.(k))) m.im;
+  }
 
 let scale_re s m = scale { Complex.re = s; im = 0.0 } m
 
 let mul a b =
   if a.cols <> b.rows then invalid_arg "Matrix.mul: dimension mismatch";
-  let result = create a.rows b.cols in
-  for r = 0 to a.rows - 1 do
+  let out = create a.rows b.cols in
+  let n = b.cols in
+  for i = 0 to a.rows - 1 do
     for k = 0 to a.cols - 1 do
-      let aik = a.data.((r * a.cols) + k) in
-      if aik <> Complex.zero then
-        for c = 0 to b.cols - 1 do
-          let idx = (r * b.cols) + c in
-          result.data.(idx) <-
-            Complex.add result.data.(idx) (Complex.mul aik b.data.((k * b.cols) + c))
+      let ar = a.re.((i * a.cols) + k) and ai = a.im.((i * a.cols) + k) in
+      if ar <> 0.0 || ai <> 0.0 then begin
+        let brow = k * n and orow = i * n in
+        for j = 0 to n - 1 do
+          let br = b.re.(brow + j) and bi = b.im.(brow + j) in
+          out.re.(orow + j) <- out.re.(orow + j) +. ((ar *. br) -. (ai *. bi));
+          out.im.(orow + j) <- out.im.(orow + j) +. ((ar *. bi) +. (ai *. br))
         done
+      end
     done
   done;
-  result
+  out
 
-let transpose m = init m.cols m.rows (fun r c -> get m c r)
-
-let conj m = { m with data = Array.map Complex.conj m.data }
-
-let adjoint m = transpose (conj m)
+let adjoint m =
+  let a = create m.cols m.rows in
+  for r = 0 to m.rows - 1 do
+    for c = 0 to m.cols - 1 do
+      let src = (r * m.cols) + c and dst = (c * m.rows) + r in
+      a.re.(dst) <- m.re.(src);
+      a.im.(dst) <- -.m.im.(src)
+    done
+  done;
+  a
 
 let kron a b =
-  init (a.rows * b.rows) (a.cols * b.cols) (fun r c ->
-      let ar = r / b.rows and br = r mod b.rows in
-      let ac = c / b.cols and bc = c mod b.cols in
-      Complex.mul (get a ar ac) (get b br bc))
+  let out = create (a.rows * b.rows) (a.cols * b.cols) in
+  for r = 0 to out.rows - 1 do
+    for c = 0 to out.cols - 1 do
+      let ka = ((r / b.rows) * a.cols) + (c / b.cols)
+      and kb = ((r mod b.rows) * b.cols) + (c mod b.cols) in
+      let xr = a.re.(ka) and xi = a.im.(ka) and yr = b.re.(kb) and yi = b.im.(kb) in
+      out.re.((r * out.cols) + c) <- (xr *. yr) -. (xi *. yi);
+      out.im.((r * out.cols) + c) <- (xr *. yi) +. (xi *. yr)
+    done
+  done;
+  out
 
 let mat_vec m v =
   if Array.length v <> m.cols then invalid_arg "Matrix.mat_vec: dimension mismatch";
+  let vr = Array.map (fun z -> z.Complex.re) v in
+  let vi = Array.map (fun z -> z.Complex.im) v in
   Array.init m.rows (fun r ->
-      let acc = ref Complex.zero in
+      let row = r * m.cols in
+      let accr = ref 0.0 and acci = ref 0.0 in
       for c = 0 to m.cols - 1 do
-        acc := Complex.add !acc (Complex.mul m.data.((r * m.cols) + c) v.(c))
+        let ar = m.re.(row + c) and ai = m.im.(row + c) in
+        accr := !accr +. ((ar *. vr.(c)) -. (ai *. vi.(c)));
+        acci := !acci +. ((ar *. vi.(c)) +. (ai *. vr.(c)))
       done;
-      !acc)
+      { Complex.re = !accr; im = !acci })
 
-let trace m =
-  let n = min m.rows m.cols in
-  let acc = ref Complex.zero in
+let interleaved m =
+  let n = m.rows * m.cols in
+  let e = Array.make (2 * n) 0.0 in
   for k = 0 to n - 1 do
-    acc := Complex.add !acc (get m k k)
+    e.(2 * k) <- m.re.(k);
+    e.((2 * k) + 1) <- m.im.(k)
   done;
-  !acc
-
-let frobenius_norm m =
-  sqrt (Array.fold_left (fun acc z -> acc +. Complex_ext.norm2 z) 0.0 m.data)
+  e
 
 let max_abs_diff a b =
-  if a.rows <> b.rows || a.cols <> b.cols then invalid_arg "Matrix: dimension mismatch";
   let worst = ref 0.0 in
-  Array.iteri
-    (fun i za -> worst := Float.max !worst (Complex.norm (Complex.sub za b.data.(i))))
-    a.data;
+  for k = 0 to Array.length a.re - 1 do
+    let dr = a.re.(k) -. b.re.(k) and di = a.im.(k) -. b.im.(k) in
+    let d = sqrt ((dr *. dr) +. (di *. di)) in
+    if d > !worst then worst := d
+  done;
   !worst
 
 let approx_equal ?(tol = 1e-9) a b =
   a.rows = b.rows && a.cols = b.cols && max_abs_diff a b <= tol
 
-let is_hermitian ?(tol = 1e-9) m =
-  m.rows = m.cols && max_abs_diff m (adjoint m) <= tol
-
-let is_unitary ?(tol = 1e-9) m =
-  m.rows = m.cols && max_abs_diff (mul m (adjoint m)) (identity m.rows) <= tol
-
-let pp fmt m =
-  Format.fprintf fmt "@[<v>";
-  for r = 0 to m.rows - 1 do
-    Format.fprintf fmt "[";
-    for c = 0 to m.cols - 1 do
-      if c > 0 then Format.fprintf fmt ", ";
-      Complex_ext.pp fmt (get m r c)
-    done;
-    Format.fprintf fmt "]";
-    if r < m.rows - 1 then Format.pp_print_cut fmt ()
-  done;
-  Format.fprintf fmt "@]"
+let is_hermitian ?(tol = 1e-9) m = m.rows = m.cols && max_abs_diff m (adjoint m) <= tol

@@ -1,6 +1,5 @@
 let evolve h psi0 t =
-  let u = Eig.expm_hermitian h t in
-  Fmatrix.mat_vec (Fmatrix.of_matrix u) psi0
+  Matrix.mat_vec (Eig.expm_hermitian h t) psi0
 
 let basis_state dim k =
   if k < 0 || k >= dim then invalid_arg "Evolution.basis_state: index out of range";

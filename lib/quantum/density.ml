@@ -1,5 +1,5 @@
-(* The density matrix lives in a flat-float Fmatrix (split re/im, row-major);
-   the superoperator kernels below run allocation-free over its raw buffers
+(* The density matrix lives in a Matrix (split re/im, row-major); the
+   superoperator kernels below run allocation-free over its raw buffers
    with gate entries hoisted out of the loops, mirroring the Statevector
    kernels.  apply_kraus1 keeps two scratch planes on the state and reuses
    them across channel applications instead of copying full matrices per
@@ -12,13 +12,13 @@ type scratch = {
   acc_im : float array;
 }
 
-type t = { n : int; rho : Fmatrix.t; mutable scratch : scratch option }
+type t = { n : int; rho : Matrix.t; mutable scratch : scratch option }
 
 let create n =
   if n < 1 || n > 10 then invalid_arg "Density.create: supported range is 1..10 qubits";
   let dim = 1 lsl n in
-  let rho = Fmatrix.create dim dim in
-  Fmatrix.set rho 0 0 Complex.one;
+  let rho = Matrix.create dim dim in
+  Matrix.set rho 0 0 Complex.one;
   { n; rho; scratch = None }
 
 let dim t = 1 lsl t.n
@@ -28,8 +28,8 @@ let of_statevector sv =
   if n > 10 then invalid_arg "Density.of_statevector: too many qubits";
   let ar, ai = Statevector.buffers sv in
   let d = 1 lsl n in
-  let rho = Fmatrix.create d d in
-  let re, im = Fmatrix.buffers rho in
+  let rho = Matrix.create d d in
+  let re, im = Matrix.buffers rho in
   for i = 0 to d - 1 do
     let row = i * d in
     let air = ar.{i} and aii = ai.{i} in
@@ -45,7 +45,7 @@ let n_qubits t = t.n
 
 let trace t =
   let d = dim t in
-  let re, _ = Fmatrix.buffers t.rho in
+  let re, _ = Matrix.buffers t.rho in
   let acc = ref 0.0 in
   for k = 0 to d - 1 do
     acc := !acc +. re.((k * d) + k)
@@ -55,7 +55,7 @@ let trace t =
 let purity t =
   (* Re(Tr rho^2) = sum_ij Re(rho_ij rho_ji), without assuming hermiticity. *)
   let d = dim t in
-  let re, im = Fmatrix.buffers t.rho in
+  let re, im = Matrix.buffers t.rho in
   let acc = ref 0.0 in
   for i = 0 to d - 1 do
     for j = 0 to d - 1 do
@@ -65,7 +65,7 @@ let purity t =
   !acc
 
 let population t k =
-  let re, _ = Fmatrix.buffers t.rho in
+  let re, _ = Matrix.buffers t.rho in
   re.((k * dim t) + k)
 
 let check_qubit t q =
@@ -81,7 +81,7 @@ let left_mul1 t m q =
   check_qubit t q;
   let m00r, m00i, m01r, m01i, m10r, m10i, m11r, m11i = hoist1 m in
   let d = dim t in
-  let re, im = Fmatrix.buffers t.rho in
+  let re, im = Matrix.buffers t.rho in
   let mask = 1 lsl q in
   let low = mask - 1 in
   for k = 0 to (d lsr 1) - 1 do
@@ -102,7 +102,7 @@ let right_mul1 t m q =
   check_qubit t q;
   let m00r, m00i, m01r, m01i, m10r, m10i, m11r, m11i = hoist1 m in
   let d = dim t in
-  let re, im = Fmatrix.buffers t.rho in
+  let re, im = Matrix.buffers t.rho in
   let mask = 1 lsl q in
   let low = mask - 1 in
   for k = 0 to (d lsr 1) - 1 do
@@ -135,7 +135,7 @@ let left_mul2 t m q_first q_second =
   let hi = 1 lsl q_first and lo = 1 lsl q_second in
   let d = dim t in
   let g = hoist2 m in
-  let re, im = Fmatrix.buffers t.rho in
+  let re, im = Matrix.buffers t.rho in
   let p = min q_first q_second and r = max q_first q_second in
   let lowp = (1 lsl p) - 1 and lowr = (1 lsl r) - 1 in
   for k = 0 to (d lsr 2) - 1 do
@@ -177,7 +177,7 @@ let right_mul2 t m q_first q_second =
   let hi = 1 lsl q_first and lo = 1 lsl q_second in
   let d = dim t in
   let g = hoist2 m in
-  let re, im = Fmatrix.buffers t.rho in
+  let re, im = Matrix.buffers t.rho in
   let p = min q_first q_second and r = max q_first q_second in
   let lowp = (1 lsl p) - 1 and lowr = (1 lsl r) - 1 in
   for k = 0 to (d lsr 2) - 1 do
@@ -257,7 +257,7 @@ let scratch t =
 let apply_kraus1 t kraus q =
   check_qubit t q;
   check_completeness kraus;
-  let re, im = Fmatrix.buffers t.rho in
+  let re, im = Matrix.buffers t.rho in
   let len = Array.length re in
   let s = scratch t in
   Array.blit re 0 s.orig_re 0 len;
@@ -331,7 +331,7 @@ let fidelity_pure t sv =
   if Statevector.n_qubits sv <> t.n then invalid_arg "Density.fidelity_pure: size mismatch";
   let ar, ai = Statevector.buffers sv in
   let d = dim t in
-  let re, im = Fmatrix.buffers t.rho in
+  let re, im = Matrix.buffers t.rho in
   (* Re( sum_ij conj(a_i) rho_ij a_j ) *)
   let acc = ref 0.0 in
   for i = 0 to d - 1 do

@@ -92,12 +92,12 @@ let check_qubit t q =
 let entries1 m =
   if Matrix.rows m <> 2 || Matrix.cols m <> 2 then
     invalid_arg "Statevector.entries1: expected 2x2";
-  Fmatrix.interleaved (Fmatrix.of_matrix m)
+  Matrix.interleaved m
 
 let entries2 m =
   if Matrix.rows m <> 4 || Matrix.cols m <> 4 then
     invalid_arg "Statevector.entries2: expected 4x4";
-  Fmatrix.interleaved (Fmatrix.of_matrix m)
+  Matrix.interleaved m
 
 (* --- kernels --- *)
 

@@ -1,7 +1,8 @@
-(* The boxed Complex.t implementation the flat kernels replaced, kept
-   verbatim as the differential-testing oracle and the bench baseline.
-   Clarity over speed: every Complex.add/mul here allocates, which is
-   exactly the cost the flat path removes. *)
+(* The boxed Complex.t implementation the flat kernels replaced, kept as the
+   differential-testing oracle and the bench baseline: its amplitudes and
+   loops share nothing with Statevector's.  Clarity over speed: every
+   Complex.add/mul here allocates, which is exactly the cost the flat path
+   removes. *)
 type t = { n : int; amps : Complex.t array }
 
 let create n =
@@ -56,7 +57,9 @@ let apply_matrix2 t m q_first q_second =
   if q_first = q_second then invalid_arg "Statevector_ref.apply_matrix2: duplicate qubit";
   let hi = 1 lsl q_first and lo = 1 lsl q_second in
   let dim = Array.length t.amps in
-  let entry r c = Matrix.get m r c in
+  (* Hoisted once per call: a flat [Matrix.get] allocates. *)
+  let entries = Array.init 16 (fun k -> Matrix.get m (k / 4) (k mod 4)) in
+  let entry r c = entries.((r * 4) + c) in
   for i = 0 to dim - 1 do
     if i land hi = 0 && i land lo = 0 then begin
       let i00 = i in

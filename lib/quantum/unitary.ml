@@ -1,8 +1,8 @@
 let of_circuit circuit =
   let n = Circuit.n_qubits circuit in
   let dim = 1 lsl n in
-  let u = Fmatrix.create dim dim in
-  let ure, uim = Fmatrix.buffers u in
+  let u = Matrix.create dim dim in
+  let ure, uim = Matrix.buffers u in
   (* One state reused for all basis columns: reset, place the 1 at |k>,
      simulate, and copy the flat amplitudes straight into column k. *)
   let state = Statevector.create n in
@@ -17,7 +17,7 @@ let of_circuit circuit =
       uim.((r * dim) + k) <- sim.{r}
     done
   done;
-  Fmatrix.to_matrix u
+  u
 
 let of_gate gate qubits ~n_qubits =
   of_circuit (Circuit.of_gates n_qubits [ (gate, qubits) ])

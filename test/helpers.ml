@@ -15,6 +15,22 @@ let equal_up_to_phase ?tol a b = Unitary.equal_up_to_phase ?tol a b
 
 let circuit_unitary = Unitary.of_circuit
 
+(* Matrix values the library does not export, built from its API for the
+   suites that state properties with them. *)
+let of_real_arrays rows =
+  Matrix.of_arrays (Array.map (Array.map (fun x -> { Complex.re = x; im = 0.0 })) rows)
+
+let is_unitary ?(tol = 1e-9) m =
+  Matrix.rows m = Matrix.cols m
+  && Matrix.approx_equal ~tol (Matrix.mul m (Matrix.adjoint m)) (Matrix.identity (Matrix.rows m))
+
+let trace m =
+  let acc = ref Complex.zero in
+  for k = 0 to min (Matrix.rows m) (Matrix.cols m) - 1 do
+    acc := Complex.add !acc (Matrix.get m k k)
+  done;
+  !acc
+
 (* Substring search, shared by every suite that greps captured output. *)
 let contains haystack needle =
   let n = String.length needle and h = String.length haystack in

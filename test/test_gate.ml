@@ -21,7 +21,7 @@ let test_native () =
 let test_all_unitary () =
   List.iter
     (fun g ->
-      check_true (Gate.name g ^ " unitary") (Matrix.is_unitary ~tol:1e-9 (Gate.unitary g)))
+      check_true (Gate.name g ^ " unitary") (is_unitary ~tol:1e-9 (Gate.unitary g)))
     all_gates
 
 let test_unitary_dims () =
@@ -100,9 +100,9 @@ let prop_rz_composition =
 
 let prop_rotations_unitary =
   qcheck_case "rotations are unitary" QCheck.(float_range (-10.0) 10.0) (fun theta ->
-      Matrix.is_unitary ~tol:1e-9 (Gate.unitary (Gate.Rx theta))
-      && Matrix.is_unitary ~tol:1e-9 (Gate.unitary (Gate.Ry theta))
-      && Matrix.is_unitary ~tol:1e-9 (Gate.unitary (Gate.Rz theta)))
+      is_unitary ~tol:1e-9 (Gate.unitary (Gate.Rx theta))
+      && is_unitary ~tol:1e-9 (Gate.unitary (Gate.Ry theta))
+      && is_unitary ~tol:1e-9 (Gate.unitary (Gate.Rz theta)))
 
 let suite =
   [

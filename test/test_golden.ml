@@ -74,7 +74,9 @@ let check_compile_bits = check_bits ~golden:"compile_bits.golden" "compile-bits"
    cells, 16 trials each, printed as IEEE-754 bit patterns.  The golden
    predates the nested-block kernel walk, so it pins every statevector
    kernel to the arithmetic of the run-structured walk it replaced, at one
-   job and with the trials spread over four. *)
+   job and with the trials spread over four.  The n = 4 lines also carry the
+   bits of the exact density-matrix fidelity, recorded while Density still
+   read its gates from the boxed matrix module. *)
 let check_sim_bits = check_bits ~golden:"sim_bits.golden" "sim-bits"
 
 let suite =

@@ -5,7 +5,7 @@ let test_exchange_unitary_limits () =
   check_true "theta=0 is identity" (Matrix.approx_equal u0 (Matrix.identity 4));
   let u_full = Noisy_sim.exchange_unitary (Float.pi /. 2.0) in
   check_true "theta=pi/2 is iswap" (Matrix.approx_equal u_full (Gate.unitary Gate.Iswap));
-  check_true "always unitary" (Matrix.is_unitary (Noisy_sim.exchange_unitary 0.37))
+  check_true "always unitary" (is_unitary (Noisy_sim.exchange_unitary 0.37))
 
 let test_noise_free_trajectory_matches_ideal () =
   let steps =

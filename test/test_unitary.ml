@@ -2,7 +2,7 @@ open Helpers
 
 let test_of_circuit_is_unitary () =
   let c = Circuit.of_gates 3 [ (Gate.H, [ 0 ]); (Gate.Cnot, [ 0; 1 ]); (Gate.T, [ 2 ]) ] in
-  check_true "unitary" (Matrix.is_unitary ~tol:1e-9 (Unitary.of_circuit c))
+  check_true "unitary" (is_unitary ~tol:1e-9 (Unitary.of_circuit c))
 
 let test_of_gate_embedding () =
   (* X on qubit 1 of a 2-qubit register = X (x) I in our bit order *)

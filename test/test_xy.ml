@@ -11,7 +11,7 @@ let test_xy_specializations () =
     (Matrix.approx_equal (Gate.unitary (Gate.Xy 0.0)) (Matrix.identity 4))
 
 let test_xy_unitary_and_composition () =
-  check_true "unitary" (Matrix.is_unitary (Gate.unitary (Gate.Xy 0.7)));
+  check_true "unitary" (is_unitary (Gate.unitary (Gate.Xy 0.7)));
   let composed = Matrix.mul (Gate.unitary (Gate.Xy 0.4)) (Gate.unitary (Gate.Xy 0.3)) in
   check_true "angles add" (Matrix.approx_equal ~tol:1e-9 composed (Gate.unitary (Gate.Xy 0.7)))
 
