@@ -91,7 +91,7 @@ let compile_and_evaluate ?(options = Compile.default_options) ~algorithm device 
    come back in input order, so stdout is byte-identical at any job count
    (the determinism contract in docs/MANUAL.md §9). *)
 
-let grid ?jobs f cells = Pool.map ?jobs f cells
+let grid f cells = Pool.map f cells
 
 (* Slice a flat in-order cell list back into rows of [width] (the inverse of
    fanning a (row x column) table out one cell at a time). *)
@@ -116,13 +116,13 @@ let rows_of ~width cells =
    Each cell re-fabricates its device from the cell's own seed, which is what
    makes cells independent: nothing is shared, and the fabrication RNG is
    deterministic per seed. *)
-let compile_and_evaluate_grid ?jobs ?options ?(device_of = fun bench -> mesh_device bench.n)
+let compile_and_evaluate_grid ?options ?(device_of = fun bench -> mesh_device bench.n)
     ~algorithms benches =
   let cells =
     List.concat_map (fun bench -> List.map (fun algorithm -> (bench, algorithm)) algorithms) benches
   in
   let metrics =
-    grid ?jobs
+    grid
       (fun (bench, algorithm) ->
         compile_and_evaluate ?options ~algorithm (device_of bench) bench)
       cells

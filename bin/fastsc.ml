@@ -218,7 +218,7 @@ let compile_cmd =
       & info [ "decompose" ]
           ~doc:
             "Allocate each connected component of a moment's active crosstalk subgraph \
-             independently on the domain pool (deterministic at any --jobs).")
+             independently, one after another in component order.")
   in
   let run topology_spec n seed bench alg verbose json draw chart trace warm_start decompose
       input jobs =

@@ -19,40 +19,6 @@ let kron = Matrix.kron
 
 let mul3 a b c = Matrix.mul a (Matrix.mul b c)
 
-(* Global-phase-insensitive comparison. *)
-let equal_up_to_phase a b =
-  let n = Matrix.rows a in
-  (* find largest entry of b to fix the phase *)
-  let best = ref (0, 0) in
-  let best_norm = ref 0.0 in
-  for r = 0 to n - 1 do
-    for c = 0 to n - 1 do
-      let v = Complex.norm (Matrix.get b r c) in
-      if v > !best_norm then begin
-        best_norm := v;
-        best := (r, c)
-      end
-    done
-  done;
-  let r, c = !best in
-  if Complex.norm (Matrix.get a r c) < 1e-9 then false
-  else begin
-    let phase = Complex.div (Matrix.get b r c) (Matrix.get a r c) in
-    Matrix.approx_equal ~tol:1e-7 (Matrix.scale phase a) b
-  end
-
-(* The 24 single-qubit Cliffords as shortest products over {H, S}. *)
-let cliffords () =
-  let h = Gate.unitary Fastsc_quantum.Gate.H
-  and s = Gate.unitary Fastsc_quantum.Gate.S in
-  ignore h;
-  ignore s;
-  []
-
-(* placeholder replaced below *)
-
-let () = ignore (cliffords ())
-
 let () =
   let open Fastsc_quantum in
   let u g = Gate.unitary g in
@@ -60,7 +26,7 @@ let () =
   (* BFS closure of {H, S} up to global phase gives the 24 Cliffords. *)
   let generators = [ ("H", u Gate.H); ("S", u Gate.S) ] in
   let found : (string * Matrix.t) list ref = ref [ ("I", id2) ] in
-  let is_new m = not (List.exists (fun (_, m') -> equal_up_to_phase m m') !found) in
+  let is_new m = not (List.exists (fun (_, m') -> Unitary.equal_up_to_phase m m') !found) in
   let frontier = ref !found in
   while !frontier <> [] do
     let next = ref [] in
@@ -168,4 +134,4 @@ let () =
   let rxm = kron (rx (-.Float.pi /. 2.0)) (rx (-.Float.pi /. 2.0)) in
   let candidate = mul3 sq rxp (mul3 sq rxm (mul3 hh sq hh)) in
   Printf.printf "SWAP-from-sqrt-iSWAP identity holds: %b\n"
-    (equal_up_to_phase candidate (u Gate.Swap))
+    (Unitary.equal_up_to_phase candidate (u Gate.Swap))

@@ -74,11 +74,10 @@ type options = Pass.options = {
           default false so the evaluation matches the paper's unoptimized
           pipeline (the `ablate-optimize` bench measures the benefit). *)
   router : string;
-      (** Name or alias of the registered {!Pass.ROUTER}: ["greedy"]
+      (** Name or alias of one of {!Pass.router_names}: ["greedy"]
           (per-gate shortest paths) or ["lookahead"] (SABRE-style lookahead
           scoring, the default; the `ablate-router` bench measures the
-          difference).  Third-party routers register via
-          {!Pass.register_router}. *)
+          difference). *)
   delay_threshold : float;
       (** Crosstalk pair-error budget for the software-only rival schedulers
           (murali-delay, cqc-synergy): simultaneous gate pairs whose modeled
@@ -88,8 +87,9 @@ type options = Pass.options = {
           witness (default false; witnesses may differ within the solver
           tolerance, so the default keeps golden outputs byte-identical). *)
   decompose_components : bool;
-      (** Solve independent crosstalk components of each moment separately on
-          the domain pool (default false, same golden-output rationale). *)
+      (** Solve independent crosstalk components of each moment separately,
+          one after another in component order (default false, same
+          golden-output rationale). *)
 }
 (** Pipeline options — the same record as {!Pass.options}, re-exported so
     existing [Compile.default_options]-based code keeps working. *)

@@ -94,85 +94,6 @@ let scheduler_exn name =
       (Printf.sprintf "Pass: unknown scheduler %S (registered: %s)" name
          (String.concat ", " (scheduler_names ())))
 
-(* Routing is a registered pass of its own, mirroring the scheduler registry:
-   [options.router] names the registered router the route stage dispatches
-   to, and schedulers that own their routing ([consumes = `Logical]) simply
-   never consult it. *)
-module type ROUTER = sig
-  val name : string
-
-  val aliases : string list
-
-  val route : Device.t -> placement:int array -> Circuit.t -> Mapping.result
-end
-
-type router = (module ROUTER)
-
-let router_registry : router list ref = ref []
-
-let router_mutex = Mutex.create ()
-
-let router_name_of (module R : ROUTER) = R.name
-
-let register_router (module R : ROUTER) =
-  Mutex.lock router_mutex;
-  let replaced = ref false in
-  let updated =
-    List.map
-      (fun entry ->
-        if router_name_of entry = R.name then begin
-          replaced := true;
-          (module R : ROUTER)
-        end
-        else entry)
-      !router_registry
-  in
-  router_registry := (if !replaced then updated else updated @ [ (module R) ]);
-  Mutex.unlock router_mutex
-
-let routers () =
-  Mutex.lock router_mutex;
-  let all = !router_registry in
-  Mutex.unlock router_mutex;
-  all
-
-let router_names () = List.map router_name_of (routers ())
-
-let find_router name =
-  List.find_opt
-    (fun (module R : ROUTER) -> R.name = name || List.mem name R.aliases)
-    (routers ())
-
-let router_exn name =
-  match find_router name with
-  | Some r -> r
-  | None ->
-    invalid_arg
-      (Printf.sprintf "Pass: unknown router %S (registered: %s)" name
-         (String.concat ", " (router_names ())))
-
-(* The two built-in SWAP-insertion strategies, registered here so the route
-   pass works before Compile's scheduler registrations have run. *)
-let () =
-  register_router
-    (module struct
-      let name = "lookahead"
-
-      let aliases = [ "sabre"; "l" ]
-
-      let route device ~placement circuit =
-        Mapping.route_lookahead ~placement ~dist:(Device.distances device) (Device.graph device)
-          circuit
-    end);
-  register_router
-    (module struct
-      let name = "greedy"
-
-      let aliases = [ "shortest-path"; "g" ]
-
-      let route device ~placement circuit = Mapping.route ~placement (Device.graph device) circuit
-    end)
-
 module Context = struct
   type pass_report = {
     pass : string;
@@ -365,9 +286,21 @@ let make_pass pass_name f =
   in
   { pass_name; apply }
 
+(* The two SWAP-insertion strategies [options.router] names; schedulers that
+   own their routing ([consumes = `Logical]) never consult it. *)
+let router_names = [ "lookahead"; "greedy" ]
+
 let route_with ctx placement =
-  let (module R : ROUTER) = router_exn ctx.Context.options.router in
-  R.route ctx.Context.device ~placement ctx.Context.circuit
+  let device = ctx.Context.device and circuit = ctx.Context.circuit in
+  match ctx.Context.options.router with
+  | "lookahead" | "sabre" | "l" ->
+    Mapping.route_lookahead ~placement ~dist:(Device.distances device) (Device.graph device)
+      circuit
+  | "greedy" | "shortest-path" | "g" -> Mapping.route ~placement (Device.graph device) circuit
+  | name ->
+    invalid_arg
+      (Printf.sprintf "Pass: unknown router %S (registered: %s)" name
+         (String.concat ", " router_names))
 
 (* Seeded fault for the verification harness (docs/DESIGN.md §11): let the
    [`Auto] shortcut also skip the degree trial when identity needs one SWAP,

@@ -26,9 +26,8 @@
     the registry so their registrations have run).  New algorithms register
     the same way and are immediately usable by name through {!execute},
     including per-compilation statistics via {!Context.stats} — there is no
-    special-cased stats path.  SWAP-insertion strategies live in a parallel
-    {!ROUTER} registry selected through [options.router]; the two built-ins
-    ([lookahead], [greedy]) register at module-initialization time.
+    special-cased stats path.  [options.router] picks one of the two
+    SWAP-insertion strategies by name ({!router_names}).
 
     [Compile.run] and friends are thin wrappers over this module and their
     output is bit-identical to the pre-pass-manager pipeline (golden tests
@@ -47,9 +46,9 @@ type options = {
           SWAP (see {!place}). *)
   optimize : bool;  (** Run the peephole optimizer after decomposition. *)
   router : string;
-      (** Name (or alias) of the registered {!ROUTER} the route pass
-          dispatches to; default ["lookahead"].  Unknown names raise when the
-          route pass runs. *)
+      (** Name (or alias) of the router the route pass dispatches to
+          ({!router_names}); default ["lookahead"].  Unknown names raise
+          when the route pass runs. *)
   delay_threshold : float;
       (** Crosstalk pair-error budget above which software-only schedulers
           (murali-delay, cqc-synergy) refuse to run two gates simultaneously
@@ -125,43 +124,12 @@ val scheduler_exn : string -> scheduler
 (** Like {!find_scheduler}.
     @raise Invalid_argument with the list of registered names on a miss. *)
 
-(** A SWAP-insertion strategy as the route pass sees it.  Routers form a
-    registry parallel to the scheduler one; [options.router] selects by name
-    or alias.  Built-ins: ["lookahead"] (SABRE-style windowed lookahead, the
-    default) and ["greedy"] (shortest-path). *)
-module type ROUTER = sig
-  val name : string
-  (** Canonical name, e.g. ["lookahead"]. *)
-
-  val aliases : string list
-  (** Accepted spellings besides [name]. *)
-
-  val route : Device.t -> placement:int array -> Circuit.t -> Mapping.result
-  (** Insert SWAPs so every two-qubit gate of the logical circuit lands on a
-      coupled pair of the device's graph, starting from [placement].  The
-      device carries its hop-distance matrix ({!Device.distances}, built
-      once), so a router that needs distances reads them there instead of
-      recomputing them on every call. *)
-end
-
-type router = (module ROUTER)
-
-val register_router : router -> unit
-(** Add a router to the registry; re-registering a [name] replaces it in
-    place, like {!register}. *)
-
-val routers : unit -> router list
-(** All registered routers, in registration order. *)
-
-val router_names : unit -> string list
-(** Canonical router names, in registration order. *)
-
-val find_router : string -> router option
-(** Look up by canonical name or alias. *)
-
-val router_exn : string -> router
-(** Like {!find_router}.
-    @raise Invalid_argument with the list of registered names on a miss. *)
+val router_names : string list
+(** The routers [options.router] selects, by canonical name:
+    ["lookahead"] (SABRE-style windowed lookahead, the default; aliases
+    ["sabre"] and ["l"]) and ["greedy"] (shortest-path; aliases
+    ["shortest-path"] and ["g"]).  The lookahead router reads the device's
+    hop-distance matrix ({!Device.distances}, built once). *)
 
 module Context : sig
   (** Instrumentation record of one executed pass. *)

@@ -65,8 +65,8 @@ val components : t -> int list list
 (** Connected components.  Each component is sorted ascending and the
     components are ordered by their smallest vertex, so the partition is a
     pure function of the graph — the determinism anchor for everything that
-    fans components out over the domain pool.  Isolated vertices appear as
-    singleton components. *)
+    walks components in this order.  Isolated vertices appear as singleton
+    components. *)
 
 val component_ids : t -> int array * int
 (** [(ids, k)] where [ids.(v)] is the index of [v]'s component in

@@ -9,11 +9,12 @@
      boot      load the solver-cache snapshot (corrupt -> quarantined, cold)
      loop      poll input with a short select timeout so SIGTERM/SIGINT are
                noticed promptly; admit requests up to max_inflight, shed the
-               rest with structured `overloaded` errors; dispatch to pool
-               workers (jobs >= 2) or run inline (jobs = 1, where the pool
-               has no workers)
+               rest with structured `overloaded` errors; submit each to the
+               process pool (Pool.submit runs it inline at jobs = 1)
      drain     stop accepting, wait for in-flight requests up to the grace
-               period, snapshot the caches, exit 0
+               period, snapshot the caches, exit 0; requests still queued
+               or running when the grace expires are dropped with the
+               process, since the pool never joins its workers at exit
 
    Everything that can fail at runtime (snapshot IO, a poisoned request)
    degrades: logged to stderr, never a crash. *)
@@ -116,7 +117,6 @@ type state = {
   inflight : int Atomic.t;
   completed : int Atomic.t;
   out_mutex : Mutex.t;
-  pool : Pool.t option;  (* None when jobs = 1: requests run inline *)
   telemetry : Telemetry.t;
 }
 
@@ -173,20 +173,20 @@ let handle_line ~config ~state oc line =
             in
             respond ~config ~state oc resp;
             Telemetry.record state.telemetry resp;
-            ignore (Atomic.fetch_and_add state.inflight (-1));
             let completed = 1 + Atomic.fetch_and_add state.completed 1 in
             if config.stats_every > 0 && completed mod config.stats_every = 0 then
               log "%s" (Telemetry.line state.telemetry);
-            match config.snapshot_dir with
+            (match config.snapshot_dir with
             | Some dir
               when config.snapshot_every > 0 && completed mod config.snapshot_every = 0
               ->
               save_snapshot dir
-            | _ -> ()
+            | _ -> ());
+            (* released last: a drain that sees no request in flight knows
+               every job has finished, periodic snapshot included *)
+            ignore (Atomic.fetch_and_add state.inflight (-1))
           in
-          match state.pool with
-          | Some pool -> Pool.submit pool job
-          | None -> job ()
+          Pool.submit job
         end)
 
 let drain ~config ~state =
@@ -195,12 +195,7 @@ let drain ~config ~state =
     try Unix.sleepf 0.01 with Unix.Unix_error (Unix.EINTR, _, _) -> ()
   done;
   let left = Atomic.get state.inflight in
-  if left > 0 then log "drain: grace expired with %d request(s) in flight" left
-  else begin
-    (* only a clean drain joins the pool: joining with work still queued
-       would wait past the grace the operator asked for *)
-    match state.pool with Some pool -> Pool.shutdown pool | None -> ()
-  end;
+  if left > 0 then log "drain: grace expired with %d request(s) in flight" left;
   Option.iter save_snapshot config.snapshot_dir;
   log "drained %d request(s) served" (Atomic.get state.completed)
 
@@ -253,19 +248,16 @@ let run config =
   Sys.set_signal Sys.sigterm on_signal;
   Sys.set_signal Sys.sigint on_signal;
   Option.iter load_snapshot config.snapshot_dir;
-  let jobs = Pool.default_jobs () in
-  let pool = if jobs >= 2 then Some (Pool.create ~jobs ()) else None in
   let state =
     {
       stop;
       inflight = Atomic.make 0;
       completed = Atomic.make 0;
       out_mutex = Mutex.create ();
-      pool;
       telemetry = Telemetry.create ();
     }
   in
-  log "ready (jobs=%d, max_inflight=%d%s)" jobs config.max_inflight
+  log "ready (jobs=%d, max_inflight=%d%s)" (Pool.default_jobs ()) config.max_inflight
     (match config.deadline_ms with
     | None -> ""
     | Some d -> Printf.sprintf ", deadline=%gms" d);

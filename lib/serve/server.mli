@@ -1,12 +1,13 @@
 (** The [fastsc serve] daemon loop.
 
     Reads JSONL compile requests from stdin (default) or a Unix-domain
-    socket, schedules them on a {!Fastsc_util.Pool} (inline when
-    [FASTSC_JOBS=1] — a one-job pool has no workers), and writes one
-    compact JSON response line per request.  Admission control sheds load
-    beyond [max_inflight] with structured [overloaded] errors; SIGTERM and
-    SIGINT stop intake and drain in-flight requests for at most
-    [drain_grace_ms] before the daemon exits cleanly.
+    socket, submits them to the process pool ({!Fastsc_util.Pool.submit};
+    inline when [FASTSC_JOBS=1]), and writes one compact JSON response
+    line per request.  Admission control sheds load beyond [max_inflight]
+    with structured [overloaded] errors.  EOF, SIGTERM and SIGINT stop
+    intake and drain in-flight requests for at most [drain_grace_ms];
+    requests still queued or running when the grace expires are dropped
+    when the process exits, which nothing waits on.
 
     When [snapshot_dir] is set, the solver memo cache is loaded from a
     checksummed snapshot at boot (corrupt files are quarantined, never a

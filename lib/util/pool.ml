@@ -1,11 +1,11 @@
-(* Fixed-size domain pool with chunked, deterministic map/iter.
+(* The process's one domain pool, with chunked, deterministic maps.
 
-   Execution model: a batch of [n] cells is cut into at most [jobs * chunks_per_job]
+   Execution model: a batch of [n] cells is cut into at most [width * chunks_per_job]
    index ranges.  Executors — the calling domain plus any idle workers — claim
    chunks from an atomic counter and write results back by index.  The caller
    always executes chunks itself until the counter is exhausted and only then
    blocks on the batch latch, so a batch completes even if every worker is
-   busy (or the pool has none) — this is what makes nested maps safe. *)
+   busy — this is what makes nested maps safe. *)
 
 let chunks_per_job = 4
 
@@ -29,109 +29,109 @@ let default_jobs () =
     | Some j -> j
     | None -> max 1 (Domain.recommended_domain_count () - 1))
 
-let set_default_jobs j =
-  if j < 1 then invalid_arg "Pool.set_default_jobs: jobs must be >= 1";
-  Atomic.set override (Some j)
+(* --- the worker domains --- *)
 
-(* --- the pool proper --- *)
-
-type t = {
-  pool_jobs : int;
+type workers = {
+  width : int;  (* [width - 1] workers; the domain that maps is the last executor *)
   mutex : Mutex.t;
   wake : Condition.t;
   queue : (unit -> unit) Queue.t;
   mutable stop : bool;
-  mutable workers : unit Domain.t list;
+  mutable domains : unit Domain.t list;
 }
 
-let jobs t = t.pool_jobs
-
-let worker_loop t =
+let worker_loop w =
   let rec loop () =
-    Mutex.lock t.mutex;
-    while Queue.is_empty t.queue && not t.stop do
-      Condition.wait t.wake t.mutex
+    Mutex.lock w.mutex;
+    while Queue.is_empty w.queue && not w.stop do
+      Condition.wait w.wake w.mutex
     done;
-    if t.stop && Queue.is_empty t.queue then Mutex.unlock t.mutex
+    if Queue.is_empty w.queue then Mutex.unlock w.mutex
     else begin
-      let job = Queue.pop t.queue in
-      Mutex.unlock t.mutex;
+      let job = Queue.pop w.queue in
+      Mutex.unlock w.mutex;
       (* a raising job must not kill the worker: batch jobs capture their own
-         failures (see run_batch), so anything escaping here is a directly
-         [submit]ted job whose error belongs to that job alone — the pool
-         keeps serving, and shutdown's Domain.join never re-raises *)
+         failures (see run), so anything escaping here is a [submit]ted job
+         whose error belongs to that job alone — the worker keeps serving,
+         and a re-size's Domain.join never re-raises *)
       (try job () with _ -> ());
       loop ()
     end
   in
   loop ()
 
-let create ?jobs () =
-  let pool_jobs = match jobs with Some j -> j | None -> default_jobs () in
-  if pool_jobs < 1 then invalid_arg "Pool.create: jobs must be >= 1";
-  let t =
+let spawn width =
+  let w =
     {
-      pool_jobs;
+      width;
       mutex = Mutex.create ();
       wake = Condition.create ();
       queue = Queue.create ();
       stop = false;
-      workers = [];
+      domains = [];
     }
   in
-  t.workers <- List.init (pool_jobs - 1) (fun _ -> Domain.spawn (fun () -> worker_loop t));
-  t
+  w.domains <- List.init (width - 1) (fun _ -> Domain.spawn (fun () -> worker_loop w));
+  w
 
-let shutdown t =
-  Mutex.lock t.mutex;
-  t.stop <- true;
-  Condition.broadcast t.wake;
-  Mutex.unlock t.mutex;
-  List.iter Domain.join t.workers;
-  t.workers <- []
+(* Let [w]'s workers drain their queue, then join them. *)
+let retire w =
+  Mutex.lock w.mutex;
+  w.stop <- true;
+  Condition.broadcast w.wake;
+  Mutex.unlock w.mutex;
+  List.iter Domain.join w.domains
 
-let submit t job =
-  Mutex.lock t.mutex;
-  if t.stop then begin
-    Mutex.unlock t.mutex;
-    invalid_arg "Pool: batch submitted to a pool after shutdown"
-  end;
-  Queue.push job t.queue;
-  Condition.signal t.wake;
-  Mutex.unlock t.mutex
+let current : workers option ref = ref None
 
-(* The shared global pool, (re)created lazily so `set_default_jobs` and
-   FASTSC_JOBS take effect on next use.  Guarded by its own mutex. *)
+let current_mutex = Mutex.create ()
 
-let global_mutex = Mutex.create ()
+(* Take the current workers out if they were spawned for another width; the
+   caller retires them after releasing [current_mutex], so a job that maps
+   while its worker is being retired cannot deadlock. *)
+let take_stale width =
+  match !current with
+  | Some w when w.width <> width ->
+    current := None;
+    Some w
+  | _ -> None
 
-let global : t option ref = ref None
+(* A change of width retires the old workers at once rather than at next
+   use: idle domains still slow every minor collection (two workers waiting
+   on a condition made a single-domain allocation loop 2-5x slower on a
+   2-core x86-64 host), so none should outlive their width. *)
+let set_default_jobs j =
+  if j < 1 then invalid_arg "Pool.set_default_jobs: jobs must be >= 1";
+  Mutex.lock current_mutex;
+  Atomic.set override (Some j);
+  let stale = take_stale j in
+  Mutex.unlock current_mutex;
+  Option.iter retire stale
 
-let exit_hook_installed = ref false
-
-let with_global_pool k =
-  Mutex.lock global_mutex;
-  let want = default_jobs () in
-  let pool =
-    match !global with
-    | Some p when p.pool_jobs = want -> p
-    | prev ->
-      (match prev with Some p -> shutdown p | None -> ());
-      let p = create ~jobs:want () in
-      global := Some p;
-      if not !exit_hook_installed then begin
-        exit_hook_installed := true;
-        at_exit (fun () ->
-            Mutex.lock global_mutex;
-            let p = !global in
-            global := None;
-            Mutex.unlock global_mutex;
-            Option.iter shutdown p)
-      end;
-      p
+(* Queue [jobs] for the workers of the given width, spawning them on first
+   use.  Queueing under [current_mutex] means a concurrent re-size retires a
+   set of workers only after these jobs are on its queue, which it drains. *)
+let enqueue width jobs =
+  Mutex.lock current_mutex;
+  let stale = take_stale width in
+  let w =
+    match !current with
+    | Some w -> w
+    | None ->
+      let w = spawn width in
+      current := Some w;
+      w
   in
-  Mutex.unlock global_mutex;
-  k pool
+  Mutex.lock w.mutex;
+  List.iter (fun job -> Queue.push job w.queue) jobs;
+  Condition.broadcast w.wake;
+  Mutex.unlock w.mutex;
+  Mutex.unlock current_mutex;
+  Option.iter retire stale
+
+let submit job =
+  let width = default_jobs () in
+  if width = 1 then (try job () with _ -> ()) else enqueue width [ job ]
 
 (* --- chunked batch execution --- *)
 
@@ -142,109 +142,77 @@ type batch = {
   mutable failure : (exn * Printexc.raw_backtrace) option;
 }
 
-(* Run [work i] for every [i] in [0, n); [width] executors in total. *)
-let run_batch ~width ~submit_helper n work =
-  if n > 0 then begin
-    if width <= 1 || n = 1 then
-      for i = 0 to n - 1 do
-        work i
-      done
-    else begin
-      let n_chunks = min n (width * chunks_per_job) in
-      let next = Atomic.make 0 in
-      let failed = Atomic.make false in
-      let batch =
-        { b_mutex = Mutex.create (); b_done = Condition.create (); remaining = n_chunks; failure = None }
-      in
-      let chunk_bounds c = (c * n / n_chunks, (c + 1) * n / n_chunks) in
-      let record_failure exn bt =
-        Atomic.set failed true;
-        Mutex.lock batch.b_mutex;
-        if batch.failure = None then batch.failure <- Some (exn, bt);
-        Mutex.unlock batch.b_mutex
-      in
-      let finish_chunk () =
-        Mutex.lock batch.b_mutex;
-        batch.remaining <- batch.remaining - 1;
-        if batch.remaining = 0 then Condition.broadcast batch.b_done;
-        Mutex.unlock batch.b_mutex
-      in
-      let rec execute () =
-        let c = Atomic.fetch_and_add next 1 in
-        if c < n_chunks then begin
-          (* after a failure remaining chunks are claimed but skipped, so the
-             latch still drains and the caller can re-raise promptly *)
-          if not (Atomic.get failed) then begin
-            let lo, hi = chunk_bounds c in
-            try
-              for i = lo to hi - 1 do
-                work i
-              done
-            with exn -> record_failure exn (Printexc.get_raw_backtrace ())
-          end;
-          finish_chunk ();
-          execute ()
-        end
-      in
-      for _ = 1 to width - 1 do
-        submit_helper execute
-      done;
-      execute ();
+(* Run [work i] for every [i] in [0, n), on [default_jobs ()] executors. *)
+let run n work =
+  let width = default_jobs () in
+  if width = 1 || n <= 1 then
+    for i = 0 to n - 1 do
+      work i
+    done
+  else begin
+    let n_chunks = min n (width * chunks_per_job) in
+    let next = Atomic.make 0 in
+    let failed = Atomic.make false in
+    let batch =
+      { b_mutex = Mutex.create (); b_done = Condition.create (); remaining = n_chunks; failure = None }
+    in
+    let chunk_bounds c = (c * n / n_chunks, (c + 1) * n / n_chunks) in
+    let record_failure exn bt =
+      Atomic.set failed true;
       Mutex.lock batch.b_mutex;
-      while batch.remaining > 0 do
-        Condition.wait batch.b_done batch.b_mutex
-      done;
-      let failure = batch.failure in
-      Mutex.unlock batch.b_mutex;
-      match failure with
-      | Some (exn, bt) -> Printexc.raise_with_backtrace exn bt
-      | None -> ()
-    end
+      if batch.failure = None then batch.failure <- Some (exn, bt);
+      Mutex.unlock batch.b_mutex
+    in
+    let finish_chunk () =
+      Mutex.lock batch.b_mutex;
+      batch.remaining <- batch.remaining - 1;
+      if batch.remaining = 0 then Condition.broadcast batch.b_done;
+      Mutex.unlock batch.b_mutex
+    in
+    let rec execute () =
+      let c = Atomic.fetch_and_add next 1 in
+      if c < n_chunks then begin
+        (* after a failure remaining chunks are claimed but skipped, so the
+           latch still drains and the caller can re-raise promptly *)
+        if not (Atomic.get failed) then begin
+          let lo, hi = chunk_bounds c in
+          try
+            for i = lo to hi - 1 do
+              work i
+            done
+          with exn -> record_failure exn (Printexc.get_raw_backtrace ())
+        end;
+        finish_chunk ();
+        execute ()
+      end
+    in
+    enqueue width (List.init (width - 1) (fun _ -> execute));
+    execute ();
+    Mutex.lock batch.b_mutex;
+    while batch.remaining > 0 do
+      Condition.wait batch.b_done batch.b_mutex
+    done;
+    let failure = batch.failure in
+    Mutex.unlock batch.b_mutex;
+    match failure with
+    | Some (exn, bt) -> Printexc.raise_with_backtrace exn bt
+    | None -> ()
   end
-
-let run ?pool ?jobs n work =
-  match (pool, jobs) with
-  | _, Some 1 -> run_batch ~width:1 ~submit_helper:(fun _ -> ()) n work
-  | Some p, _ ->
-    let width = match jobs with Some j -> j | None -> p.pool_jobs in
-    run_batch ~width ~submit_helper:(submit p) n work
-  | None, Some j when j >= 2 ->
-    (* explicit jobs without a pool: ephemeral helper domains for this batch *)
-    let helpers = ref [] in
-    let spawn job = helpers := Domain.spawn job :: !helpers in
-    Fun.protect
-      ~finally:(fun () -> List.iter Domain.join !helpers)
-      (fun () -> run_batch ~width:j ~submit_helper:spawn n work)
-  | None, Some j ->
-    if j < 1 then invalid_arg "Pool: jobs must be >= 1";
-    run_batch ~width:1 ~submit_helper:(fun _ -> ()) n work
-  | None, None ->
-    if default_jobs () = 1 then run_batch ~width:1 ~submit_helper:(fun _ -> ()) n work
-    else
-      with_global_pool (fun p -> run_batch ~width:p.pool_jobs ~submit_helper:(submit p) n work)
 
 (* --- combinators --- *)
 
 (* Seeded fault for the verification harness (docs/DESIGN.md §11). *)
 let fault_scramble = Fault.enabled "pool-scramble"
 
-let mapi_array ?pool ?jobs f xs =
+let mapi_array f xs =
   let n = Array.length xs in
   if n = 0 then [||]
   else begin
     let results = Array.make n None in
-    run ?pool ?jobs n (fun i ->
+    run n (fun i ->
         let slot = if fault_scramble then n - 1 - i else i in
         results.(slot) <- Some (f i xs.(i)));
     Array.map (function Some v -> v | None -> assert false) results
   end
 
-let map_array ?pool ?jobs f xs = mapi_array ?pool ?jobs (fun _ x -> f x) xs
-
-let iter_array ?pool ?jobs f xs = run ?pool ?jobs (Array.length xs) (fun i -> f xs.(i))
-
-let mapi ?pool ?jobs f xs = Array.to_list (mapi_array ?pool ?jobs f (Array.of_list xs))
-
-let map ?pool ?jobs f xs = mapi ?pool ?jobs (fun _ x -> f x) xs
-
-let iter ?pool ?jobs f xs = iter_array ?pool ?jobs f (Array.of_list xs)
+let map f xs = Array.to_list (mapi_array (fun _ x -> f x) (Array.of_list xs))

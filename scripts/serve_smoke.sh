@@ -1,7 +1,7 @@
 #!/bin/sh
 # Serve-daemon smoke test (make serve-smoke).
 #
-# Three legs:
+# Four legs:
 #   1. batch      a JSONL batch — a plain request, an over-deadline request
 #                 (budget 0 ms, unique cache key) and a malformed line — runs
 #                 under FASTSC_JOBS=1 and FASTSC_JOBS=4; the over-deadline
@@ -13,6 +13,10 @@
 #                 cache snapshot and exit 0.
 #   3. corrupt    a snapshot with a flipped checksum digit must be
 #                 quarantined to .corrupt on the next boot — never a crash.
+#   4. grace      at FASTSC_JOBS=2, EOF on a backlog of slow requests starts
+#                 a drain with a 0 ms grace: the daemon must write its
+#                 snapshot and exit 0 without waiting on the backlog, so it
+#                 answers fewer requests than it was sent.
 #
 # Everything runs inside _build/serve_smoke/; the working tree is untouched.
 
@@ -21,7 +25,7 @@ set -eu
 FASTSC=${FASTSC:-_build/default/bin/fastsc.exe}
 D=_build/serve_smoke
 rm -rf "$D"
-mkdir -p "$D/jobs1" "$D/jobs4" "$D/drain"
+mkdir -p "$D/jobs1" "$D/jobs4" "$D/drain" "$D/grace"
 
 fail() { echo "serve-smoke: FAIL: $*" >&2; exit 1; }
 
@@ -91,4 +95,22 @@ grep -q "quarantined" "$D/drain/reboot.log" \
 [ -f "$D/drain/solver_cache.json.corrupt" ] \
   || fail "quarantined snapshot not preserved as .corrupt"
 
-echo "serve-smoke: OK (batch determinism, SIGTERM drain, corrupt-snapshot quarantine)"
+# --- leg 4: an expired grace leaves the backlog unanswered -------------------
+
+# One 64-qubit QFT compile takes hundreds of milliseconds, far past the 0 ms
+# grace; distinct seeds keep the solver cache from serving any of them.
+SENT=6
+s=1
+while [ $s -le $SENT ]; do
+  printf '{"id":"s%d","bench":"qft","n":64,"topology":"grid","seed":%d}\n' $s $s
+  s=$((s + 1))
+done \
+  | FASTSC_JOBS=2 "$FASTSC" serve --snapshot-dir "$D/grace" --drain-grace-ms 0 \
+    > "$D/grace/out.jsonl" 2> "$D/grace/err.log" \
+  || fail "daemon exited non-zero after an expired drain grace"
+[ -f "$D/grace/solver_cache.json" ] || fail "no snapshot written after an expired grace"
+answered=$(grep -c '"id":"s' "$D/grace/out.jsonl" || true)
+[ "$answered" -lt $SENT ] \
+  || fail "daemon answered all $SENT requests: the drain waited past its grace"
+
+echo "serve-smoke: OK (batch determinism, SIGTERM drain, corrupt-snapshot quarantine, drain grace)"

@@ -31,6 +31,12 @@ let trace m =
   done;
   !acc
 
+(* Run [f] at pool width [jobs], then restore the previous default. *)
+let with_jobs jobs f =
+  let before = Pool.default_jobs () in
+  Pool.set_default_jobs jobs;
+  Fun.protect ~finally:(fun () -> Pool.set_default_jobs before) f
+
 (* Substring search, shared by every suite that greps captured output. *)
 let contains haystack needle =
   let n = String.length needle and h = String.length haystack in

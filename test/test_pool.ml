@@ -11,8 +11,8 @@ let test_map_matches_sequential () =
   List.iter
     (fun jobs ->
       check_true
-        (Printf.sprintf "map ~jobs:%d == List.map" jobs)
-        (Pool.map ~jobs (fun x -> x * x) xs = expected))
+        (Printf.sprintf "map at width %d == List.map" jobs)
+        (with_jobs jobs (fun () -> Pool.map (fun x -> x * x) xs) = expected))
     [ 1; 2; 3; 4; 8 ]
 
 let test_jobs_one_is_sequential_reference () =
@@ -20,20 +20,24 @@ let test_jobs_one_is_sequential_reference () =
      in particular must evaluate cells in order (the cells below detect any
      reordering through a side-effect log). *)
   let log = ref [] in
-  let result = Pool.map ~jobs:1 (fun x -> log := x :: !log; x + 1) [ 1; 2; 3; 4 ] in
+  let result =
+    with_jobs 1 (fun () -> Pool.map (fun x -> log := x :: !log; x + 1) [ 1; 2; 3; 4 ])
+  in
   check_true "results" (result = [ 2; 3; 4; 5 ]);
   check_true "in-order evaluation at jobs=1" (List.rev !log = [ 1; 2; 3; 4 ])
 
 let test_empty_and_singleton () =
-  check_true "empty list" (Pool.map ~jobs:4 (fun x -> x) [] = []);
-  check_true "empty array" (Pool.map_array ~jobs:4 (fun x -> x) [||] = [||]);
-  check_true "singleton list" (Pool.map ~jobs:4 string_of_int [ 7 ] = [ "7" ]);
-  check_true "singleton array" (Pool.map_array ~jobs:4 succ [| 41 |] = [| 42 |])
+  with_jobs 4 (fun () ->
+      check_true "empty list" (Pool.map (fun x -> x) [] = []);
+      check_true "empty array" (Pool.mapi_array (fun _ x -> x) [||] = [||]);
+      check_true "singleton list" (Pool.map string_of_int [ 7 ] = [ "7" ]);
+      check_true "singleton array" (Pool.mapi_array (fun _ x -> succ x) [| 41 |] = [| 42 |]))
 
 let test_mapi_indices () =
-  let xs = List.init 100 (fun i -> 100 - i) in
-  let expected = List.mapi (fun i x -> (i, x)) xs in
-  check_true "mapi carries correct indices" (Pool.mapi ~jobs:3 (fun i x -> (i, x)) xs = expected)
+  let xs = Array.init 100 (fun i -> 100 - i) in
+  let expected = Array.mapi (fun i x -> (i, x)) xs in
+  check_true "mapi_array carries correct indices"
+    (with_jobs 3 (fun () -> Pool.mapi_array (fun i x -> (i, x)) xs) = expected)
 
 let test_ordering_determinism () =
   (* cells finish in scrambled wall-clock order (larger inputs do more work);
@@ -46,14 +50,15 @@ let test_ordering_determinism () =
     done;
     x + !acc - !acc
   in
-  check_true "scrambled workloads, ordered results" (Pool.map ~jobs:4 work xs = xs)
+  check_true "scrambled workloads, ordered results" (with_jobs 4 (fun () -> Pool.map work xs) = xs)
 
 exception Boom of int
 
 let test_exception_propagation () =
   let raised =
     try
-      ignore (Pool.map ~jobs:4 (fun x -> if x = 37 then raise (Boom x) else x) (List.init 100 Fun.id));
+      with_jobs 4 (fun () ->
+          ignore (Pool.map (fun x -> if x = 37 then raise (Boom x) else x) (List.init 100 Fun.id)));
       None
     with Boom x -> Some x
   in
@@ -62,7 +67,8 @@ let test_exception_propagation () =
 let test_exception_at_jobs_one () =
   let raised =
     try
-      ignore (Pool.map ~jobs:1 (fun x -> if x = 2 then failwith "seq" else x) [ 1; 2; 3 ]);
+      with_jobs 1 (fun () ->
+          ignore (Pool.map (fun x -> if x = 2 then failwith "seq" else x) [ 1; 2; 3 ]));
       false
     with Failure msg -> msg = "seq"
   in
@@ -73,83 +79,57 @@ let test_nested_map () =
      executes its own batch), and the composite result must stay ordered *)
   let outer = List.init 6 (fun i -> List.init 20 (fun j -> (i * 20) + j)) in
   let expected = List.map (List.map (fun x -> x * 2)) outer in
-  let result = Pool.map ~jobs:3 (fun row -> Pool.map ~jobs:2 (fun x -> x * 2) row) outer in
+  let result = with_jobs 3 (fun () -> Pool.map (fun row -> Pool.map (fun x -> x * 2) row) outer) in
   check_true "nested maps complete and stay ordered" (result = expected)
 
 let test_nested_map_on_shared_pool () =
-  let pool = Pool.create ~jobs:3 () in
+  (* ragged inner batches, from 1 cell (run inline) to 8, all on the one pool *)
   let outer = List.init 8 (fun i -> i) in
   let expected = List.map (fun i -> squares (i + 1)) outer in
   let result =
-    Pool.map ~pool (fun i -> Pool.map ~pool (fun j -> j * j) (List.init (i + 1) Fun.id)) outer
+    with_jobs 3 (fun () ->
+        Pool.map (fun i -> Pool.map (fun j -> j * j) (List.init (i + 1) Fun.id)) outer)
   in
-  Pool.shutdown pool;
   check_true "nested maps on one shared pool do not deadlock" (result = expected)
 
-let test_iter_collects_every_index () =
-  let n = 200 in
-  let seen = Array.make n false in
-  (* each cell writes only its own slot: no synchronization needed *)
-  Pool.iter ~jobs:4 (fun i -> seen.(i) <- true) (List.init n Fun.id);
-  check_true "iter visited every cell exactly once" (Array.for_all Fun.id seen)
-
-let test_explicit_pool_reuse () =
-  let pool = Pool.create ~jobs:4 () in
-  check_int "pool size" 4 (Pool.jobs pool);
-  let a = Pool.map ~pool (fun x -> x + 1) (List.init 50 Fun.id) in
-  let b = Pool.map ~pool (fun x -> x + 1) (List.init 50 Fun.id) in
-  Pool.shutdown pool;
-  check_true "two batches on one pool agree" (a = b && a = List.init 50 (fun i -> i + 1))
-
 let test_default_jobs_override () =
-  let before = Pool.default_jobs () in
-  check_true "default is positive" (before >= 1);
-  Pool.set_default_jobs 2;
-  check_int "set_default_jobs sticks" 2 (Pool.default_jobs ());
+  check_true "default is positive" (Pool.default_jobs () >= 1);
+  with_jobs 2 (fun () -> check_int "set_default_jobs sticks" 2 (Pool.default_jobs ()));
   Alcotest.check_raises "rejects zero" (Invalid_argument "Pool.set_default_jobs: jobs must be >= 1")
-    (fun () -> Pool.set_default_jobs 0);
-  Pool.set_default_jobs before
+    (fun () -> Pool.set_default_jobs 0)
 
-(* -- teardown edges: submit, shutdown, and exceptions in flight -------------- *)
+(* -- submitted jobs: exceptions, and a re-size with jobs still queued ---------- *)
 
 let test_submit_exception_does_not_kill_worker () =
-  (* a raising fire-and-forget job must not take its worker down *)
-  let pool = Pool.create ~jobs:2 () in
-  Pool.submit pool (fun () -> failwith "boom");
-  let r = Pool.map ~pool succ (List.init 20 Fun.id) in
-  Pool.shutdown pool;
-  check_true "workers survive a raising job" (r = List.init 20 succ)
+  (* width 2 has exactly one worker: the flag is set only if it survived *)
+  let ran = Atomic.make false in
+  with_jobs 2 (fun () ->
+      Pool.submit (fun () -> failwith "boom");
+      Pool.submit (fun () -> Atomic.set ran true));
+  let give_up = Unix.gettimeofday () +. 10.0 in
+  while (not (Atomic.get ran)) && Unix.gettimeofday () < give_up do
+    Unix.sleepf 0.001
+  done;
+  check_true "the worker survives a raising job" (Atomic.get ran)
+
+(* A change of width shuts the old workers down: set_default_jobs returns
+   once they have run every job queued for them. *)
+let resize_after_submits submits =
+  with_jobs 2 (fun () -> List.iter Pool.submit submits);
+  with_jobs 3 ignore
 
 let test_shutdown_drains_queued_submits () =
-  (* jobs already queued when shutdown flips the stop flag still run:
-     workers drain the queue before exiting *)
-  let pool = Pool.create ~jobs:2 () in
   let ran = Atomic.make 0 in
-  for _ = 1 to 50 do
-    Pool.submit pool (fun () -> Atomic.incr ran)
-  done;
-  Pool.shutdown pool;
+  resize_after_submits (List.init 50 (fun _ () -> Atomic.incr ran));
   check_int "every queued job ran before join" 50 (Atomic.get ran)
 
 let test_exception_while_stopping () =
   (* raising jobs executed during the shutdown drain (stop already set) must
      neither wedge the join nor skip their queued siblings *)
-  let pool = Pool.create ~jobs:2 () in
   let ran = Atomic.make 0 in
-  for i = 1 to 20 do
-    Pool.submit pool (fun () ->
-        if i mod 2 = 0 then failwith "mid-drain boom" else Atomic.incr ran)
-  done;
-  Pool.shutdown pool;
+  resize_after_submits
+    (List.init 20 (fun i () -> if i mod 2 = 0 then failwith "mid-drain boom" else Atomic.incr ran));
   check_int "surviving siblings all ran" 10 (Atomic.get ran)
-
-let test_submit_after_shutdown_raises () =
-  let pool = Pool.create ~jobs:2 () in
-  Pool.shutdown pool;
-  check_true "submit after shutdown rejected"
-    (match Pool.submit pool (fun () -> ()) with
-    | () -> false
-    | exception Invalid_argument _ -> true)
 
 let suite =
   [
@@ -163,14 +143,10 @@ let suite =
     Alcotest.test_case "exception at jobs=1" `Quick test_exception_at_jobs_one;
     Alcotest.test_case "nested map" `Quick test_nested_map;
     Alcotest.test_case "nested map on shared pool" `Quick test_nested_map_on_shared_pool;
-    Alcotest.test_case "iter visits every cell" `Quick test_iter_collects_every_index;
-    Alcotest.test_case "explicit pool reuse" `Quick test_explicit_pool_reuse;
     Alcotest.test_case "default jobs override" `Quick test_default_jobs_override;
     Alcotest.test_case "submit exception does not kill worker" `Quick
       test_submit_exception_does_not_kill_worker;
     Alcotest.test_case "shutdown drains queued submits" `Quick
       test_shutdown_drains_queued_submits;
     Alcotest.test_case "exception while stopping" `Quick test_exception_while_stopping;
-    Alcotest.test_case "submit after shutdown raises" `Quick
-      test_submit_after_shutdown_raises;
   ]

@@ -21,7 +21,8 @@ let prop_pool_matches_sequential =
   prop_case "Pool.map at any job count equals List.map" xs_arb (fun xs ->
       let f x = (x * x) - (3 * x) + 7 in
       let reference = List.map f xs in
-      Pool.map ~jobs:1 f xs = reference && Pool.map ~jobs:4 f xs = reference)
+      with_jobs 1 (fun () -> Pool.map f xs) = reference
+      && with_jobs 4 (fun () -> Pool.map f xs) = reference)
 
 let prop_pool_array_matches_sequential =
   prop_case "Pool.mapi_array at any job count equals Array.mapi"
@@ -29,8 +30,8 @@ let prop_pool_array_matches_sequential =
     (fun xs ->
       let f i x = (x *. float_of_int i) +. sin x in
       let reference = Array.mapi f xs in
-      float_arrays_bit_identical (Pool.mapi_array ~jobs:1 f xs) reference
-      && float_arrays_bit_identical (Pool.mapi_array ~jobs:4 f xs) reference)
+      float_arrays_bit_identical (with_jobs 1 (fun () -> Pool.mapi_array f xs)) reference
+      && float_arrays_bit_identical (with_jobs 4 (fun () -> Pool.mapi_array f xs)) reference)
 
 (* -- Crosstalk: cache-on vs cache-off bit-identical ------------------------ *)
 

@@ -405,18 +405,14 @@ let matches_oracle { n; seed; steps } ~trials =
   let oracle_rng = Rng.create seed in
   let want = Oracle.average_fidelity oracle_rng ~n_qubits:n ~ideal ~steps ~trials in
   let want_rng = Rng.int64 oracle_rng in
-  let before = Pool.default_jobs () in
-  Fun.protect
-    ~finally:(fun () -> Pool.set_default_jobs before)
-    (fun () ->
-      List.for_all
-        (fun jobs ->
-          Pool.set_default_jobs jobs;
+  List.for_all
+    (fun jobs ->
+      with_jobs jobs (fun () ->
           let rng = Rng.create seed in
           let got = Noisy_sim.average_fidelity rng ~n_qubits:n ~ideal ~steps ~trials in
           Int64.bits_of_float got = Int64.bits_of_float want
-          && Int64.equal (Rng.int64 rng) want_rng)
-        [ 1; 2; 3; 4 ])
+          && Int64.equal (Rng.int64 rng) want_rng))
+    [ 1; 2; 3; 4 ]
 
 let prop_average_fidelity_matches_oracle =
   prop_case ~count:60 "average_fidelity matches the per-event interpreter bit for bit"
@@ -473,22 +469,20 @@ let noisy_steps =
 let test_average_fidelity_jobs_invariant () =
   let ideal = Noisy_sim.ideal_of_steps ~n_qubits:3 noisy_steps in
   let mean_at jobs =
-    Pool.set_default_jobs jobs;
-    let rng = Rng.create 42 in
-    let mean = Noisy_sim.average_fidelity rng ~n_qubits:3 ~ideal ~steps:noisy_steps ~trials:40 in
-    (* The caller's generator must also end in the same state. *)
-    (mean, Rng.int64 rng)
+    with_jobs jobs (fun () ->
+        let rng = Rng.create 42 in
+        let mean =
+          Noisy_sim.average_fidelity rng ~n_qubits:3 ~ideal ~steps:noisy_steps ~trials:40
+        in
+        (* The caller's generator must also end in the same state. *)
+        (mean, Rng.int64 rng))
   in
-  let before = Pool.default_jobs () in
-  Fun.protect
-    ~finally:(fun () -> Pool.set_default_jobs before)
-    (fun () ->
-      let serial, state1 = mean_at 1 in
-      let parallel, state4 = mean_at 4 in
-      check_true "mean bit-identical at jobs=1 and jobs=4"
-        (Int64.bits_of_float serial = Int64.bits_of_float parallel);
-      check_true "caller rng advanced identically" (Int64.equal state1 state4);
-      check_true "mean is a fidelity" (serial >= 0.0 && serial <= 1.0 +. 1e-9))
+  let serial, state1 = mean_at 1 in
+  let parallel, state4 = mean_at 4 in
+  check_true "mean bit-identical at jobs=1 and jobs=4"
+    (Int64.bits_of_float serial = Int64.bits_of_float parallel);
+  check_true "caller rng advanced identically" (Int64.equal state1 state4);
+  check_true "mean is a fidelity" (serial >= 0.0 && serial <= 1.0 +. 1e-9)
 
 let test_average_fidelity_rejects_zero_trials () =
   let ideal = Noisy_sim.ideal_of_steps ~n_qubits:3 noisy_steps in

@@ -145,33 +145,36 @@ let test_cqc_conflict_pressure_matters () =
       "conflict-pressure term changed nothing (synergy total %d vs depth-only %d)"
       with_synergy depth_only
 
-(* -- router registry --------------------------------------------------------- *)
+(* -- router lookup ------------------------------------------------------------ *)
+
+let compile_with_router router =
+  let options = { Compile.default_options with Compile.router } in
+  Pass.execute ~options ~algorithm:"color-dynamic" (device ()) (qaoa9 ())
 
 let test_router_registry () =
-  check_true "lookahead registered" (Pass.find_router "lookahead" <> None);
-  check_true "sabre alias" (Pass.find_router "sabre" <> None);
-  check_true "greedy registered" (Pass.find_router "greedy" <> None);
-  (match Pass.find_router "nonsense" with
-  | Some _ -> Alcotest.fail "nonsense router resolved"
-  | None -> ());
-  (match Pass.router_exn "nonsense" with
-  | (module R : Pass.ROUTER) -> Alcotest.failf "router_exn returned %s" R.name
-  | exception Invalid_argument msg ->
-    check_true "error lists registered routers" (contains msg "lookahead"));
-  (* both built-in routers produce a legal compilation end to end *)
+  (* every name and alias resolves to a legal compilation end to end, and an
+     alias routes exactly as its canonical name does; the two routers differ
+     on this circuit, so a crossed alias would show *)
+  let routed router =
+    Circuit.instructions (Pass.Context.routed_exn (compile_with_router router)).Mapping.circuit
+  in
+  check_true "the routers differ here" (routed "lookahead" <> routed "greedy");
   List.iter
-    (fun router ->
-      let options = { Compile.default_options with Compile.router } in
-      let ctx = Pass.execute ~options ~algorithm:"color-dynamic" (device ()) (qaoa9 ()) in
+    (fun (router, aliases) ->
+      let ctx = compile_with_router router in
       check_true (router ^ " router compiles")
-        (Result.is_ok (Schedule.check (Pass.Context.schedule_exn ctx))))
-    [ "greedy"; "lookahead" ]
+        (Result.is_ok (Schedule.check (Pass.Context.schedule_exn ctx)));
+      List.iter
+        (fun alias ->
+          check_true (Printf.sprintf "%s routes as %s" alias router) (routed alias = routed router))
+        aliases)
+    [ ("lookahead", [ "sabre"; "l" ]); ("greedy", [ "shortest-path"; "g" ]) ]
 
 let test_unknown_router_rejected () =
-  let options = { Compile.default_options with Compile.router = "bogus" } in
-  match Pass.execute ~options ~algorithm:"color-dynamic" (device ()) (qaoa9 ()) with
+  match compile_with_router "bogus" with
   | _ -> Alcotest.fail "unknown router accepted"
-  | exception Invalid_argument msg -> check_true "names listed" (contains msg "greedy")
+  | exception Invalid_argument msg ->
+    check_true "names listed" (contains msg "lookahead" && contains msg "greedy")
 
 let suite =
   [
