@@ -7,7 +7,9 @@
    plus {bv, qaoa, xeb} x 16-qubit mesh x color-dynamic under the greedy
    router and under the degree placement (route paths that the default
    lookahead router with [`Auto] placement never takes; their labels carry
-   a [router=...] or [placement=...] tag), is compiled through
+   a [router=...] or [placement=...] tag), plus {bv, qaoa, xeb} x 9-qubit
+   mesh x {anneal-dynamic, gmon-dynamic} (the two registered queueing
+   schedulers outside the paper set), is compiled through
    [Pass.execute] and evaluated three times: the default
    eq-4 estimate, and re-evaluations of the same schedule at crosstalk
    distance 2, with the time-dependent transfer probability and with its
@@ -34,6 +36,8 @@ let scale_options =
   { Pass.default_options with Pass.decompose_components = true; warm_start = true }
 
 let variant_benches = [ "bv"; "qaoa"; "xeb" ]
+
+let zoo_algorithms = [ "anneal-dynamic"; "gmon-dynamic" ]
 
 let variants =
   [
@@ -63,6 +67,12 @@ let cells =
       (fun (tag, options) ->
         List.map (fun bench -> (bench, 16, "color-dynamic", options, Mesh, tag)) variant_benches)
       variants
+  @ List.concat_map
+      (fun bench ->
+        List.map
+          (fun algorithm -> (bench, 9, algorithm, Pass.default_options, Mesh, ""))
+          zoo_algorithms)
+      variant_benches
 
 let bits x = Printf.sprintf "%016Lx" (Int64.bits_of_float x)
 

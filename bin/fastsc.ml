@@ -8,42 +8,7 @@
      fastsc list     ... enumerate benchmarks, algorithms, topologies *)
 
 open Cmdliner
-
-let parse_topology spec n =
-  let fail msg = `Error (false, msg) in
-  match String.split_on_char ':' spec with
-  | [ "grid" ] -> `Ok (Topology.square_grid n)
-  | [ "path" ] -> `Ok (Topology.path n)
-  | [ "ring" ] -> `Ok (Topology.ring n)
-  | [ "complete" ] -> `Ok (Topology.complete n)
-  | [ "1ex"; k ] -> (
-    match int_of_string_opt k with
-    | Some k when k >= 2 -> `Ok (Topology.express_1d n k)
-    | _ -> fail "1ex:<k> needs an integer k >= 2")
-  | [ "2ex"; k ] -> (
-    match int_of_string_opt k with
-    | Some k when k >= 2 ->
-      let side = int_of_float (sqrt (float_of_int n)) in
-      if side * side <> n then fail "2ex needs a square qubit count"
-      else `Ok (Topology.express_2d side side k)
-    | _ -> fail "2ex:<k> needs an integer k >= 2")
-  | _ -> fail (Printf.sprintf "unknown topology %S (try grid, path, ring, 1ex:4, 2ex:2)" spec)
-
-let benchmark_names = [ "bv"; "qaoa"; "ising"; "qgan"; "xeb"; "ghz"; "qft" ]
-
-let make_benchmark name n seed device =
-  let rng = Rng.create seed in
-  match name with
-  | "bv" -> Bv.circuit ~n ()
-  | "qaoa" -> Qaoa.circuit rng ~n ()
-  | "ising" -> Ising.circuit ~n ()
-  | "qgan" -> Qgan.circuit rng ~n ()
-  | "xeb" ->
-    let classes = Baseline_gmon.edge_classes device in
-    Xeb.circuit rng ~graph:(Device.graph device) ~classes ~cycles:5 ()
-  | "ghz" -> Ghz.circuit ~fanout:true ~n ()
-  | "qft" -> Qft.circuit ~n ()
-  | other -> invalid_arg (Printf.sprintf "unknown benchmark %S" other)
+module Protocol = Fastsc_serve.Protocol
 
 (* shared options *)
 let seed_arg =
@@ -111,10 +76,12 @@ let apply_jobs = function
     `Ok ()
   | Some _ -> `Error (false, "--jobs needs a positive integer")
 
+(* Topologies and benchmarks are named as in the serve protocol; its
+   [Bad_request], raised by either lookup inside [k] too, is a usage error. *)
 let with_device topology_spec n seed k =
-  match parse_topology topology_spec n with
-  | `Error _ as e -> e
-  | `Ok topology -> k (Device.create ~seed topology)
+  match k (Device.create ~seed (Protocol.parse_topology topology_spec n)) with
+  | result -> result
+  | exception Protocol.Bad_request msg -> `Error (false, msg)
 
 let print_metrics metrics =
   let t = Tablefmt.create [ "metric"; "value" ] in
@@ -245,14 +212,11 @@ let compile_cmd =
           match external_circuit with Some c -> max n (Circuit.n_qubits c) | None -> n
         in
         with_device topology_spec n seed (fun device ->
-            if external_circuit = None && not (List.mem bench benchmark_names) then
-              `Error (false, Printf.sprintf "unknown benchmark %S" bench)
-            else begin
-              let circuit =
-                match external_circuit with
-                | Some c -> c
-                | None -> make_benchmark bench n seed device
-              in
+            let circuit =
+              match external_circuit with
+              | Some c -> c
+              | None -> Protocol.make_benchmark bench n seed device
+            in
             if trace then begin
               let ctx =
                 Pass.execute ~options ~algorithm:(Compile.algorithm_to_string algorithm)
@@ -265,27 +229,26 @@ let compile_cmd =
               `Ok ()
             end
             else begin
-            let schedule = Compile.run ~options algorithm device circuit in
-            (match Schedule.check schedule with
-            | Ok () -> ()
-            | Error msg -> failwith ("invalid schedule: " ^ msg));
-            if json then print_endline (Export.to_string (Export.bundle schedule))
-            else begin
-              Format.printf "%a@." Device.pp_summary device;
-              Format.printf "%a@." Schedule.pp_summary schedule;
-              print_metrics (Schedule.evaluate schedule);
-              if draw then begin
-                let native = Compile.prepare Compile.default_options device circuit in
-                print_endline (Draw.circuit native)
+              let schedule = Compile.run ~options algorithm device circuit in
+              (match Schedule.check schedule with
+              | Ok () -> ()
+              | Error msg -> failwith ("invalid schedule: " ^ msg));
+              if json then print_endline (Export.to_string (Export.bundle schedule))
+              else begin
+                Format.printf "%a@." Device.pp_summary device;
+                Format.printf "%a@." Schedule.pp_summary schedule;
+                print_metrics (Schedule.evaluate schedule);
+                if draw then begin
+                  let native = Compile.prepare Compile.default_options device circuit in
+                  print_endline (Draw.circuit native)
+                end;
+                if chart then print_endline (Freq_chart.render schedule);
+                if verbose then
+                  List.iter
+                    (fun step -> Format.printf "%a@." (Schedule.pp_step device) step)
+                    schedule.Schedule.steps
               end;
-              if chart then print_endline (Freq_chart.render schedule);
-              if verbose then
-                List.iter
-                  (fun step -> Format.printf "%a@." (Schedule.pp_step device) step)
-                  schedule.Schedule.steps
-            end;
               `Ok ()
-            end
             end)
   in
   Cmd.v
@@ -306,17 +269,12 @@ let qasm_cmd =
   in
   let run topology_spec n seed bench native =
     with_device topology_spec n seed (fun device ->
-        if not (List.mem bench benchmark_names) then
-          `Error (false, Printf.sprintf "unknown benchmark %S" bench)
-        else begin
-          let circuit = make_benchmark bench n seed device in
-          let circuit =
-            if native then Compile.prepare Compile.default_options device circuit
-            else circuit
-          in
-          print_string (Qasm.to_string circuit);
-          `Ok ()
-        end)
+        let circuit = Protocol.make_benchmark bench n seed device in
+        let circuit =
+          if native then Compile.prepare Compile.default_options device circuit else circuit
+        in
+        print_string (Qasm.to_string circuit);
+        `Ok ())
   in
   Cmd.v
     (Cmd.info "qasm" ~doc:"Emit a benchmark circuit as OpenQASM 2.0")
@@ -329,34 +287,30 @@ let sweep_cmd =
     | `Error _ as e -> e
     | `Ok () ->
       with_device topology_spec n seed (fun device ->
-          if not (List.mem bench benchmark_names) then
-            `Error (false, Printf.sprintf "unknown benchmark %S" bench)
-          else begin
-            let circuit = make_benchmark bench n seed device in
-            let t =
-              Tablefmt.create
-                [ "algorithm"; "log10 P"; "crosstalk"; "decoherence"; "depth"; "time (ns)" ]
-            in
-            (* one pool cell per algorithm; rows print in algorithm order *)
-            let rows =
-              Pool.map
-                (fun algorithm ->
-                  let schedule = Compile.run algorithm device circuit in
-                  let m = Schedule.evaluate schedule in
-                  [
-                    Compile.algorithm_to_string algorithm;
-                    Tablefmt.cell_float ~digits:2 m.Schedule.log10_success;
-                    Tablefmt.cell_sci ~digits:2 m.Schedule.crosstalk_error;
-                    Tablefmt.cell_sci ~digits:2 m.Schedule.decoherence_error;
-                    Tablefmt.cell_int m.Schedule.depth;
-                    Tablefmt.cell_float ~digits:0 m.Schedule.total_time;
-                  ])
-                Compile.all_algorithms
-            in
-            List.iter (Tablefmt.add_row t) rows;
-            Tablefmt.print t;
-            `Ok ()
-          end)
+          let circuit = Protocol.make_benchmark bench n seed device in
+          let t =
+            Tablefmt.create
+              [ "algorithm"; "log10 P"; "crosstalk"; "decoherence"; "depth"; "time (ns)" ]
+          in
+          (* one pool cell per algorithm; rows print in algorithm order *)
+          let rows =
+            Pool.map
+              (fun algorithm ->
+                let schedule = Compile.run algorithm device circuit in
+                let m = Schedule.evaluate schedule in
+                [
+                  Compile.algorithm_to_string algorithm;
+                  Tablefmt.cell_float ~digits:2 m.Schedule.log10_success;
+                  Tablefmt.cell_sci ~digits:2 m.Schedule.crosstalk_error;
+                  Tablefmt.cell_sci ~digits:2 m.Schedule.decoherence_error;
+                  Tablefmt.cell_int m.Schedule.depth;
+                  Tablefmt.cell_float ~digits:0 m.Schedule.total_time;
+                ])
+              Compile.all_algorithms
+          in
+          List.iter (Tablefmt.add_row t) rows;
+          Tablefmt.print t;
+          `Ok ())
   in
   Cmd.v
     (Cmd.info "sweep" ~doc:"Compare all algorithms on one benchmark")
@@ -373,7 +327,7 @@ let validate_cmd =
     else if trials <= 0 then `Error (false, "--trials needs a positive integer")
     else
       with_device topology_spec n seed (fun device ->
-          let circuit = make_benchmark bench n seed device in
+          let circuit = Protocol.make_benchmark bench n seed device in
           let schedule = Compile.run algorithm device circuit in
           let metrics = Schedule.evaluate schedule in
           let steps = Schedule.to_noisy_steps schedule in
@@ -396,14 +350,10 @@ let budget_cmd =
   let run topology_spec n seed bench alg =
     let algorithm = parse_algorithm alg in
     with_device topology_spec n seed (fun device ->
-        if not (List.mem bench benchmark_names) then
-          `Error (false, Printf.sprintf "unknown benchmark %S" bench)
-        else begin
-          let circuit = make_benchmark bench n seed device in
-          let schedule = Compile.run algorithm device circuit in
-          Format.printf "%a@." Error_budget.pp (Error_budget.compute schedule);
-          `Ok ()
-        end)
+        let circuit = Protocol.make_benchmark bench n seed device in
+        let schedule = Compile.run algorithm device circuit in
+        Format.printf "%a@." Error_budget.pp (Error_budget.compute schedule);
+        `Ok ())
   in
   Cmd.v
     (Cmd.info "budget" ~doc:"Per-step error budget of a compiled benchmark")
@@ -539,7 +489,7 @@ let serve_cmd =
 (* fastsc list *)
 let list_cmd =
   let run () =
-    print_endline ("benchmarks: " ^ String.concat " " benchmark_names);
+    print_endline ("benchmarks: " ^ String.concat " " Protocol.benchmark_names);
     print_endline
       ("algorithms: "
       ^ String.concat " "

@@ -5,7 +5,10 @@ let step_cost schedule_skeleton device ~idle_freqs ~freq_of gates =
   let gate_error, crosstalk_error = Schedule.step_errors schedule_skeleton step in
   gate_error +. crosstalk_error
 
-let run ?(iterations = 400) ?(seed = 0) device circuit =
+(* annealing budget per step *)
+let iterations = 400
+
+let run ?(seed = 0) device circuit =
   let rng = Rng.create seed in
   let idle_freqs = Freq_alloc.idle_per_qubit device in
   let partition = Device.partition device in
@@ -28,16 +31,7 @@ let run ?(iterations = 400) ?(seed = 0) device circuit =
   let steps = ref [] in
   while not (Pending.is_empty pending) do
     (* maximum qubit-disjoint parallelism: the purely spectral strategy *)
-    let used = Array.make (Device.n_qubits device) false in
-    let chosen = ref [] in
-    List.iter
-      (fun app ->
-        if Array.for_all (fun q -> not used.(q)) app.Gate.qubits then begin
-          Array.iter (fun q -> used.(q) <- true) app.Gate.qubits;
-          chosen := app :: !chosen
-        end)
-      (Pending.ready pending);
-    let gates = List.rev !chosen in
+    let gates = Pending.select pending ~accept:(fun _ -> true) in
     assert (gates <> []);
     let two_qubit = List.filter (fun g -> Gate.is_two_qubit g.Gate.gate) gates in
     let freq_table = Hashtbl.create 8 in

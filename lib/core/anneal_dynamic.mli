@@ -14,12 +14,9 @@
     ColorDynamic, compile time one to two orders of magnitude higher — the
     paper's scalability argument for the coloring decomposition. *)
 
-val run :
-  ?iterations:int ->
-  ?seed:int ->
-  Device.t -> Circuit.t -> Schedule.t
-(** [iterations] is the annealing budget per step (default 400); [seed]
-    (default 0) makes the stochastic search reproducible. *)
+val run : ?seed:int -> Device.t -> Circuit.t -> Schedule.t
+(** Anneals each step for 400 iterations; [seed] (default 0) makes the
+    stochastic search reproducible. *)
 
 val scheduler : Pass.scheduler
 (** This algorithm as a registry entry (name ["anneal-dynamic"], aliases

@@ -24,7 +24,7 @@ let edge_classes device =
     Array.to_list (Array.mapi (fun v edge -> (edge, coloring.(v))) edge_of_vertex)
   end
 
-let run ?(residual_coupling = 0.0) device circuit =
+let run ~residual_coupling device circuit =
   let idle_freqs = Freq_alloc.idle_per_qubit device in
   let omega_int = Step_builder.interaction_center device in
   let classes = edge_classes device in
@@ -37,7 +37,6 @@ let run ?(residual_coupling = 0.0) device circuit =
   let pending = Pending.create circuit in
   let steps = ref [] in
   while not (Pending.is_empty pending) do
-    let ready = Pending.ready pending in
     (* Tiling scheduler: activate the coupler class with the most ready
        two-qubit gates this step. *)
     let counts = Hashtbl.create 8 in
@@ -48,7 +47,7 @@ let run ?(residual_coupling = 0.0) device circuit =
           let c = class_of_pair (a, b) in
           Hashtbl.replace counts c (1 + Option.value ~default:0 (Hashtbl.find_opt counts c))
         | _ -> ())
-      ready;
+      (Pending.ready pending);
     let best_class =
       Hashtbl.fold
         (fun c n acc ->
@@ -57,25 +56,13 @@ let run ?(residual_coupling = 0.0) device circuit =
           | _ -> Some (c, n))
         counts None
     in
-    let used = Array.make (Device.n_qubits device) false in
-    let chosen = ref [] in
-    List.iter
-      (fun app ->
-        let free = Array.for_all (fun q -> not used.(q)) app.Gate.qubits in
-        let allowed =
-          match app.Gate.qubits with
-          | [| a; b |] -> (
-            match best_class with
-            | Some (c, _) -> class_of_pair (a, b) = c
-            | None -> false)
-          | _ -> true
-        in
-        if free && allowed then begin
-          Array.iter (fun q -> used.(q) <- true) app.Gate.qubits;
-          chosen := app :: !chosen
-        end)
-      ready;
-    let gates = List.rev !chosen in
+    let accept app =
+      match app.Gate.qubits with
+      | [| a; b |] -> (
+        match best_class with Some (c, _) -> class_of_pair (a, b) = c | None -> false)
+      | _ -> true
+    in
+    let gates = Pending.select pending ~accept in
     assert (gates <> []);
     List.iter (Pending.schedule pending) gates;
     steps :=

@@ -9,15 +9,12 @@
     eta = 0) parallel gates never crosstalk; Fig 12 sweeps eta to show the
     exponential sensitivity of this design to coupler control noise. *)
 
-val run : ?residual_coupling:float -> Device.t -> Circuit.t -> Schedule.t
-(** [residual_coupling] is the fraction of [g0] leaking through deactivated
-    couplers (default 0, the paper's conservative assumption). *)
-
 val edge_classes : Device.t -> ((int * int) * int) list
 (** The coupler-activation classes: Sycamore ABCD tiling on grids, greedy
     proper edge coloring elsewhere.  Each class is a matching. *)
 
 val scheduler : Pass.scheduler
 (** This algorithm as a registry entry (name ["baseline-g"], aliases
-    ["gmon"]/["g"]); reads [residual_coupling] from the pipeline options.
-    Registered by {!Compile}. *)
+    ["gmon"]/["g"]); reads [residual_coupling], the fraction of [g0] leaking
+    through deactivated couplers, from the pipeline options.  Registered by
+    {!Compile}. *)

@@ -11,7 +11,7 @@ let static_assignment ?(crosstalk_distance = 1) device =
   in
   (freq_of_pair, n_colors)
 
-let run ?(crosstalk_distance = 1) device circuit =
+let run ~crosstalk_distance device circuit =
   let idle_freqs = Freq_alloc.idle_per_qubit device in
   let freq_of_pair, _ = static_assignment ~crosstalk_distance device in
   let freq_of_gate app =

@@ -9,8 +9,6 @@
     crosstalk stays high — the gap to ColorDynamic in Fig 9, which colors
     only the per-step active subgraph. *)
 
-val run : ?crosstalk_distance:int -> Device.t -> Circuit.t -> Schedule.t
-
 val static_assignment :
   ?crosstalk_distance:int -> Device.t -> (int * int -> float) * int
 (** The per-coupling static interaction frequency table and the number of

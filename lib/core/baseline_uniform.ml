@@ -5,35 +5,23 @@ let run ?(crosstalk_distance = 1) device circuit =
   let pending = Pending.create circuit in
   let steps = ref [] in
   while not (Pending.is_empty pending) do
-    let used = Array.make (Device.n_qubits device) false in
-    let chosen = ref [] in
     let active = ref [] in
-    List.iter
-      (fun app ->
-        let free = Array.for_all (fun q -> not used.(q)) app.Gate.qubits in
-        if free then begin
-          let accept =
-            match app.Gate.qubits with
-            | [| a; b |] ->
-              (* single shared frequency: at most one two-qubit gate per
-                 step anywhere within crosstalk range — on connected devices
-                 this serializes two-qubit gates completely (Table I's
-                 "serial scheduler") *)
-              let v = Crosstalk_graph.vertex_of_pair xg (a, b) in
-              if !active = [] && Crosstalk_graph.conflict_count xg v !active = 0 then begin
-                active := v :: !active;
-                true
-              end
-              else false
-            | _ -> true
-          in
-          if accept then begin
-            Array.iter (fun q -> used.(q) <- true) app.Gate.qubits;
-            chosen := app :: !chosen
-          end
-        end)
-      (Pending.ready pending);
-    let gates = List.rev !chosen in
+    let accept app =
+      match app.Gate.qubits with
+      | [| a; b |] ->
+        (* single shared frequency: at most one two-qubit gate per step
+           anywhere within crosstalk range — on connected devices this
+           serializes two-qubit gates completely (Table I's "serial
+           scheduler") *)
+        let v = Crosstalk_graph.vertex_of_pair xg (a, b) in
+        if !active = [] && Crosstalk_graph.conflict_count xg v !active = 0 then begin
+          active := v :: !active;
+          true
+        end
+        else false
+      | _ -> true
+    in
+    let gates = Pending.select pending ~accept in
     assert (gates <> []);
     List.iter (Pending.schedule pending) gates;
     steps :=

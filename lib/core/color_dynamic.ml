@@ -11,7 +11,8 @@ type stats = {
   warm_misses : int;
 }
 
-let run ?(crosstalk_distance = 1) ?(max_colors = None) ?(conflict_threshold = 4)
+let run ?(crosstalk_distance = 1) ?(max_colors = None)
+    ?(conflict_threshold = Pass.default_options.Pass.conflict_threshold)
     ?(colorer = Coloring.welsh_powell) ?(warm_start = false) ?(decompose = false)
     device circuit =
   (match max_colors with
@@ -44,33 +45,22 @@ let run ?(crosstalk_distance = 1) ?(max_colors = None) ?(conflict_threshold = 4)
     (* Lines 10-16: select gates for this cycle, most critical first,
        postponing two-qubit gates with too many active crosstalk
        neighbours. *)
-    let used = Array.make (Device.n_qubits device) false in
-    let chosen = ref [] in
     let active = ref [] in
-    List.iter
-      (fun app ->
-        let free = Array.for_all (fun q -> not used.(q)) app.Gate.qubits in
-        if free then begin
-          let accept =
-            match app.Gate.qubits with
-            | [| a; b |] ->
-              let v = Crosstalk_graph.vertex_of_pair xg (a, b) in
-              if Crosstalk_graph.conflict_count xg v !active < effective_threshold then begin
-                active := v :: !active;
-                true
-              end
-              else begin
-                incr postponed;
-                false
-              end
-            | _ -> true
-          in
-          if accept then begin
-            Array.iter (fun q -> used.(q) <- true) app.Gate.qubits;
-            chosen := app :: !chosen
-          end
-        end)
-      (Pending.ready pending);
+    let accept app =
+      match app.Gate.qubits with
+      | [| a; b |] ->
+        let v = Crosstalk_graph.vertex_of_pair xg (a, b) in
+        if Crosstalk_graph.conflict_count xg v !active < effective_threshold then begin
+          active := v :: !active;
+          true
+        end
+        else begin
+          incr postponed;
+          false
+        end
+      | _ -> true
+    in
+    let chosen = Pending.select pending ~accept in
     (* Lines 17-19: color the active subgraph of the crosstalk graph, built
        from the active couplings alone (local vertex i is couplings.(i)). *)
     let subgraph, couplings = Crosstalk_graph.moment_subgraph xg !active in
@@ -102,7 +92,7 @@ let run ?(crosstalk_distance = 1) ?(max_colors = None) ?(conflict_threshold = 4)
         end
       | _ -> true
     in
-    let gates = List.filter keep_gate (List.rev !chosen) in
+    let gates = List.filter keep_gate chosen in
     assert (gates <> []);
     (* surviving active vertices and their color multiplicities *)
     let survivors =

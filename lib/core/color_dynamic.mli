@@ -49,7 +49,9 @@ val run :
     [crosstalk_distance] is the [d] of the crosstalk graph (default 1);
     [max_colors] caps per-step colors (default [None] = uncapped);
     [conflict_threshold] is the neighbour count that triggers postponement
-    (default 4); [colorer] is the subgraph-coloring heuristic (default
+    (default [Pass.default_options.conflict_threshold], 2, as in every
+    pipeline compile);
+    [colorer] is the subgraph-coloring heuristic (default
     {!Coloring.welsh_powell}, per the paper; swappable for ablations).
 
     [warm_start] (default false) seeds each moment's frequency solve with
@@ -62,15 +64,10 @@ val run :
     @raise Invalid_argument if [conflict_threshold < 1] or
     [max_colors < Some 1]. *)
 
-val pass_stats : stats -> Pass.stat list
-(** The generic pass-manager form of {!stats} ([cycles], [max_colors_used],
-    [postponed], [components], [component_max_size], [component_solves],
-    [warm_hits], [warm_misses] as [Int]; [min_delta] as [Float];
-    [component_sizes] as [Text]) — what [Pass.Context.stats] carries after a
-    ColorDynamic compilation.  Also reused by {!Gmon_dynamic}. *)
-
 val scheduler : Pass.scheduler
 (** This algorithm as a registry entry (name ["color-dynamic"], aliases
-    ["colordynamic"]/["cd"]); reads [crosstalk_distance], [max_colors] and
-    [conflict_threshold] from the pipeline options and reports
-    {!pass_stats}.  Registered by {!Compile}. *)
+    ["colordynamic"]/["cd"]); reads [crosstalk_distance], [max_colors],
+    [conflict_threshold], [warm_start] and [decompose_components] from the
+    pipeline options and reports {!stats} as pass stats of the same names
+    ([min_delta] a [Float], [component_sizes] a [Text], the rest [Int]).
+    Registered by {!Compile}. *)

@@ -1,16 +1,3 @@
-let run ?crosstalk_distance ?max_colors ?conflict_threshold ?(residual_coupling = 0.0)
-    ?warm_start ?decompose device circuit =
-  let schedule, stats =
-    Color_dynamic.run ?crosstalk_distance ?max_colors ?conflict_threshold ?warm_start
-      ?decompose device circuit
-  in
-  ( {
-      schedule with
-      Schedule.algorithm = "gmon-dynamic";
-      coupler = Schedule.Tunable_coupler residual_coupling;
-    },
-    stats )
-
 let scheduler : Pass.scheduler =
   (module struct
     let name = "gmon-dynamic"
@@ -21,14 +8,14 @@ let scheduler : Pass.scheduler =
 
     let consumes = `Native
 
+    (* ColorDynamic's schedule, executed behind tunable couplers *)
     let schedule (options : Pass.options) device native =
-      let schedule, stats =
-        run ~crosstalk_distance:options.Pass.crosstalk_distance
-          ~max_colors:options.Pass.max_colors
-          ~conflict_threshold:options.Pass.conflict_threshold
-          ~residual_coupling:options.Pass.residual_coupling
-          ~warm_start:options.Pass.warm_start
-          ~decompose:options.Pass.decompose_components device native
-      in
-      (schedule, Color_dynamic.pass_stats stats)
+      let (module Cd : Pass.SCHEDULER) = Color_dynamic.scheduler in
+      let schedule, stats = Cd.schedule options device native in
+      ( {
+          schedule with
+          Schedule.algorithm = name;
+          coupler = Schedule.Tunable_coupler options.Pass.residual_coupling;
+        },
+        stats )
   end)

@@ -11,19 +11,8 @@
     tolerates far larger coupler imperfections than the tiling-scheduled
     Baseline G (Fig 12's decay flattens). *)
 
-val run :
-  ?crosstalk_distance:int ->
-  ?max_colors:int option ->
-  ?conflict_threshold:int ->
-  ?residual_coupling:float ->
-  ?warm_start:bool ->
-  ?decompose:bool ->
-  Device.t -> Circuit.t -> Schedule.t * Color_dynamic.stats
-(** Same parameters as {!Color_dynamic.run} plus the coupler leakage
-    [residual_coupling] (default 0). *)
-
 val scheduler : Pass.scheduler
 (** This algorithm as a registry entry (name ["gmon-dynamic"], aliases
-    ["gmondynamic"]/["gd"]); same options as ColorDynamic plus
-    [residual_coupling], reporting {!Color_dynamic.pass_stats}.  Registered
-    by {!Compile}. *)
+    ["gmondynamic"]/["gd"]): {!Color_dynamic.scheduler}'s schedule and
+    stats, relabeled and run behind couplers that leak the pipeline's
+    [residual_coupling].  Registered by {!Compile}. *)

@@ -10,7 +10,7 @@
    maximum, so fidelity trails the SMT schedulers — the point is bounded
    latency, not optimality. *)
 
-let run ?(crosstalk_distance = 1) device circuit =
+let run ~crosstalk_distance device circuit =
   let partition = Device.partition device in
   (* parking: one slot per connectivity color *)
   let qubit_colors = Coloring.welsh_powell (Device.graph device) in

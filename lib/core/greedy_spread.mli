@@ -8,9 +8,7 @@
     ["greedy-spread"] (aliases ["greedy"], ["gs"]), excluded from the
     paper's Table I set. *)
 
-val run :
-  ?crosstalk_distance:int -> Device.t -> Circuit.t -> Schedule.t * Pass.stat list
-(** Schedule an already-routed native-gate circuit.  Reported stats:
-    [idle_colors] and [interaction_colors]. *)
-
 val scheduler : Pass.scheduler
+(** Schedules an already-routed native-gate circuit; reads
+    [crosstalk_distance] from the pipeline options and reports
+    [idle_colors] and [interaction_colors]. *)

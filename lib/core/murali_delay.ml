@@ -19,7 +19,7 @@ open Fastsc_physics
    (harmless) pairs serialize. *)
 let fault_threshold = Fault.enabled "murali-delay-threshold"
 
-let simultaneous_error ?(worst_case = false) device ~t (a, b) (c, d) =
+let simultaneous_error device ~t (a, b) (c, d) =
   let omega_int = Step_builder.interaction_center device in
   let alpha q = Transmon.anharmonicity (Device.transmon device q) in
   (* Every coupled spectator channel between the two gates' operand sets; at
@@ -32,8 +32,8 @@ let simultaneous_error ?(worst_case = false) device ~t (a, b) (c, d) =
           let g = Device.coupling device x y in
           if g > 0.0 then
             acc
-            +. Crosstalk.pair_error ~worst_case ~alpha_a:(alpha x) ~alpha_b:(alpha y) ~g
-                 ~omega_a:omega_int ~omega_b:omega_int ~t ()
+            +. Crosstalk.pair_error ~alpha_a:(alpha x) ~alpha_b:(alpha y) ~g ~omega_a:omega_int
+                 ~omega_b:omega_int ~t ()
           else acc)
         acc [ c; d ])
     0.0 [ a; b ]
@@ -45,38 +45,24 @@ let pack ?(threshold = 1e-4) ~algorithm device circuit =
   let steps = ref [] in
   let delayed = ref 0 in
   while not (Pending.is_empty pending) do
-    let used = Array.make (Device.n_qubits device) false in
-    let chosen = ref [] in
     (* accepted two-qubit gates of this moment: (operand pair, gate time) *)
     let active = ref [] in
-    List.iter
-      (fun app ->
-        let free = Array.for_all (fun q -> not used.(q)) app.Gate.qubits in
-        if free then begin
-          let accept =
-            match app.Gate.qubits with
-            | [| a; b |] ->
-              let t_gate = Device.gate_time device app.Gate.gate in
-              let ok =
-                List.for_all
-                  (fun (pair, t_other) ->
-                    let err =
-                      simultaneous_error device ~t:(Float.max t_gate t_other) (a, b) pair
-                    in
-                    if fault_threshold then err >= threshold else err <= threshold)
-                  !active
-              in
-              if ok then active := ((a, b), t_gate) :: !active else incr delayed;
-              ok
-            | _ -> true
-          in
-          if accept then begin
-            Array.iter (fun q -> used.(q) <- true) app.Gate.qubits;
-            chosen := app :: !chosen
-          end
-        end)
-      (Pending.ready pending);
-    let gates = List.rev !chosen in
+    let accept app =
+      match app.Gate.qubits with
+      | [| a; b |] ->
+        let t_gate = Device.gate_time device app.Gate.gate in
+        let ok =
+          List.for_all
+            (fun (pair, t_other) ->
+              let err = simultaneous_error device ~t:(Float.max t_gate t_other) (a, b) pair in
+              if fault_threshold then err >= threshold else err <= threshold)
+            !active
+        in
+        if ok then active := ((a, b), t_gate) :: !active else incr delayed;
+        ok
+      | _ -> true
+    in
+    let gates = Pending.select pending ~accept in
     (* the highest-criticality ready gate is always accepted (the acceptance
        test is vacuous against an empty moment), so every iteration makes
        progress *)
@@ -93,8 +79,6 @@ let pack ?(threshold = 1e-4) ~algorithm device circuit =
       coupler = Schedule.Fixed_coupler;
     },
     !delayed )
-
-let run ?threshold device circuit = fst (pack ?threshold ~algorithm:"murali-delay" device circuit)
 
 let scheduler : Pass.scheduler =
   (module struct

@@ -9,8 +9,7 @@
     ["murali-delay"] (aliases ["murali"], ["md"]); the threshold comes from
     [Pass.options.delay_threshold]. *)
 
-val simultaneous_error :
-  ?worst_case:bool -> Device.t -> t:float -> int * int -> int * int -> float
+val simultaneous_error : Device.t -> t:float -> int * int -> int * int -> float
 (** [simultaneous_error device ~t (a, b) (c, d)] — the summed crosstalk
     pair-error of running two-qubit gates on couplings [(a, b)] and [(c, d)]
     simultaneously for [t] ns with every operand at the shared interaction
@@ -26,9 +25,6 @@ val pack :
     [threshold] (default [1e-4]).  Returns the schedule (labeled
     [algorithm]) and the number of delay events.  Shared with
     {!Cqc_synergy}, whose packing phase is identical. *)
-
-val run : ?threshold:float -> Device.t -> Circuit.t -> Schedule.t
-(** [pack] with the canonical ["murali-delay"] label, schedule only. *)
 
 val scheduler : Pass.scheduler
 (** The registry entry ({!Compile} registers it at load time). *)

@@ -217,20 +217,6 @@ module Context = struct
           Json.Obj [ ("hits", Json.Int r.pair_hits); ("misses", Json.Int r.pair_misses) ] );
       ]
 
-  let json_of_metrics (m : Schedule.metrics) =
-    Json.Obj
-      [
-        ("success", Json.Float m.Schedule.success);
-        ("log10_success", Json.Float m.Schedule.log10_success);
-        ("gate_error", Json.Float m.Schedule.gate_error);
-        ("crosstalk_error", Json.Float m.Schedule.crosstalk_error);
-        ("decoherence_error", Json.Float m.Schedule.decoherence_error);
-        ("depth", Json.Int m.Schedule.depth);
-        ("total_time_ns", Json.Float m.Schedule.total_time);
-        ("n_gates", Json.Int m.Schedule.n_gates);
-        ("n_two_qubit", Json.Int m.Schedule.n_two_qubit);
-      ]
-
   let report ctx =
     Json.Obj
       [
@@ -245,7 +231,7 @@ module Context = struct
               ("pair", json_of_pair_cache (Crosstalk.pair_cache_stats ()));
               ("smt_solves_total", Json.Int (Fastsc_smt.Smt.find_max_delta_count ()));
             ] );
-        ("metrics", (match ctx.metrics with Some m -> json_of_metrics m | None -> Json.Null));
+        ("metrics", (match ctx.metrics with Some m -> Export.metrics m | None -> Json.Null));
       ]
 end
 

@@ -12,11 +12,15 @@ type t = {
   frontier : Mapping.Frontier.t;  (* readiness; gate ids are its positions *)
   mutable ready : Ready.t;
   mutable remaining : int;
+  used : bool array;  (* per qubit: taken in the moment [select] is building *)
 }
 
-(* Seeded fault for the verification harness (docs/DESIGN.md §11): key the
-   ready set by id alone, so gates are served in program order. *)
+(* Seeded faults for the verification harness (docs/DESIGN.md §11): key the
+   ready set by id alone, so gates are served in program order; leave the
+   first chosen gate's qubits marked used after [select]. *)
 let fault_crit_order = Fault.enabled "pending-crit-order"
+
+let fault_used_leak = Fault.enabled "pending-used-leak"
 
 let key t id = ((if fault_crit_order then 0 else t.crit.(id)), id)
 
@@ -29,6 +33,7 @@ let create circuit =
       frontier;
       ready = Ready.empty;
       remaining = Circuit.length circuit;
+      used = Array.make (Circuit.n_qubits circuit) false;
     }
   in
   List.iter
@@ -43,6 +48,17 @@ let n_remaining t = t.remaining
 let ready t = List.map (fun (_, id) -> t.instrs.(id)) (Ready.elements t.ready)
 
 let criticality t app = t.crit.(app.Gate.id)
+
+let select t ~accept =
+  let mark used app = Array.iter (fun q -> t.used.(q) <- used) app.Gate.qubits in
+  let pick (_, id) chosen =
+    let app = t.instrs.(id) in
+    if Array.exists (fun q -> t.used.(q)) app.Gate.qubits || not (accept app) then chosen
+    else (mark true app; app :: chosen)
+  in
+  let chosen = List.rev (Ready.fold pick t.ready []) in
+  List.iteri (fun i app -> if not (fault_used_leak && i = 0) then mark false app) chosen;
+  chosen
 
 let schedule t app =
   let id = app.Gate.id in

@@ -1,17 +1,19 @@
-(** Ready-gate tracking for the queueing schedulers (Algorithm 1 lines 9-16).
+(** Ready-gate tracking and moment packing for the queueing schedulers
+    (Algorithm 1 lines 9-16).
 
     The five queueing schedulers consume the circuit through this
     structure: a gate is {e ready} once every earlier gate sharing one of its
     qubits has been scheduled.  Ready gates are served in order of
     non-increasing criticality (longest dependency chain to the end of the
     program), which is how the paper's scheduler protects the critical path
-    while serializing.
+    while serializing.  Every scheduler packs its moments with {!select}
+    and supplies only its [accept] policy.
 
-    Readiness comes from {!Mapping.Frontier}, the structure the routers use;
-    this module adds only the ready set ordered by criticality, updated
-    with the gates each {!schedule} readies.  Nothing is rescanned per
-    moment: {!ready} costs the size of the ready set, {!schedule} a few set
-    updates. *)
+    Readiness comes from {!Mapping.Frontier}, the structure the router uses;
+    this module adds the ready set ordered by criticality, updated with the
+    gates each {!schedule} readies, and one per-qubit [used] array per
+    compile.  Nothing is rescanned per moment: {!ready} and {!select} cost
+    the size of the ready set, {!schedule} a few set updates. *)
 
 type t
 
@@ -29,6 +31,14 @@ val ready : t -> Gate.application list
     ascending, i.e. program order). *)
 
 val criticality : t -> Gate.application -> int
+
+val select : t -> accept:(Gate.application -> bool) -> Gate.application list
+(** One moment: walk {!ready} in order and choose each gate whose qubits are
+    still free in this moment and that [accept] takes.  [accept] is asked
+    only about such gates, in that order, so it may track the moment's
+    accepted gates itself.  Returns the chosen gates in ready order; it
+    schedules none of them, and clears their qubits again before it
+    returns. *)
 
 val schedule : t -> Gate.application -> unit
 (** Mark a gate as executed, unblocking its successors.

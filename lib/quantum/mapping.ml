@@ -277,7 +277,13 @@ module Frontier = struct
     scan t.first_unemitted k []
 end
 
-let route_lookahead ?placement ?(window = 8) ~dist device circuit =
+type pressure = {
+  weight : float;
+  conflicts : (int * int) list -> int * int -> int;
+  mutable total : int;
+}
+
+let route_lookahead ?placement ?(window = 8) ?pressure ~dist device circuit =
   let placement =
     match placement with Some p -> p | None -> identity_placement device circuit
   in
@@ -300,6 +306,9 @@ let route_lookahead ?placement ?(window = 8) ~dist device circuit =
   let b = Circuit.builder n_physical in
   let n_swaps = ref 0 in
   let last_swap = ref (-1, -1) in
+  (* [pressure]'s burst (mapping.mli); [fresh] until this flush emits *)
+  let burst = ref [] and fresh = ref false in
+  let join_burst p q = if Option.is_some pressure then burst := (min p q, max p q) :: !burst in
   (* executable now: one-qubit gates, and two-qubit gates on coupled qubits *)
   let emittable app =
     match app.Gate.qubits with
@@ -310,12 +319,16 @@ let route_lookahead ?placement ?(window = 8) ~dist device circuit =
     | _ -> false
   in
   let emit app =
-    Circuit.add b app.Gate.gate
-      (List.map (fun q -> phys_of_log.(q)) (Array.to_list app.Gate.qubits))
+    if !fresh then (burst := []; fresh := false);
+    let mapped = List.map (fun q -> phys_of_log.(q)) (Array.to_list app.Gate.qubits) in
+    Circuit.add b app.Gate.gate mapped;
+    match mapped with [ p; q ] -> join_burst p q | _ -> ()
   in
   let apply_swap p q =
+    Option.iter (fun pr -> pr.total <- pr.total + pr.conflicts !burst (min p q, max p q)) pressure;
     Circuit.add b Gate.Swap [ p; q ];
     incr n_swaps;
+    join_burst p q;
     last_swap := (min p q, max p q);
     let lp = log_of_phys.(p) and lq = log_of_phys.(q) in
     log_of_phys.(p) <- lq;
@@ -328,6 +341,7 @@ let route_lookahead ?placement ?(window = 8) ~dist device circuit =
   let swap_budget = 4 * Circuit.length circuit * (Paths.matrix_diameter dist + n_physical + 2) in
   while not (Frontier.is_done frontier) do
     (* flush everything currently executable *)
+    fresh := true;
     Frontier.flush frontier ~emittable ~emit;
     if not (Frontier.is_done frontier) then begin
       if !n_swaps > swap_budget then
@@ -370,7 +384,9 @@ let route_lookahead ?placement ?(window = 8) ~dist device circuit =
         log_of_phys.(q) <- lq;
         if lq >= 0 then phys_of_log.(lq) <- q;
         if lp >= 0 then phys_of_log.(lp) <- p;
-        s
+        match pressure with
+        | Some pr -> s +. (pr.weight *. float_of_int (pr.conflicts !burst (p, q)))
+        | None -> s
       in
       let best =
         List.fold_left

@@ -45,9 +45,9 @@ val route : ?placement:int array -> Graph.t -> Circuit.t -> result
     have been emitted, and which are {e ready} — first in program order on
     every operand, so nothing earlier still waits on their qubits.  An
     instruction is named by its position in {!Circuit.instructions}, which
-    is also its gate id.  Shared by {!route_lookahead}, the CQC-style router
-    and [Pending], which the queueing schedulers in [Fastsc_core] go
-    through. *)
+    is also its gate id.  Shared by {!route_lookahead}, with or without a
+    {!pressure}, and [Pending], which the queueing schedulers in
+    [Fastsc_core] go through. *)
 module Frontier : sig
   type t
 
@@ -83,8 +83,23 @@ module Frontier : sig
       program order, scanned from the first unemitted instruction. *)
 end
 
+(** A crosstalk-pressure term for {!route_lookahead}.  The {e burst} is the
+    couplings that will share a moment with the next SWAP: the two-qubit
+    gates of the last flush that emitted anything, plus the SWAPs inserted
+    since, as physical pairs [(p, q)] with [p < q].  [conflicts burst pq]
+    counts the couplings of [burst] that crosstalk with [pq]; a candidate
+    SWAP on [pq] scores the lookahead score [s] as [s +. weight *. count],
+    and each inserted SWAP adds its count, taken before it joins the burst,
+    to [total]. *)
+type pressure = {
+  weight : float;
+  conflicts : (int * int) list -> int * int -> int;
+  mutable total : int;  (** Out-parameter. *)
+}
+
 val route_lookahead :
-  ?placement:int array -> ?window:int -> dist:int array array -> Graph.t -> Circuit.t -> result
+  ?placement:int array -> ?window:int -> ?pressure:pressure -> dist:int array array ->
+  Graph.t -> Circuit.t -> result
 (** SABRE-style lookahead routing: instead of walking each distant gate along
     its own shortest path, candidate SWAPs are scored against the whole
     ready front {e and} a [window] (default 8) of upcoming two-qubit gates,
@@ -92,6 +107,8 @@ val route_lookahead :
     whenever no candidate improves the front (guaranteeing progress), so it
     never SWAPs more than {!route} on adversarial inputs by more than the
     window heuristic costs.  Same result contract as {!route}.
+
+    Without [pressure] the score is [s] itself; weight [0.] routes the same.
 
     [dist] is the graph's distance matrix, [Paths.all_pairs graph] (a
     device's [Device.distances]); the router only reads it, so one matrix

@@ -174,20 +174,6 @@ type response =
   | Ok_response of ok_body
   | Error_response of { err_id : string; code : error_code; message : string }
 
-let json_of_metrics (m : Schedule.metrics) =
-  Json.Obj
-    [
-      ("success", Json.Float m.Schedule.success);
-      ("log10_success", Json.Float m.Schedule.log10_success);
-      ("gate_error", Json.Float m.Schedule.gate_error);
-      ("crosstalk_error", Json.Float m.Schedule.crosstalk_error);
-      ("decoherence_error", Json.Float m.Schedule.decoherence_error);
-      ("depth", Json.Int m.Schedule.depth);
-      ("total_time_ns", Json.Float m.Schedule.total_time);
-      ("n_gates", Json.Int m.Schedule.n_gates);
-      ("n_two_qubit", Json.Int m.Schedule.n_two_qubit);
-    ]
-
 (* [scrub] zeroes every latency field: the serve smoke test byte-compares
    responses across job counts, and wall-clock is the one legitimately
    nondeterministic part of a response. *)
@@ -213,7 +199,7 @@ let response_to_json ?(scrub = false) = function
                      ("outcome", Json.String a.a_outcome);
                    ])
                b.attempts) );
-        ("metrics", json_of_metrics b.metrics);
+        ("metrics", Export.metrics b.metrics);
       ]
   | Error_response { err_id; code; message } ->
     Json.Obj

@@ -36,6 +36,17 @@ type request = {
 
 val benchmark_names : string list
 
+val parse_topology : string -> int -> Topology.t
+(** [parse_topology spec n]: the [n]-qubit topology a spec names (the
+    [topology] field of {!request}; the CLI's [--topology] too).
+    @raise Bad_request on an unknown spec or bad parameters. *)
+
+val make_benchmark : string -> int -> int -> Device.t -> Circuit.t
+(** [make_benchmark name n seed device]: the named benchmark on [n] qubits,
+    its random choices seeded by [seed] (XEB also reads the device's
+    couplings).
+    @raise Bad_request on a name outside {!benchmark_names}. *)
+
 val request_of_json : Json.t -> request
 (** @raise Bad_request on a non-object, missing [id], mistyped field,
     unknown benchmark, or a negative/non-finite deadline. *)

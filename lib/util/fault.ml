@@ -156,8 +156,8 @@ let catalog =
       name = "cqc-swap-score";
       site = "Cqc_synergy.route";
       description =
-        "conflict-pressure term dropped from SWAP scoring: routing degenerates to plain \
-         depth lookahead and ignores spectrum collisions with concurrent gates";
+        "pressure weight forced to 0 in SWAP scoring: routing degenerates to plain \
+         lookahead and ignores spectrum collisions with concurrent gates";
       suites = [ "rivals" ];
     };
     {
@@ -176,6 +176,14 @@ let catalog =
         "ready set keyed by program order alone: ready gates are served first come, \
          not most critical first";
       suites = [ "pending" ];
+    };
+    {
+      name = "pending-used-leak";
+      site = "Pending.select";
+      description =
+        "the moment's first chosen gate leaves its qubits marked used: no later moment \
+         offers a gate on them, so a queueing scheduler reaches an empty moment";
+      suites = [ "pending"; "golden" ];
     };
     {
       name = "place-zero-shortcut";

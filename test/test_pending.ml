@@ -80,6 +80,56 @@ let test_drain_respects_dependencies () =
   check_true "1 before 3" (position 1 < position 3);
   check_true "3 before 4" (position 3 < position 4)
 
+(* Four gates ready at once, ranked h0 and cz12 (criticality 3 each, both
+   ahead of cz01 -> h1; h0 wins the tie by id), h3 (2), then h4 (1), which
+   comes first in program order. *)
+let wide () =
+  Circuit.of_gates 5
+    [
+      (Gate.H, [ 4 ]); (Gate.H, [ 0 ]); (Gate.Cz, [ 1; 2 ]); (Gate.H, [ 3 ]);
+      (Gate.Cz, [ 0; 1 ]); (Gate.H, [ 1 ]); (Gate.Cz, [ 2; 3 ]);
+    ]
+
+let ids apps = List.map (fun a -> a.Gate.id) apps
+
+let test_select_order () =
+  let p = Pending.create (wide ()) in
+  let ready = ids (Pending.ready p) in
+  Alcotest.(check (list int)) "ready" [ 1; 2; 3; 0 ] ready;
+  let asked = ref [] in
+  let chosen =
+    Pending.select p ~accept:(fun app ->
+        asked := app.Gate.id :: !asked;
+        app.Gate.id <> 2)
+  in
+  Alcotest.(check (list int)) "accept asked about every free gate, in ready order" ready
+    (List.rev !asked);
+  Alcotest.(check (list int)) "accepted gates, in ready order" [ 1; 3; 0 ] (ids chosen);
+  Alcotest.(check (list int)) "nothing scheduled" ready (ids (Pending.ready p));
+  check_int "nothing retired" 7 (Pending.n_remaining p)
+
+(* Moment by moment, with every gate accepted: the ready gates never share
+   a qubit, so each moment is the whole ready set, and a qubit the last
+   moment used is free again for the gate it readied. *)
+let test_select_frees_qubits () =
+  let p = Pending.create (wide ()) in
+  let moments = ref [] in
+  while not (Pending.is_empty p) do
+    let ready = Pending.ready p in
+    let asked = ref [] in
+    let chosen =
+      Pending.select p ~accept:(fun app ->
+          asked := app :: !asked;
+          true)
+    in
+    check_true "every ready gate offered" (List.rev !asked = ready);
+    check_true "every ready gate chosen" (chosen = ready);
+    List.iter (Pending.schedule p) chosen;
+    moments := ids chosen :: !moments
+  done;
+  Alcotest.(check (list (list int)))
+    "moments" [ [ 1; 2; 3; 0 ]; [ 4; 6 ]; [ 5 ] ] (List.rev !moments)
+
 let test_empty_circuit () =
   let p = Pending.create (Circuit.of_gates 2 []) in
   check_true "immediately empty" (Pending.is_empty p);
@@ -118,6 +168,8 @@ let suite =
     Alcotest.test_case "schedule unblocks" `Quick test_schedule_unblocks;
     Alcotest.test_case "not ready rejected" `Quick test_schedule_not_ready_rejected;
     Alcotest.test_case "drain respects dependencies" `Quick test_drain_respects_dependencies;
+    Alcotest.test_case "select keeps ready order" `Quick test_select_order;
+    Alcotest.test_case "select frees every qubit" `Quick test_select_frees_qubits;
     Alcotest.test_case "empty circuit" `Quick test_empty_circuit;
     prop_drain_is_topological;
   ]

@@ -185,7 +185,10 @@ module Old = struct
       n_swaps = !n_swaps;
     }
 
-  (* Cqc_synergy.route, with the same sweeps. *)
+  (* Cqc_synergy.route when it kept its own copy of the lookahead loop with
+     the pressure term added, with the same sweeps.  Its disconnected-operands
+     and SWAP-budget errors carry the prefix of the shared router it now
+     calls. *)
   let cqc_route ?(window = 8) ?(lambda = 0.5) ?(crosstalk_distance = 1) device circuit =
     let graph = Device.graph device in
     let n_physical = Graph.n_vertices graph in
@@ -256,7 +259,7 @@ module Old = struct
                 progress := true
               | [| a; bq |] ->
                 let d = dist.(phys_of_log.(a)).(phys_of_log.(bq)) in
-                if d < 0 then invalid_arg "Cqc_synergy.route: operands are disconnected"
+                if d < 0 then invalid_arg "Mapping.route_lookahead: operands are disconnected"
                 else if d = 1 then begin
                   emit app;
                   progress := true
@@ -266,7 +269,7 @@ module Old = struct
       done;
       if !remaining > 0 then begin
         if !n_swaps > swap_budget then
-          failwith "Cqc_synergy.route: swap budget exhausted (routing livelock)";
+          failwith "Mapping.route_lookahead: swap budget exhausted (routing livelock)";
         let front =
           Array.to_list instrs
           |> List.filter (fun app ->
@@ -343,7 +346,7 @@ module Old = struct
             last_swap := (-1, -1);
             conflict_total := !conflict_total + conflict (p0, p1);
             apply_swap p0 p1
-          | _ -> invalid_arg "Cqc_synergy.route: operands are disconnected")
+          | _ -> invalid_arg "Mapping.route_lookahead: operands are disconnected")
       end
     done;
     ( {
@@ -878,6 +881,34 @@ let prop_route_lookahead =
       run (Mapping.route_lookahead ~placement ~window ~dist:(Device.distances device))
       = run (Old.route_lookahead ~placement ~window))
 
+(* A pressure of weight 0 routes exactly like none: lookahead is the
+   lambda = 0 case of the one SWAP scorer, whatever the burst's conflicts. *)
+let prop_zero_pressure =
+  prop_case ~count:150 "route_lookahead with a zero-weight pressure emits what it emits without"
+    Proptest.(
+      pair
+        (pair (int_range 0 (n_topologies - 1)) (int_range 0 1_000_000))
+        (pair (int_range 1 10) circuits))
+    (fun ((i, seed), (window, c)) ->
+      let device = device_of i in
+      let graph = Device.graph device in
+      let xg = Crosstalk_graph.build graph in
+      let vertex = Crosstalk_graph.vertex_of_pair xg in
+      let conflicts burst pq =
+        Crosstalk_graph.conflict_count xg (vertex pq) (List.map vertex burst)
+      in
+      let placement =
+        random_placement seed ~n_physical:(Graph.n_vertices graph)
+          ~n_logical:(Circuit.n_qubits c)
+      in
+      let run ?pressure () =
+        outcome (fun () ->
+            routed
+              (Mapping.route_lookahead ?pressure ~placement ~window
+                 ~dist:(Device.distances device) graph c))
+      in
+      run ~pressure:{ Mapping.weight = 0.0; conflicts; total = 0 } () = run ())
+
 (* Cqc_synergy.route reads [Device.distances]; the oracle builds its own. *)
 let prop_cqc_route =
   prop_case ~count:100 "cqc-synergy routing emits exactly what the sweeping router did"
@@ -1162,13 +1193,13 @@ let prop_color_dynamic =
       let native = dense_native device seed in
       let colorer = List.nth colorers k in
       List.for_all
-        (fun (max_colors, decompose, warm_start, crosstalk_distance) ->
+        (fun ((max_colors, decompose, warm_start, crosstalk_distance), conflict_threshold) ->
           let run f =
             outcome (fun () ->
                 let s, st =
                   f ?crosstalk_distance:(Some crosstalk_distance) ?max_colors:(Some max_colors)
-                    ?conflict_threshold:None ?colorer:(Some colorer) ?warm_start:(Some warm_start)
-                    ?decompose:(Some decompose) device native
+                    ?conflict_threshold:(Some conflict_threshold) ?colorer:(Some colorer)
+                    ?warm_start:(Some warm_start) ?decompose:(Some decompose) device native
                 in
                 (schedule_bits s, stats_bits st))
           in
@@ -1178,7 +1209,10 @@ let prop_color_dynamic =
              List.concat_map
                (fun decompose ->
                  List.concat_map
-                   (fun warm -> List.map (fun d -> (cap, decompose, warm, d)) [ 1; 2 ])
+                   (fun warm ->
+                     List.concat_map
+                       (fun d -> List.map (fun k -> ((cap, decompose, warm, d), k)) [ 2; 4 ])
+                       [ 1; 2 ])
                    [ false; true ])
                [ false; true ])
            [ None; Some 1; Some 2; Some 3 ]))
@@ -1186,6 +1220,7 @@ let prop_color_dynamic =
 let suite =
   [
     prop_route_lookahead;
+    prop_zero_pressure;
     prop_cqc_route;
     Alcotest.test_case "device distances are all-pairs" `Quick test_device_distances;
     prop_auto_place;
