@@ -7,12 +7,14 @@
    XEB cycles).  Each cell is compiled, lowered to noisy steps, and
    [Noisy_sim.average_fidelity] runs 16 trials from a fixed per-cell seed;
    one line prints the IEEE-754 bits of the mean, so a change in the lowest
-   bit of any statevector kernel's output shows as a diff.  The n = 4 cells
-   also print the bits of [Density.fidelity_pure] of the exact density-matrix
-   run against the ideal state, which pins the density kernels and the
-   matrices they are fed ([Gate.unitary], the exchange unitary, the Pauli
-   channel's Kraus operators); the larger cells skip it, since [run_steps]
-   costs about 1.4 s over the n = 6 cells and 20-75 s per n = 9 cell.
+   bit of any statevector kernel's output shows as a diff.  The n = 4 and
+   n = 6 cells, the 30 that validate-sim keeps exact references for, also
+   print the bits of [Density.fidelity_pure] of the exact density-matrix run
+   against the ideal state, which pins the density kernels (the dense gate
+   conjugation, the closed-form Pauli channel, the density-local exchange)
+   and the gate matrices they are fed.  Those 30 runs take 0.15-0.22 s in
+   all on a 2-core x86-64 VM; the n = 9 cells skip them, at 1.7-7.2 s of
+   [run_steps] each.
    Regenerate the golden with
    `dune exec bench/main.exe -- sim-bits > test/sim_bits.golden`. *)
 
@@ -50,7 +52,7 @@ let run () =
         Noisy_sim.average_fidelity (Rng.create (7919 + i)) ~n_qubits ~ideal ~steps ~trials
       in
       let exact =
-        if n > 4 then ""
+        if n > 6 then ""
         else
           Printf.sprintf " exact=%016Lx"
             (Int64.bits_of_float (Density.fidelity_pure (Density.run_steps ~n_qubits steps) ideal))

@@ -141,12 +141,13 @@ let interleaved m =
   done;
   e
 
+(* [Float.max] propagates NaN, so a NaN entry on either side makes the
+   result NaN and every [<= tol] test below false. *)
 let max_abs_diff a b =
   let worst = ref 0.0 in
   for k = 0 to Array.length a.re - 1 do
     let dr = a.re.(k) -. b.re.(k) and di = a.im.(k) -. b.im.(k) in
-    let d = sqrt ((dr *. dr) +. (di *. di)) in
-    if d > !worst then worst := d
+    worst := Float.max !worst (sqrt ((dr *. dr) +. (di *. di)))
   done;
   !worst
 

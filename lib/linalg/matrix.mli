@@ -68,6 +68,7 @@ val interleaved : t -> float array
 
 val approx_equal : ?tol:float -> t -> t -> bool
 (** Same shape, and every entry within modulus [tol] (default [1e-9]) of its
-    counterpart. *)
+    counterpart.  A NaN entry on either side is never within [tol]. *)
 
 val is_hermitian : ?tol:float -> t -> bool
+(** Square and {!approx_equal} to its adjoint; a NaN entry fails. *)

@@ -1,9 +1,13 @@
 (* The density matrix lives in a Matrix (split re/im, row-major); the
    superoperator kernels below run allocation-free over its raw buffers
-   with gate entries hoisted out of the loops, mirroring the Statevector
-   kernels.  apply_kraus1 keeps two scratch planes on the state and reuses
-   them across channel applications instead of copying full matrices per
-   Kraus operator. *)
+   with gate entries hoisted out of the loops.  apply_kraus1 keeps two
+   scratch planes on the state and reuses them across channel applications
+   instead of copying full matrices per Kraus operator.  The two events
+   run_steps meets most often, Pauli channels and crosstalk exchanges, have
+   closed-form kernels of their own (apply_pauli, apply_exchange) that
+   evaluate the general route's float expressions without its exact-zero
+   products.  None of these kernels is shared with Statevector or
+   Noisy_sim, so this module stays an independent reference for them. *)
 
 type scratch = {
   orig_re : float array;
@@ -22,6 +26,25 @@ let create n =
   { n; rho; scratch = None }
 
 let dim t = 1 lsl t.n
+
+let of_matrix m =
+  let d = Matrix.rows m in
+  let n = Float.to_int (Float.log2 (float_of_int d)) in
+  if Matrix.cols m <> d || 1 lsl n <> d then
+    invalid_arg "Density.of_matrix: expected a 2^n x 2^n matrix";
+  let t = create n in
+  let re, im = Matrix.buffers t.rho and src_re, src_im = Matrix.buffers m in
+  Array.blit src_re 0 re 0 (d * d);
+  Array.blit src_im 0 im 0 (d * d);
+  t
+
+let to_matrix t =
+  let d = dim t in
+  let m = Matrix.create d d in
+  let re, im = Matrix.buffers m and src_re, src_im = Matrix.buffers t.rho in
+  Array.blit src_re 0 re 0 (d * d);
+  Array.blit src_im 0 im 0 (d * d);
+  m
 
 let of_statevector sv =
   let n = Statevector.n_qubits sv in
@@ -306,24 +329,123 @@ let thermal_relaxation t ~q ~t1 ~t2 ~time =
   apply_kraus1 t (amplitude_damping ~gamma) q;
   apply_kraus1 t (phase_damping ~lambda) q
 
-let pauli_channel ~p_x ~p_y ~p_z =
+(* Seeded faults for the verification harness (docs/DESIGN.md §11). *)
+let fault_pauli_y_sign = Fault.enabled "density-pauli-y-sign"
+
+let fault_exchange_phase = Fault.enabled "density-exchange-phase"
+
+(* The Pauli channel as apply_kraus1 would run it on the Kraus operators
+   s_k P_k (P = I, X, Y, Z; s_k = sqrt (max 0 p_k), p_0 = 1 - p_x - p_y -
+   p_z), in one in-place pass over the 2x2 blocks [x00 x01; x10 x11] of
+   qubit q.  The channel is real-linear, so the re and im planes take the
+   same pass.  With u_k x = (s_k x) s_k, each entry is 0 + u_0 + u_1 +- u_2
+   +- u_3 in Kraus order: a diagonal entry reads its own diagonal under I
+   and Z and the opposite one under X and Y, all added; a coherence reads
+   itself under I and Z and its transpose partner under X and Y, with Y and
+   Z subtracted.  That is the Kraus route's float expression with its
+   exact-zero products dropped (docs/DESIGN.md §9). *)
+let apply_pauli t ~p_x ~p_y ~p_z q =
   let p0 = 1.0 -. p_x -. p_y -. p_z in
   if p0 < -1e-12 then invalid_arg "Density.pauli_channel: probabilities exceed 1";
-  let scale p g = Matrix.scale_re (sqrt (Float.max 0.0 p)) (Gate.unitary g) in
-  [ scale p0 Gate.I; scale p_x Gate.X; scale p_y Gate.Y; scale p_z Gate.Z ]
+  check_qubit t q;
+  let scale p = sqrt (Float.max 0.0 p) in
+  let s0 = scale p0 and s1 = scale p_x and s2 = scale p_y and s3 = scale p_z in
+  (* apply_kraus1's completeness check on these operators: the sum of
+     K_k† K_k is (0 + s0 s0 + s1 s1 + s2 s2 + s3 s3) times the identity,
+     with exact-zero off-diagonals, held to 1e-6; NaN fails. *)
+  let total = 0.0 +. (s0 *. s0) +. (s1 *. s1) +. (s2 *. s2) +. (s3 *. s3) in
+  if not (Float.abs (total -. 1.0) <= 1e-6) then
+    invalid_arg "Density.apply_kraus1: Kraus operators do not sum to identity";
+  (* (-s2 x) s2 is exactly -((s2 x) s2): the fault turns the Y coherence
+     term's sign. *)
+  let y2 = if fault_pauli_y_sign then -.s2 else s2 in
+  let d = dim t in
+  let mask = 1 lsl q in
+  let block = mask lsl 1 in
+  let pass x =
+    let ib = ref 0 in
+    while !ib < d do
+      for i0 = !ib to !ib + mask - 1 do
+        let r0 = i0 * d and r1 = (i0 + mask) * d in
+        let jb = ref 0 in
+        while !jb < d do
+          for j0 = !jb to !jb + mask - 1 do
+            let j1 = j0 + mask in
+            let x00 = x.(r0 + j0) and x01 = x.(r0 + j1) in
+            let x10 = x.(r1 + j0) and x11 = x.(r1 + j1) in
+            x.(r0 + j0) <-
+              0.0 +. (s0 *. x00 *. s0) +. (s1 *. x11 *. s1) +. (s2 *. x11 *. s2) +. (s3 *. x00 *. s3);
+            x.(r1 + j1) <-
+              0.0 +. (s0 *. x11 *. s0) +. (s1 *. x00 *. s1) +. (s2 *. x00 *. s2) +. (s3 *. x11 *. s3);
+            x.(r0 + j1) <-
+              0.0 +. (s0 *. x01 *. s0) +. (s1 *. x10 *. s1) -. (y2 *. x10 *. s2) -. (s3 *. x01 *. s3);
+            x.(r1 + j0) <-
+              0.0 +. (s0 *. x10 *. s0) +. (s1 *. x01 *. s1) -. (y2 *. x01 *. s2) -. (s3 *. x10 *. s3)
+          done;
+          jb := !jb + block
+        done
+      done;
+      ib := !ib + block
+    done
+  in
+  let re, im = Matrix.buffers t.rho in
+  pass re;
+  pass im
+
+(* The partial exchange U = [[1,0,0,0],[0,c,-is,0],[0,-is,c,0],[0,0,0,1]]
+   (c = cos theta, s = sin theta) as rho <- U rho U†, touching only what U
+   mixes: the |01>,|10> rows of every column (U rho), then the same columns
+   of every row (rho U†).  Each entry is the dense conjugation's float
+   expression with its +-0 products dropped (docs/DESIGN.md §9).  U is
+   symmetric under swapping its operands, and so is each two-term sum. *)
+let apply_exchange t ~theta a b =
+  check_qubit t a;
+  check_qubit t b;
+  if a = b then invalid_arg "Density.apply_unitary2: duplicate qubit";
+  let c = cos theta in
+  let s = if fault_exchange_phase then -.sin theta else sin theta in
+  let d = dim t in
+  let re, im = Matrix.buffers t.rho in
+  let m1 = 1 lsl a and m2 = 1 lsl b in
+  let p = min a b and r = max a b in
+  let lowp = (1 lsl p) - 1 and lowr = (1 lsl r) - 1 in
+  let base k =
+    let v = ((k lsr p) lsl (p + 1)) lor (k land lowp) in
+    ((v lsr r) lsl (r + 1)) lor (v land lowr)
+  in
+  for k = 0 to (d lsr 2) - 1 do
+    let b00 = base k in
+    let r1 = (b00 lor m1) * d and r2 = (b00 lor m2) * d in
+    for j = 0 to d - 1 do
+      let a1r = re.(r1 + j) and a1i = im.(r1 + j) in
+      let a2r = re.(r2 + j) and a2i = im.(r2 + j) in
+      re.(r1 + j) <- (c *. a1r) +. (s *. a2i);
+      im.(r1 + j) <- (c *. a1i) -. (s *. a2r);
+      re.(r2 + j) <- (c *. a2r) +. (s *. a1i);
+      im.(r2 + j) <- (c *. a2i) -. (s *. a1r)
+    done
+  done;
+  for k = 0 to (d lsr 2) - 1 do
+    let b00 = base k in
+    let j1 = b00 lor m1 and j2 = b00 lor m2 in
+    for i = 0 to d - 1 do
+      let row = i * d in
+      let a1r = re.(row + j1) and a1i = im.(row + j1) in
+      let a2r = re.(row + j2) and a2i = im.(row + j2) in
+      re.(row + j1) <- (c *. a1r) -. (s *. a2i);
+      im.(row + j1) <- (c *. a1i) +. (s *. a2r);
+      re.(row + j2) <- (c *. a2r) -. (s *. a1i);
+      im.(row + j2) <- (c *. a2i) +. (s *. a1r)
+    done
+  done
 
 let run_steps ~n_qubits steps =
   let t = create n_qubits in
   List.iter
-    (fun step ->
-      List.iter
-        (function
-          | Noisy_sim.Unitary (gate, qubits) -> apply_gate t gate qubits
-          | Noisy_sim.Partial_exchange { a; b; theta } ->
-            apply_unitary2 t (Noisy_sim.exchange_unitary theta) a b
-          | Noisy_sim.Pauli_noise { q; p_x; p_y; p_z } ->
-            apply_kraus1 t (pauli_channel ~p_x ~p_y ~p_z) q)
-        step)
+    (List.iter (function
+      | Noisy_sim.Unitary (gate, qubits) -> apply_gate t gate qubits
+      | Noisy_sim.Partial_exchange { a; b; theta } -> apply_exchange t ~theta a b
+      | Noisy_sim.Pauli_noise { q; p_x; p_y; p_z } -> apply_pauli t ~p_x ~p_y ~p_z q))
     steps;
   t
 

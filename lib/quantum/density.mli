@@ -3,9 +3,11 @@
     The exact open-system counterpart of the Monte-Carlo trajectory
     simulator: instead of sampling Pauli errors per trajectory, the full
     density matrix evolves through the channels, so the simulated success
-    probability carries no sampling noise.  Exponential in memory
-    (4^n complex entries), practical to ~6 qubits — exactly the regime of
-    the paper's §VI-C validation.
+    probability carries no sampling noise.  Memory is 4^n complex entries
+    and most events touch all of them: {!run_steps} on a validate-sim cell
+    takes milliseconds at 6 qubits and seconds at 9.  Its kernels share no
+    code with {!Statevector} or {!Noisy_sim}, so it stays an independent
+    reference for them.
 
     Supported processes mirror {!Noisy_sim.event}: intended unitaries,
     coherent spectator exchanges, and per-slice decoherence — here as the
@@ -21,6 +23,15 @@ val create : int -> t
 
 val of_statevector : Statevector.t -> t
 (** The pure state |psi><psi|. *)
+
+val of_matrix : Matrix.t -> t
+(** A copy of a [2^n x 2^n] matrix (n in 1..10) as the state.  Nothing
+    checks that it is Hermitian, positive or of unit trace, so tests can
+    run the kernels on generic complex matrices.
+    @raise Invalid_argument on any other shape. *)
+
+val to_matrix : t -> Matrix.t
+(** A copy of the current matrix. *)
 
 val n_qubits : t -> int
 
@@ -48,6 +59,21 @@ val apply_kraus1 : t -> Matrix.t list -> int -> unit
     [sum K† K = I] (checked to 1e-6).
     @raise Invalid_argument otherwise. *)
 
+val apply_pauli : t -> p_x:float -> p_y:float -> p_z:float -> int -> unit
+(** The Pauli channel [p_0 rho + p_x X rho X + p_y Y rho Y + p_z Z rho Z]
+    on one qubit, [p_0 = 1 - p_x - p_y - p_z], in closed form.  Equal under
+    float [=] to {!apply_kraus1} of the operators [sqrt (max 0 p_k) P_k].
+    @raise Invalid_argument if [p_0 < -1e-12], if the qubit is out of range,
+    or if those operators fail {!apply_kraus1}'s completeness check (a
+    negative or NaN probability). *)
+
+val apply_exchange : t -> theta:float -> int -> int -> unit
+(** The partial exchange [exp(-i theta (XX + YY) / 2)] between two qubits,
+    touching only the entries it mixes.  Equal under float [=] to
+    {!apply_unitary2} of [Noisy_sim.exchange_unitary theta], in either
+    operand order.
+    @raise Invalid_argument on an out-of-range or duplicate qubit. *)
+
 val amplitude_damping : gamma:float -> Matrix.t list
 (** Kraus operators of T1 relaxation with decay probability [gamma]. *)
 
@@ -60,10 +86,14 @@ val thermal_relaxation : t -> q:int -> t1:float -> t2:float -> time:float -> uni
     {!Fastsc_noise.Decoherence.pauli_rates}, untwirled). *)
 
 val run_steps : n_qubits:int -> Noisy_sim.step list -> t
-(** Evolve |0..0> through lowered schedule steps: [Unitary] and
-    [Partial_exchange] events apply exactly; each [Pauli_noise] event is
-    applied as the corresponding Pauli channel (matching the trajectory
-    simulator's model, so the two agree in expectation). *)
+(** Evolve |0..0> through lowered schedule steps: a [Unitary] event by
+    {!apply_gate}, a [Partial_exchange] by {!apply_exchange}, a
+    [Pauli_noise] by {!apply_pauli} (the trajectory simulator's model, so
+    the two agree in expectation).  The result equals, under float [=],
+    running those two events through {!apply_unitary2} and
+    {!apply_kraus1} instead.
+    @raise Invalid_argument on the first malformed event, with the
+    message of the function that applies it. *)
 
 val fidelity_pure : t -> Statevector.t -> float
 (** [<psi| rho |psi>] — success probability against an ideal pure state. *)

@@ -96,7 +96,15 @@ let lower_event ~n_qubits = function
     Exchange { a; b; c = cos theta; s = sin theta }
   | Pauli_noise { q; p_x; p_y; p_z } ->
     check_qubits ~n_qubits "Pauli noise" [ q ];
-    Pauli { q; x = p_x; xy = p_x +. p_y; xyz = p_x +. p_y +. p_z }
+    let xyz = p_x +. p_y +. p_z in
+    (* [>=] is false on NaN. *)
+    if not (p_x >= 0.0 && p_y >= 0.0 && p_z >= 0.0 && xyz <= 1.0 +. 1e-12) then
+      invalid_arg
+        (Printf.sprintf
+           "Noisy_sim: Pauli noise on qubit %d has probabilities (%g, %g, %g); each must be \
+            non-negative and their sum at most 1"
+           q p_x p_y p_z);
+    Pauli { q; x = p_x; xy = p_x +. p_y; xyz }
 
 let lower ~n_qubits steps =
   Array.of_list (List.concat_map (List.map (lower_event ~n_qubits)) steps)

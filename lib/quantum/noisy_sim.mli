@@ -35,7 +35,9 @@ val run_trajectory : Rng.t -> n_qubits:int -> step list -> Statevector.t
     [Pauli_noise] event, in step order, on the kernels
     {!average_fidelity} lowers to.
     @raise Invalid_argument if an event has the wrong operand count or an
-    out-of-range or duplicate qubit (checked before any amplitude moves). *)
+    out-of-range or duplicate qubit, or if a Pauli channel has a negative or
+    NaN probability or probabilities summing to more than [1 + 1e-12]
+    (checked before any amplitude moves). *)
 
 val average_fidelity :
   Rng.t -> n_qubits:int -> ideal:Statevector.t -> steps:step list -> trials:int -> float

@@ -95,6 +95,23 @@ let catalog =
       suites = [ "noisy_sim"; "prop_sim" ];
     };
     {
+      name = "density-pauli-y-sign";
+      site = "Density.apply_pauli";
+      description =
+        "the Y term of the closed-form Pauli channel enters the coherences with + instead \
+         of -: populations are unchanged, but every coherence decays as if Y were an X";
+      suites = [ "density"; "prop_sim" ];
+    };
+    {
+      name = "density-exchange-phase";
+      site = "Density.apply_exchange";
+      description =
+        "the density-local exchange applies +i sin theta instead of -i sin theta: the \
+         exact reference conjugates by the wrong unitary while every leak probability \
+         stays the same";
+      suites = [ "density"; "prop_sim" ];
+    };
+    {
       name = "pool-scramble";
       site = "Pool.mapi_array";
       description = "results written back in reverse index order instead of by input index";

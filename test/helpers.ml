@@ -64,6 +64,15 @@ let check_gates_equivalent ?(n = 2) name original replacement =
 let check_circuits_equivalent name expected actual =
   check_true name (equal_up_to_phase (circuit_unitary actual) (circuit_unitary expected))
 
+(* Mixing angles for crosstalk exchanges: the identity, the full iSWAP, a
+   near-identity angle and random signed values. *)
+let random_theta rng =
+  match Rng.int rng 5 with
+  | 0 -> 0.0
+  | 1 -> Float.pi /. 2.0
+  | 2 -> 1e-9
+  | _ -> Rng.uniform rng (-.Float.pi) Float.pi
+
 let qcheck_case ?(count = 200) name gen prop =
   QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ~name gen prop)
 

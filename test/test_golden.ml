@@ -74,9 +74,11 @@ let check_compile_bits = check_bits ~golden:"compile_bits.golden" "compile-bits"
    cells, 16 trials each, printed as IEEE-754 bit patterns.  The golden
    predates the nested-block kernel walk, so it pins every statevector
    kernel to the arithmetic of the run-structured walk it replaced, at one
-   job and with the trials spread over four.  The n = 4 lines also carry the
-   bits of the exact density-matrix fidelity, recorded while Density still
-   read its gates from the boxed matrix module. *)
+   job and with the trials spread over four.  The n = 4 and n = 6 lines
+   also carry the bits of the exact density-matrix fidelity: the n = 4 ones
+   recorded while Density still read its gates from the boxed matrix
+   module, the n = 6 ones while it still ran Pauli channels as Kraus sums
+   and exchanges as dense 4x4 conjugations. *)
 let check_sim_bits = check_bits ~golden:"sim_bits.golden" "sim-bits"
 
 let suite =

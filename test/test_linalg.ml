@@ -58,6 +58,19 @@ let test_hermitian_unitary_predicates () =
   in
   check_true "hadamard unitary" (is_unitary had)
 
+(* A NaN entry is never within tolerance: the worst-entry difference
+   propagates it instead of skipping it. *)
+let test_nan_fails_comparisons () =
+  let nans = Matrix.init 2 2 (fun _ _ -> { Complex.re = nan; im = nan }) in
+  check_true "all-NaN is not approx_equal to I" (not (Matrix.approx_equal nans (Matrix.identity 2)));
+  check_true "I is not approx_equal to all-NaN" (not (Matrix.approx_equal (Matrix.identity 2) nans));
+  check_true "all-NaN is not Hermitian" (not (Matrix.is_hermitian nans));
+  let one_nan = Matrix.identity 2 in
+  Matrix.set one_nan 1 0 { Complex.re = nan; im = 0.0 };
+  check_true "one NaN entry after an exact one" (not (Matrix.approx_equal one_nan (Matrix.identity 2)));
+  Alcotest.check_raises "eigh rejects NaN" (Invalid_argument "Eig.eigh: matrix is not Hermitian")
+    (fun () -> ignore (Eig.eigh nans))
+
 let test_jacobi_2x2 () =
   let values, vectors = Eig.jacobi_symmetric [| [| 2.0; 1.0 |]; [| 1.0; 2.0 |] |] in
   check_float ~eps:1e-10 "lambda0" 1.0 values.(0);
@@ -221,6 +234,7 @@ let suite =
     Alcotest.test_case "kron" `Quick test_kron;
     Alcotest.test_case "mat_vec" `Quick test_mat_vec;
     Alcotest.test_case "hermitian/unitary predicates" `Quick test_hermitian_unitary_predicates;
+    Alcotest.test_case "NaN fails comparisons" `Quick test_nan_fails_comparisons;
     Alcotest.test_case "jacobi 2x2" `Quick test_jacobi_2x2;
     Alcotest.test_case "jacobi diagonal" `Quick test_jacobi_diagonal;
     Alcotest.test_case "eigh reconstruction" `Quick test_eigh_reconstruction;

@@ -112,6 +112,40 @@ let test_average_fidelity_rejects_bad_events () =
   rejects "Pauli noise out of range" "Noisy_sim: Pauli noise on qubit 3, out of range for 3 qubits"
     (Noisy_sim.Pauli_noise { q = 3; p_x = 0.1; p_y = 0.0; p_z = 0.0 })
 
+(* Pauli channels that are not probability distributions: both simulators
+   reject them, the trajectories while lowering (before a trial runs or the
+   rng advances), the density matrix through its Kraus checks. *)
+let test_bad_pauli_probabilities_rejected_by_both () =
+  let ideal = Noisy_sim.ideal_of_steps ~n_qubits:2 [] in
+  List.iter
+    (fun (name, (p_x, p_y, p_z)) ->
+      let steps =
+        [ [ Noisy_sim.Unitary (Gate.H, [ 0 ]) ]; [ Noisy_sim.Pauli_noise { q = 1; p_x; p_y; p_z } ] ]
+      in
+      let message =
+        Printf.sprintf
+          "Noisy_sim: Pauli noise on qubit 1 has probabilities (%g, %g, %g); each must be \
+           non-negative and their sum at most 1"
+          p_x p_y p_z
+      in
+      let rng = Rng.create 7 in
+      Alcotest.check_raises (name ^ ": average_fidelity") (Invalid_argument message) (fun () ->
+          ignore (Noisy_sim.average_fidelity rng ~n_qubits:2 ~ideal ~steps ~trials:8));
+      check_true (name ^ ": rng untouched") (Int64.equal (Rng.int64 rng) (Rng.int64 (Rng.create 7)));
+      Alcotest.check_raises (name ^ ": run_trajectory") (Invalid_argument message) (fun () ->
+          ignore (Noisy_sim.run_trajectory (Rng.create 7) ~n_qubits:2 steps));
+      check_true (name ^ ": Density.run_steps raises")
+        (match Density.run_steps ~n_qubits:2 steps with
+        | _ -> false
+        | exception Invalid_argument _ -> true))
+    [
+      ("negative", (-0.5, 0.0, 0.0));
+      ("NaN", (nan, 0.0, 0.0));
+      ("NaN in z", (0.1, 0.1, nan));
+      ("sum above one", (0.5, 0.4, 0.2));
+      ("infinite", (infinity, 0.0, 0.0));
+    ]
+
 let test_average_fidelity_rejects_ideal_size () =
   let ideal = Noisy_sim.ideal_of_steps ~n_qubits:2 [] in
   Alcotest.check_raises "ideal qubit count"
@@ -154,6 +188,8 @@ let suite =
     Alcotest.test_case "crosstalk matches eq 6" `Quick test_crosstalk_error_matches_eq6;
     Alcotest.test_case "malformed events rejected before trials" `Quick
       test_average_fidelity_rejects_bad_events;
+    Alcotest.test_case "bad Pauli probabilities rejected by both simulators" `Quick
+      test_bad_pauli_probabilities_rejected_by_both;
     Alcotest.test_case "ideal size mismatch rejected" `Quick
       test_average_fidelity_rejects_ideal_size;
     Alcotest.test_case "trajectory rejects malformed events" `Quick

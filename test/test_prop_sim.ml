@@ -224,15 +224,6 @@ let prop_nested_walk_matches_run_structured =
                qubits)
            qubits)
 
-(* Mixing angles for crosstalk exchanges: the identity, the full iSWAP, a
-   near-identity angle and random signed values. *)
-let random_theta rng =
-  match Rng.int rng 5 with
-  | 0 -> 0.0
-  | 1 -> Float.pi /. 2.0
-  | 2 -> 1e-9
-  | _ -> Rng.uniform rng (-.Float.pi) Float.pi
-
 let random_exchange rng n =
   let a = Rng.int rng n in
   let b = (a + 1 + Rng.int rng (n - 1)) mod n in
@@ -257,13 +248,62 @@ let prop_density_matches_trajectory =
     (fun (c, seed) ->
       let n_qubits = Circuit.n_qubits c in
       let steps = steps_of_circuit ~seed c in
-      (* Density applies the dense exchange matrix, the trajectory the
-         two-amplitude kernel. *)
+      (* Density applies its density-local exchange, the trajectory the
+         two-amplitude kernel of Statevector. *)
       let rho = Density.run_steps ~n_qubits steps in
       (* No noise events: one trajectory is exact and rng-independent. *)
       let psi = Noisy_sim.run_trajectory (Rng.create 0) ~n_qubits steps in
       Float.abs (Density.purity rho -. 1.0) <= 1e-9
       && Float.abs (Density.fidelity_pure rho psi -. 1.0) <= 1e-9)
+
+(* The density matrix's expectation, summed branch by branch on the
+   trajectory kernels: a program with m Pauli channels has 4^m error
+   branches, and the branch that picks Paulis P_1..P_m has weight
+   p_1 ... p_m and runs as a noise-free trajectory with them inserted as
+   gates.  Density.run_steps must give the weighted sum of the branches'
+   fidelities up to rounding.  The programs are random circuits with
+   exchanges, plus one to three channels at random places. *)
+let branch_sum ~n_qubits ~ideal steps =
+  let rec go weight acc = function
+    | [] ->
+      let psi = Noisy_sim.run_trajectory (Rng.create 0) ~n_qubits [ List.rev acc ] in
+      weight *. Statevector.fidelity ideal psi
+    | Noisy_sim.Pauli_noise { q; p_x; p_y; p_z } :: rest ->
+      List.fold_left
+        (fun total (p, pauli) ->
+          if p = 0.0 then total
+          else
+            let acc = match pauli with None -> acc | Some g -> Noisy_sim.Unitary (g, [ q ]) :: acc in
+            total +. go (weight *. p) acc rest)
+        0.0
+        [ (1.0 -. p_x -. p_y -. p_z, None); (p_x, Some Gate.X); (p_y, Some Gate.Y); (p_z, Some Gate.Z) ]
+    | event :: rest -> go weight (event :: acc) rest
+  in
+  go 1.0 [] (List.concat steps)
+
+let prop_density_matches_branch_sum =
+  prop_case ~count:60 "density evolution matches the trajectory branch sum over Pauli channels"
+    (Proptest.pair circuits (Proptest.int_range 0 1_000_000))
+    (fun (c, seed) ->
+      let n_qubits = Circuit.n_qubits c in
+      let rng = Rng.create seed in
+      let steps =
+        List.fold_left
+          (fun steps _ ->
+            let at = Rng.int rng (List.length steps + 1) in
+            let p () = Rng.uniform rng 0.0 0.3 in
+            let p_x = p () in
+            let p_y = p () in
+            let channel = Noisy_sim.Pauli_noise { q = Rng.int rng n_qubits; p_x; p_y; p_z = p () } in
+            List.filteri (fun i _ -> i < at) steps
+            @ [ [ channel ] ]
+            @ List.filteri (fun i _ -> i >= at) steps)
+          (steps_of_circuit ~seed c)
+          (List.init (1 + Rng.int rng 3) Fun.id)
+      in
+      let ideal = Noisy_sim.ideal_of_steps ~n_qubits steps in
+      let exact = Density.fidelity_pure (Density.run_steps ~n_qubits steps) ideal in
+      Float.abs (exact -. branch_sum ~n_qubits ~ideal steps) <= 1e-9)
 
 (* The per-event interpreter that the lowered plan replaced, kept as its
    oracle: every event rebuilds its boxed matrix and runs the dense kernels,
@@ -496,6 +536,7 @@ let suite =
     prop_flat_matches_boxed;
     prop_nested_walk_matches_run_structured;
     prop_density_matches_trajectory;
+    prop_density_matches_branch_sum;
     prop_trajectory_matches_oracle;
     prop_average_fidelity_matches_oracle;
     Alcotest.test_case "average_fidelity edge batches" `Quick test_average_fidelity_edge_batches;
