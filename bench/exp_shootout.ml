@@ -10,8 +10,8 @@
    its own device and calibration from the cell's seed, so cells are
    independent and stdout/JSON are byte-identical at any job count.
 
-   Emits BENCH_shootout.json.  Env knobs (the `make bench-shootout` smoke
-   run shrinks them):
+   Emits BENCH_shootout.json.  Env knobs (tier W of `make verify` shrinks
+   them to a smoke run):
      FASTSC_SHOOTOUT_SIZES       comma-separated workload sizes (default "4,9,16")
      FASTSC_SHOOTOUT_BENCHES     comma-separated benchmark names
                                  (default "bv,qaoa,ising,qgan,xeb")

@@ -12,9 +12,11 @@
      listed suites must fail — the mutation-style proof that the tests would
      catch a regression of that shape.
    - W (workload): end-to-end determinism of the paper experiments (fig6,
-     fig7 and table2, byte-identical at FASTSC_JOBS=1 vs 4), then the perf
-     gate: a fresh pinned run of the sim benchmark compared against
-     bench/baselines/sim.json.
+     fig7 and table2) and of a smoke-sized scheduler shootout, each
+     byte-identical at FASTSC_JOBS=1 vs 4, then perfbench's paper-compile
+     and serve-replay workloads at a one-second size, which pass only when
+     every output check of the benchmark holds.  Timing is judged by
+     perfbench's paired parent/change runs, not here.
 
    `--quick` is the pre-commit subset (R with a reduced matrix + D without
    the example programs; W skipped).  Every run writes a machine-readable
@@ -32,13 +34,15 @@ let test_dir = Filename.concat repo "_build/default/test"
 
 let bench_exe = Filename.concat repo "_build/default/bench/main.exe"
 
+let fastsc_exe = Filename.concat repo "_build/default/bin/fastsc.exe"
+
+let perfbench_exe = Filename.concat repo "_build/default/perfbench/main.exe"
+
 let example_exe name = Filename.concat repo ("_build/default/examples/" ^ name ^ ".exe")
 
 let examples = [ "quickstart"; "qaoa_maxcut"; "xeb_calibration"; "topology_explorer"; "error_diagnosis" ]
 
 let scratch_root = Filename.concat repo "_build/verify"
-
-let baseline_dir = Filename.concat repo "bench/baselines"
 
 (* The proptest engine's fixed base seed lives in lib/proptest; the alternate
    sweep seed only has to be deterministic and different. *)
@@ -247,9 +251,15 @@ let fresh_dir name =
   mkdir_p dir;
   dir
 
-let determinism_cell ~name ~env cmd =
-  (* byte-compare stdout of a serial and a parallel leg — the determinism
-     contract says the job count must be unobservable in the output *)
+(* The content of [dir/file], or [None] when the leg did not write it. *)
+let output_file dir file =
+  let path = Filename.concat dir file in
+  if Sys.file_exists path then Some (read_file path) else None
+
+let determinism_cell ?(files = []) ?expect ~name ~env cmd =
+  (* byte-compare stdout, and each of [files], of a serial and a parallel
+     leg — the determinism contract says the job count must be unobservable
+     in the output; [expect] is a line prefix stdout must contain *)
   let t0 = Deadline.now_s () in
   let dir1 = fresh_dir (name ^ ".jobs1") and dir4 = fresh_dir (name ^ ".jobs4") in
   let code1, log1, _, command1 =
@@ -259,6 +269,10 @@ let determinism_cell ~name ~env cmd =
     spawn ~dir:dir4 ~stdout_only:true ~env:(env @ [ ("FASTSC_JOBS", "4") ]) cmd
   in
   let seconds = Deadline.now_s () -. t0 in
+  let differs f =
+    let a = output_file dir1 f in
+    a = None || a <> output_file dir4 f
+  in
   let outcome =
     if code1 <> 0 then
       Fastsc_verify.Verify_report.Fail
@@ -268,7 +282,15 @@ let determinism_cell ~name ~env cmd =
         (Printf.sprintf "parallel leg exit %d — replay: %s" code4 command4)
     else if log1 <> log4 then
       Fastsc_verify.Verify_report.Fail "stdout differs between FASTSC_JOBS=1 and 4"
-    else Fastsc_verify.Verify_report.Pass
+    else
+      match (List.find_opt differs files, expect) with
+      | Some f, _ ->
+        Fastsc_verify.Verify_report.Fail
+          (Printf.sprintf "%s is missing or differs between FASTSC_JOBS=1 and 4" f)
+      | None, Some prefix
+        when not (List.exists (String.starts_with ~prefix) (String.split_on_char '\n' log1)) ->
+        Fastsc_verify.Verify_report.Fail (Printf.sprintf "no stdout line starts with %S" prefix)
+      | None, _ -> Fastsc_verify.Verify_report.Pass
   in
   let detail =
     match outcome with
@@ -286,125 +308,81 @@ let determinism_cell ~name ~env cmd =
        ~name:(Printf.sprintf "determinism %s" name)
        ~seconds outcome)
 
-(* Pinned knobs: small enough to finish in about a second, large enough that
-   the timing fields clear the gate's noise floors.  The committed baseline
-   bench/baselines/sim.json was produced by exactly this run. *)
-let sim_bench_env =
-  [
-    ("FASTSC_SIM_QUBITS", "8");
-    ("FASTSC_SIM_BIG_QUBITS", "10");
-    ("FASTSC_SIM_CYCLES", "2");
-    ("FASTSC_SIM_TRIALS", "40");
-    ("FASTSC_SIM_TRAJ_QUBITS", "4");
-    ("FASTSC_SIM_DENSITY_QUBITS", "4");
-    ("FASTSC_SIM_BUDGET_MS", "60");
-    ("FASTSC_JOBS", "4");
-  ]
-
-let perf_gate_cell ~tolerance ~write_baselines ~label ~env ~experiment ~bench_file ~baseline =
-  let t0 = Deadline.now_s () in
-  let dir = fresh_dir ("bench." ^ label) in
-  let cmd = Printf.sprintf "'%s' %s" bench_exe experiment in
-  let code, log, _, command = spawn ~dir ~env cmd in
-  let fresh_path = Filename.concat dir bench_file in
-  let finish outcome detail =
-    let seconds = Deadline.now_s () -. t0 in
-    add
-      (Fastsc_verify.Verify_report.cell ~detail ~tier:"W"
-         ~name:(Printf.sprintf "perf gate %s" label)
-         ~seconds outcome)
+(* One perfbench workload at a one-second size and the held-out seed, run
+   from the built executable (no rebuild; an untraced run writes no file)
+   with the built daemon for serve-replay.  perfbench
+   exits non-zero when an output check fails — Schedule.check on every
+   schedule, repeats bit-identical to the warm-up pass, one answer per serve
+   id at its expected rung — so the cell passes on exit 0 with a last
+   stdout line that parses as its result object.  compile-scale and
+   validate-sim stay out: a short run gives their p95 too few samples, and
+   perfbench refuses it with exit 3. *)
+let perfbench_cell workload =
+  let cmd =
+    Printf.sprintf "'%s' --workload %s --seed 7919 --seconds 1 --trace 0 --fastsc '%s'"
+      perfbench_exe workload fastsc_exe
   in
-  if code <> 0 then
-    finish
-      (Fastsc_verify.Verify_report.Fail
-         (Printf.sprintf "benchmark run exit %d — replay: %s" code command))
-      (fail_detail ~command log)
-  else if not (Sys.file_exists fresh_path) then
-    finish
-      (Fastsc_verify.Verify_report.Fail (Printf.sprintf "%s was not produced" bench_file))
-      (fail_detail ~command log)
-  else if write_baselines then begin
-    mkdir_p baseline_dir;
-    let data = read_file fresh_path in
-    Out_channel.with_open_bin baseline (fun oc -> Out_channel.output_string oc data);
-    finish Fastsc_verify.Verify_report.Pass
-      [ ("baseline_written", Json.String baseline) ]
-  end
-  else if not (Sys.file_exists baseline) then
-    finish
-      (Fastsc_verify.Verify_report.Fail
-         (Printf.sprintf "no baseline at %s — run `make verify-baselines` once and commit it"
-            baseline))
-      []
-  else begin
-    match
-      ( Json.parse_file baseline,
-        Json.parse_file fresh_path )
-    with
-    | exception Json.Parse_error msg ->
-      finish (Fastsc_verify.Verify_report.Fail msg) []
-    | baseline_doc, fresh_doc ->
-      let result =
-        Fastsc_verify.Perf_gate.compare_docs ~baseline:baseline_doc ~fresh:fresh_doc
-      in
-      let rendered = Fastsc_verify.Perf_gate.render ~tolerance ~label result in
-      print_string rendered;
-      let detail =
-        [
-          ("median_regression", Json.Float (Fastsc_verify.Perf_gate.median_regression result));
-          ("timing_fields", Json.Int (List.length result.Fastsc_verify.Perf_gate.timings));
-          ("report", Json.String rendered);
-        ]
-      in
-      (match Fastsc_verify.Perf_gate.evaluate ~tolerance result with
-      | Fastsc_verify.Perf_gate.Ok -> finish Fastsc_verify.Verify_report.Pass detail
-      | Fastsc_verify.Perf_gate.Regression why ->
-        finish (Fastsc_verify.Verify_report.Fail why) detail
-      | Fastsc_verify.Perf_gate.Structural errs ->
-        finish
-          (Fastsc_verify.Verify_report.Fail
-             (Printf.sprintf "not comparable: %s" (String.concat "; " errs)))
-          detail)
-  end
+  let code, log, seconds, command = spawn ~dir:repo ~stdout_only:true ~env:[] cmd in
+  let last_line =
+    match List.rev (String.split_on_char '\n' (String.trim log)) with l :: _ -> l | [] -> ""
+  in
+  let result = try Some (Json.parse last_line) with Json.Parse_error _ -> None in
+  let outcome =
+    if code <> 0 then
+      Fastsc_verify.Verify_report.Fail (Printf.sprintf "exit %d — replay: %s" code command)
+    else
+      match Option.bind result (Json.member "correct") with
+      | Some (Json.Bool true) -> Fastsc_verify.Verify_report.Pass
+      | _ ->
+        Fastsc_verify.Verify_report.Fail
+          (Printf.sprintf "last stdout line is not a passing result object — replay: %s" command)
+  in
+  let detail =
+    match (outcome, result) with
+    | Pass, Some r -> [ ("result", r) ]
+    | _ -> fail_detail ~command log
+  in
+  add
+    (Fastsc_verify.Verify_report.cell ~detail ~tier:"W"
+       ~name:(Printf.sprintf "perfbench %s" workload)
+       ~seconds outcome)
 
-let tier_w ~tolerance ~write_baselines () =
+let tier_w () =
   List.iter
     (fun exp -> determinism_cell ~name:exp ~env:[] (Printf.sprintf "'%s' %s" bench_exe exp))
     [ "fig6"; "fig7"; "table2" ];
-  perf_gate_cell ~tolerance ~write_baselines ~label:"sim" ~env:sim_bench_env ~experiment:"sim"
-    ~bench_file:"BENCH_sim.json"
-    ~baseline:(Filename.concat baseline_dir "sim.json")
+  determinism_cell ~name:"shootout" ~files:[ "BENCH_shootout.json" ] ~expect:"headline: mesh"
+    ~env:
+      [
+        ("FASTSC_SHOOTOUT_SIZES", "4,9");
+        ("FASTSC_SHOOTOUT_BENCHES", "bv,qaoa,xeb");
+        ("FASTSC_SHOOTOUT_TOPOLOGIES", "mesh,ring,heavy-hex");
+        ("FASTSC_SHOOTOUT_SCRUB", "1");
+      ]
+    (Printf.sprintf "'%s' shootout" bench_exe);
+  List.iter perfbench_cell [ "paper-compile"; "serve-replay" ]
 
 (* -- entry point ----------------------------------------------------------- *)
 
 let () =
   let quick = ref false in
   let report = ref (Filename.concat repo "verify_report.json") in
-  let write_baselines = ref false in
-  let tolerance = ref Fastsc_verify.Perf_gate.default_tolerance in
   let spec =
     [
       ("--quick", Arg.Set quick, " pre-commit subset: reduced tier R matrix, no tier W");
       ("--report", Arg.Set_string report, "PATH where to write verify_report.json");
-      ( "--write-baselines",
-        Arg.Set write_baselines,
-        " record fresh benchmark runs as bench/baselines/*.json instead of gating" );
-      ( "--tolerance",
-        Arg.Set_float tolerance,
-        Printf.sprintf "FRACTION perf-gate median tolerance (default %.2f)"
-          Fastsc_verify.Perf_gate.default_tolerance );
     ]
   in
   Arg.parse spec
     (fun anon -> raise (Arg.Bad ("unexpected argument " ^ anon)))
-    "verify [--quick] [--report PATH] [--write-baselines] [--tolerance FRACTION]";
+    "verify [--quick] [--report PATH]";
   List.iter
     (fun exe ->
       if not (Sys.file_exists exe) then begin
         Printf.eprintf "verify: %s is missing — run `dune build @all` first\n" exe;
         exit 2
       end)
-    [ test_exe; bench_exe ];
+    [ test_exe; bench_exe; fastsc_exe; perfbench_exe ];
   let t0 = Deadline.now_s () in
   let mode = if !quick then "quick" else "full" in
   Printf.printf "verify (%s): tier R — randomized property sweep\n%!" mode;
@@ -412,15 +390,14 @@ let () =
   Printf.printf "verify (%s): tier D — directed suites and seeded faults\n%!" mode;
   tier_d ~quick:!quick ();
   if not !quick then begin
-    Printf.printf "verify (%s): tier W — workloads and perf gate\n%!" mode;
-    tier_w ~tolerance:!tolerance ~write_baselines:!write_baselines ()
+    Printf.printf "verify (%s): tier W — workload determinism and perfbench checks\n%!" mode;
+    tier_w ()
   end;
   let all = !cells in
   let meta =
     [
       ("mode", Json.String mode);
       ("alt_seed", Json.Int alt_seed);
-      ("tolerance", Json.Float !tolerance);
       ("total_seconds", Json.Float (Deadline.now_s () -. t0));
     ]
   in

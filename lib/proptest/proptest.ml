@@ -347,22 +347,21 @@ let env_int name =
   | None -> None
   | Some s -> int_of_string_opt (String.trim s)
 
-let default_count () =
-  match env_int "FASTSC_PROPTEST_COUNT" with Some n when n >= 1 -> n | _ -> 100
+(* An explicit count scales with the variable over the default 100, never
+   below one case, so tier R's count axis reaches every property. *)
+let scaled_count c =
+  match env_int "FASTSC_PROPTEST_COUNT" with Some v when v >= 1 -> max 1 (c * v / 100) | _ -> c
 
 (* Deterministic by default: a fixed base seed means the suite tests the same
    cases on every run and every machine, and CI failures replay locally. *)
-let fixed_seed = 0x5eedc0de
+let base_seed () =
+  match env_int "FASTSC_PROPTEST_SEED" with Some s -> s | None -> 0x5eedc0de
 
 let max_shrink_steps = 500
 
 let run ?seed (Test t) =
-  let count = match t.count with Some c -> c | None -> default_count () in
-  let base =
-    match seed with
-    | Some s -> s
-    | None -> ( match env_int "FASTSC_PROPTEST_SEED" with Some s -> s | None -> fixed_seed)
-  in
+  let count = scaled_count (Option.value ~default:100 t.count) in
+  let base = match seed with Some s -> s | None -> base_seed () in
   let last_exn = ref None in
   let holds x =
     last_exn := None;

@@ -17,8 +17,9 @@
     exactly that case (the failing seed becomes case 0 of the replay).
 
     Environment:
-    - [FASTSC_PROPTEST_COUNT] overrides the default number of cases per
-      property (default 100) for tests that do not pin an explicit [~count];
+    - [FASTSC_PROPTEST_COUNT] sets the number of cases of a property without
+      [~count] (default 100), and scales an explicit [~count] by itself over
+      100 (see {!scaled_count});
     - [FASTSC_PROPTEST_SEED] overrides the base seed (default fixed, so runs
       are deterministic unless asked otherwise). *)
 
@@ -150,15 +151,22 @@ type result = Pass of int  (** Number of cases that ran. *) | Fail of failure
 type test
 
 val test : name:string -> ?count:int -> 'a arbitrary -> ('a -> bool) -> test
-(** Package a property.  [count] defaults to {!default_count} at run time.
-    A property fails by returning [false] or by raising. *)
+(** Package a property that runs {!scaled_count} [count] cases ([count]
+    defaults to 100), read at run time.  A property fails by returning
+    [false] or by raising. *)
 
-val default_count : unit -> int
-(** [FASTSC_PROPTEST_COUNT] when set to a positive integer, else 100. *)
+val scaled_count : int -> int
+(** [scaled_count c] is [max 1 (c * v / 100)] when [FASTSC_PROPTEST_COUNT]
+    is set to a positive integer [v], else [c]: the variable alone sets the
+    count of a property without [~count] and scales every other.  So the
+    replay line's [FASTSC_PROPTEST_COUNT=1] runs one case of any property
+    written for fewer than 200, and that case is the failing one. *)
+
+val base_seed : unit -> int
+(** [FASTSC_PROPTEST_SEED] when set to an integer, else the fixed default. *)
 
 val run : ?seed:int -> test -> result
-(** Execute the property.  The base seed is, in decreasing precedence:
-    [~seed], [FASTSC_PROPTEST_SEED], a fixed default. *)
+(** Execute the property.  The base seed is [~seed], else {!base_seed}. *)
 
 val check : ?seed:int -> test -> unit
 (** {!run}, raising [Failure] with the failure report on a counterexample —

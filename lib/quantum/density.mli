@@ -44,9 +44,6 @@ val purity : t -> float
 val population : t -> int -> float
 (** Diagonal entry: probability of a basis outcome. *)
 
-val apply_unitary1 : t -> Matrix.t -> int -> unit
-(** Conjugate by a 2x2 unitary on one qubit. *)
-
 val apply_unitary2 : t -> Matrix.t -> int -> int -> unit
 (** Conjugate by a 4x4 unitary on an ordered qubit pair (first operand most
     significant, as in {!Statevector}). *)

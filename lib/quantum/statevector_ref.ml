@@ -1,8 +1,7 @@
 (* The boxed Complex.t implementation the flat kernels replaced, kept as the
-   differential-testing oracle and the bench baseline: its amplitudes and
-   loops share nothing with Statevector's.  Clarity over speed: every
-   Complex.add/mul here allocates, which is exactly the cost the flat path
-   removes. *)
+   differential-testing oracle: its amplitudes and loops share nothing with
+   Statevector's.  Clarity over speed: every Complex.add/mul here
+   allocates, which is exactly the cost the flat path removes. *)
 type t = { n : int; amps : Complex.t array }
 
 let create n =
@@ -11,21 +10,7 @@ let create n =
   amps.(0) <- Complex.one;
   { n; amps }
 
-let of_amplitudes amps =
-  let len = Array.length amps in
-  if len = 0 || len land (len - 1) <> 0 then
-    invalid_arg "Statevector_ref.of_amplitudes: length must be a power of two";
-  let n = ref 0 in
-  while 1 lsl !n < len do
-    incr n
-  done;
-  { n = !n; amps = Array.copy amps }
-
-let n_qubits t = t.n
-
 let amplitudes t = Array.copy t.amps
-
-let amplitude t k = t.amps.(k)
 
 let check_qubit t q =
   if q < 0 || q >= t.n then
@@ -90,26 +75,9 @@ let apply t gate qubits =
       (Printf.sprintf "Statevector_ref.apply: %s applied to %d operand(s)" (Gate.name gate)
          (List.length qubits))
 
-let run t circuit =
-  if Circuit.n_qubits circuit <> t.n then
-    invalid_arg "Statevector_ref.run: qubit count mismatch";
-  Array.iter
-    (fun app -> apply t app.Gate.gate (Array.to_list app.Gate.qubits))
-    (Circuit.instructions circuit)
-
 let of_circuit circuit =
   let t = create (Circuit.n_qubits circuit) in
-  run t circuit;
+  Array.iter
+    (fun app -> apply t app.Gate.gate (Array.to_list app.Gate.qubits))
+    (Circuit.instructions circuit);
   t
-
-let probability t k = Complex_ext.norm2 t.amps.(k)
-
-let probabilities t = Array.map Complex_ext.norm2 t.amps
-
-let fidelity a b =
-  if a.n <> b.n then invalid_arg "Statevector_ref.fidelity: qubit count mismatch";
-  let overlap = ref Complex.zero in
-  for k = 0 to Array.length a.amps - 1 do
-    overlap := Complex.add !overlap (Complex.mul (Complex.conj a.amps.(k)) b.amps.(k))
-  done;
-  Complex_ext.norm2 !overlap

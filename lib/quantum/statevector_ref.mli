@@ -3,39 +3,15 @@
     The [Complex.t array] implementation that {!Statevector} replaced with
     flat-float kernels, kept as an executable specification: the
     differential property suite runs random full-gate-set circuits through
-    both and requires amplitudes to agree within 1e-9, and the simulation
-    microbenchmark ([bench/main.exe sim]) reports the flat kernels' speedup
-    against this baseline.  Same bit and operand-ordering conventions as
-    {!Statevector}. *)
+    both and requires amplitudes to agree within 1e-9.  Same bit and
+    operand-ordering conventions as {!Statevector}. *)
 
 type t
 
-val create : int -> t
-(** [create n] is |0...0> on [n] qubits.
-    @raise Invalid_argument unless [1 <= n <= 24]. *)
-
-val of_amplitudes : Complex.t array -> t
-(** Copies the array; length must be a power of two. *)
-
-val n_qubits : t -> int
+val of_circuit : Circuit.t -> t
+(** |0...0> on the circuit's qubits (1 to 24), with every gate applied in
+    order.
+    @raise Invalid_argument outside that range. *)
 
 val amplitudes : t -> Complex.t array
 (** A copy of the current amplitudes. *)
-
-val amplitude : t -> int -> Complex.t
-
-val apply : t -> Gate.t -> int list -> unit
-
-val apply_matrix1 : t -> Matrix.t -> int -> unit
-
-val apply_matrix2 : t -> Matrix.t -> int -> int -> unit
-
-val run : t -> Circuit.t -> unit
-
-val of_circuit : Circuit.t -> t
-
-val probability : t -> int -> float
-
-val probabilities : t -> float array
-
-val fidelity : t -> t -> float

@@ -172,7 +172,7 @@ let handle_line ~config ~state oc line =
                   (Printexc.to_string exn)
             in
             respond ~config ~state oc resp;
-            Telemetry.record state.telemetry resp;
+            if config.stats_every > 0 then Telemetry.record state.telemetry resp;
             let completed = 1 + Atomic.fetch_and_add state.completed 1 in
             if config.stats_every > 0 && completed mod config.stats_every = 0 then
               log "%s" (Telemetry.line state.telemetry);

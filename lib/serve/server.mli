@@ -23,7 +23,8 @@ type config = {
   snapshot_every : int;  (** Snapshot period in completed requests; 0 = only at drain. *)
   stats_every : int;
       (** Emit the {!Telemetry} stats line to stderr every this many
-          completed requests; 0 (the default) disables it. *)
+          completed requests; 0 (the default) disables it, and then no
+          request is recorded. *)
   drain_grace_ms : float;  (** Grace for in-flight requests at shutdown. *)
   scrub : bool;
       (** Zero latency fields in responses (also [FASTSC_SERVE_SCRUB=1]). *)

@@ -5,7 +5,9 @@
    its deadline without attaching a profiler.
 
    The recorder is a mutex-guarded accumulator fed from pool workers; the
-   formatter is a pure function of a snapshot, unit-tested in isolation. *)
+   formatter is a pure function of a snapshot, unit-tested in isolation.
+   Each line takes the latency samples recorded since the previous one, so
+   a long-lived daemon holds at most one window of them. *)
 
 (* The degradation ladder's rungs, in ladder order, so the stats line lists
    tiers in the order requests fall through them. *)
@@ -30,7 +32,8 @@ let record t response =
   | Protocol.Error_response _ -> t.errors <- t.errors + 1);
   Mutex.unlock t.mutex
 
-let snapshot t =
+(* The counts, and the window's samples, which it leaves empty. *)
+let take t =
   Mutex.lock t.mutex;
   let tiers =
     List.filter_map
@@ -43,6 +46,7 @@ let snapshot t =
           (fun k -> not (List.mem k tier_order))
           (List.sort_uniq compare (Hashtbl.fold (fun k _ acc -> k :: acc) t.samples [])))
   in
+  Hashtbl.reset t.samples;
   let served = t.served and errors = t.errors in
   Mutex.unlock t.mutex;
   (served, errors, tiers)
@@ -69,7 +73,7 @@ let format_line ~served ~errors ~cache_hits ~cache_misses ~tiers =
   Buffer.contents buf
 
 let line t =
-  let served, errors, tiers = snapshot t in
+  let served, errors, tiers = take t in
   let cache = Freq_alloc.solver_cache_stats () in
   format_line ~served ~errors ~cache_hits:cache.Freq_alloc.hits
     ~cache_misses:cache.Freq_alloc.misses ~tiers

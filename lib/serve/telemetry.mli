@@ -2,9 +2,9 @@
 
     A mutex-guarded recorder accumulates one latency sample per completed
     request, bucketed by the degradation-ladder tier that produced the
-    witness; {!line} snapshots the recorder, reads the solver-cache
-    counters, and formats the single stderr line the daemon emits every
-    [--stats-every] requests. *)
+    witness; {!line} takes the samples, reads the solver-cache counters, and
+    formats the single stderr line the daemon emits every [--stats-every]
+    requests.  The daemon records only when that option is on. *)
 
 type t
 
@@ -28,5 +28,9 @@ val format_line :
     tests. *)
 
 val line : t -> string
-(** Snapshot + {!Fastsc_core.Freq_alloc.solver_cache_stats} + {!format_line};
-    tiers appear in ladder order (full, decomposed-warm, stale, greedy). *)
+(** {!format_line} of the recorder and
+    {!Fastsc_core.Freq_alloc.solver_cache_stats}; tiers appear in ladder
+    order (full, decomposed-warm, stale, greedy).  The served and error
+    counts are cumulative.  The per-tier samples are those recorded since
+    the previous [line], which clears them, so memory and the percentile
+    sort stay bounded by one window. *)

@@ -82,8 +82,7 @@ exception Parse_error of string
 
 (* A recursive-descent reader for the subset of JSON the emitter above
    produces (which is all of RFC 8259 minus nothing: the verify harness reads
-   back BENCH_*.json benchmark records, perf baselines and `--trace`
-   reports).  Numbers without '.', 'e' or 'E' parse as [Int], everything else
+   back perfbench's result line and `--trace` reports).  Numbers without '.', 'e' or 'E' parse as [Int], everything else
    as [Float]; \u escapes decode to UTF-8 (surrogate pairs included).
 
    Nesting is capped at [max_depth]: the reader also sits on the serve

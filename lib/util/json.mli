@@ -4,9 +4,9 @@
     external tooling (plotters, control stacks) without adding a dependency.
     Strings are escaped per RFC 8259, floats printed with round-trip
     precision, and non-finite floats encoded as strings (JSON has no
-    Infinity/NaN literals).  The reader exists for the verification harness:
-    the perf gate parses committed BENCH_*.json baselines, and the schema
-    tests parse [fastsc compile --trace] reports. *)
+    Infinity/NaN literals).  The reader parses serve requests, cache
+    snapshots, perfbench's result line in [make verify], and the
+    [fastsc compile --trace] reports of the schema tests. *)
 
 type t =
   | Null

@@ -73,8 +73,13 @@ let random_theta rng =
   | 2 -> 1e-9
   | _ -> Rng.uniform rng (-.Float.pi) Float.pi
 
+(* QCheck properties draw from Proptest's base seed and scale their count as
+   its properties do, so FASTSC_PROPTEST_SEED and FASTSC_PROPTEST_COUNT drive
+   both engines and a run depends on nothing else. *)
 let qcheck_case ?(count = 200) name gen prop =
-  QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ~name gen prop)
+  QCheck_alcotest.to_alcotest
+    ~rand:(Random.State.make [| Proptest.base_seed () |])
+    (QCheck.Test.make ~count:(Proptest.scaled_count count) ~name gen prop)
 
 (* In-house engine: package a Proptest property as an Alcotest case.  On a
    counterexample the raised message carries the shrunk value, the seed and

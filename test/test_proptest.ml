@@ -3,6 +3,23 @@
    the exact same failure (the contract printed in every report). *)
 open Helpers
 
+(* Run [f] with FASTSC_PROPTEST_COUNT set to [value] ("" reads as unset),
+   then restore what the suite was started with. *)
+let with_count_env value f =
+  let before = Option.value ~default:"" (Sys.getenv_opt "FASTSC_PROPTEST_COUNT") in
+  Unix.putenv "FASTSC_PROPTEST_COUNT" value;
+  Fun.protect ~finally:(fun () -> Unix.putenv "FASTSC_PROPTEST_COUNT" before) f
+
+let cases_run t =
+  match Proptest.run t with
+  | Proptest.Pass n -> n
+  | Proptest.Fail f -> Alcotest.fail f.Proptest.message
+
+(* The deliberately broken properties below must find a counterexample, so
+   they run the count they were written for: a replay at
+   FASTSC_PROPTEST_COUNT=1 would leave them one or two cases. *)
+let run_as_written t = with_count_env "" (fun () -> Proptest.run t)
+
 (* A deliberately broken invariant over ints: "everything is below 10".
    The greedy shrinker must walk any failing case down to exactly 10, the
    smallest value that still refutes the property. *)
@@ -10,7 +27,7 @@ let broken_int_test ?count () =
   Proptest.test ~name:"ints stay below 10" ?count (Proptest.int_range 0 1000) (fun x -> x < 10)
 
 let test_shrinks_to_minimum () =
-  match Proptest.run (broken_int_test ()) with
+  match run_as_written (broken_int_test ()) with
   | Proptest.Pass _ -> Alcotest.fail "property over 0..1000 should have failed"
   | Proptest.Fail f ->
     check_true "shrunk to the minimal counterexample" (f.Proptest.shrunk = "10");
@@ -28,7 +45,7 @@ let test_shrinks_to_minimum () =
             f.Proptest.shrunk_size))
 
 let test_seed_replays_exact_failure () =
-  match Proptest.run (broken_int_test ()) with
+  match run_as_written (broken_int_test ()) with
   | Proptest.Pass _ -> Alcotest.fail "expected a failure to replay"
   | Proptest.Fail f -> (
     (* replaying with the failing seed as base makes it case 1 of the rerun *)
@@ -49,7 +66,7 @@ let broken_coloring_test =
     (fun g -> Coloring.n_colors (Coloring.welsh_powell g) <= 3)
 
 let test_structural_shrinking () =
-  match Proptest.run broken_coloring_test with
+  match run_as_written broken_coloring_test with
   | Proptest.Pass _ -> Alcotest.fail "4-chromatic graphs exist at 8 vertices, p=0.5"
   | Proptest.Fail f ->
     (* the minimal witness needing 4 colors is K4: exactly 6 edges survive *)
@@ -63,7 +80,7 @@ let test_passing_property_passes () =
       (fun xs -> List.rev (List.rev xs) = xs)
   in
   match Proptest.run t with
-  | Proptest.Pass n -> check_int "all cases ran" 50 n
+  | Proptest.Pass n -> check_int "all cases ran" (Proptest.scaled_count 50) n
   | Proptest.Fail f -> Alcotest.fail f.Proptest.message
 
 let test_raising_property_is_a_failure () =
@@ -71,7 +88,7 @@ let test_raising_property_is_a_failure () =
     Proptest.test ~name:"raises past 9" ~count:100 (Proptest.int_range 0 50)
       (fun x -> if x >= 10 then failwith "boom" else true)
   in
-  match Proptest.run t with
+  match run_as_written t with
   | Proptest.Pass _ -> Alcotest.fail "the raise should have surfaced as a failure"
   | Proptest.Fail f ->
     check_true "exception recorded of the shrunk case" (f.Proptest.exn <> None);
@@ -87,13 +104,29 @@ let test_generation_is_deterministic () =
 
 let test_count_env_override () =
   let t = Proptest.test ~name:"trivial" (Proptest.int_range 0 5) (fun _ -> true) in
-  Unix.putenv "FASTSC_PROPTEST_COUNT" "7";
-  let seven = Proptest.run t in
-  Unix.putenv "FASTSC_PROPTEST_COUNT" "";
-  (match seven with
-  | Proptest.Pass n -> check_int "FASTSC_PROPTEST_COUNT respected" 7 n
-  | Proptest.Fail f -> Alcotest.fail f.Proptest.message);
-  check_int "default count without the variable" 100 (Proptest.default_count ())
+  check_int "FASTSC_PROPTEST_COUNT respected" 7 (with_count_env "7" (fun () -> cases_run t));
+  check_int "default count without the variable" 100 (with_count_env "" (fun () -> cases_run t))
+
+(* An explicit count scales with the variable over the default 100, never
+   below 1, so tier R's count axis reaches every property and the replay
+   line's FASTSC_PROPTEST_COUNT=1 re-runs only the failing case. *)
+let test_explicit_count_scales () =
+  let pinned = Proptest.test ~name:"trivial" ~count:50 (Proptest.int_range 0 5) (fun _ -> true) in
+  let at v = with_count_env v (fun () -> cases_run pinned) in
+  check_int "as written without the variable" 50 (at "");
+  check_int "scaled by 150/100" 75 (at "150");
+  check_int "scaled by 60/100" 30 (at "60");
+  check_int "never below one case" 1 (at "1");
+  check_int "a non-positive value is ignored" 50 (at "0");
+  match run_as_written (broken_int_test ~count:150 ()) with
+  | Proptest.Pass _ -> Alcotest.fail "property over 0..1000 should have failed"
+  | Proptest.Fail f -> (
+    match
+      with_count_env "1" (fun () ->
+          Proptest.run ~seed:f.Proptest.seed (broken_int_test ~count:150 ()))
+    with
+    | Proptest.Pass _ -> Alcotest.fail "the replay line did not reproduce the failure"
+    | Proptest.Fail replay -> check_int "the replay runs one case" 1 replay.Proptest.cases)
 
 let test_list_shrinking_drops_elements () =
   let t =
@@ -101,7 +134,7 @@ let test_list_shrinking_drops_elements () =
       (Proptest.list ~max_len:30 (Proptest.int_range 0 9))
       (fun xs -> List.length xs <= 4)
   in
-  match Proptest.run t with
+  match run_as_written t with
   | Proptest.Pass _ -> Alcotest.fail "length-30 lists exist"
   | Proptest.Fail f ->
     (* minimal refutation is 5 elements, each shrunk to the range floor *)
@@ -116,5 +149,7 @@ let suite =
     Alcotest.test_case "raising property" `Quick test_raising_property_is_a_failure;
     Alcotest.test_case "deterministic generation" `Quick test_generation_is_deterministic;
     Alcotest.test_case "count env override" `Quick test_count_env_override;
+    Alcotest.test_case "explicit count scales with the variable" `Quick
+      test_explicit_count_scales;
     Alcotest.test_case "list shrinking" `Quick test_list_shrinking_drops_elements;
   ]

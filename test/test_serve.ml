@@ -241,6 +241,23 @@ let test_telemetry_recorder () =
   in
   check_true "ladder order" (idx "| full" < idx "| greedy")
 
+(* Each line reports the samples recorded since the previous one; the
+   served count stays cumulative, so a long-lived daemon keeps one window. *)
+let test_telemetry_window () =
+  let t = Telemetry.create () in
+  let body = ok_body (Ladder.compile (small_request ())) in
+  let record () =
+    Telemetry.record t
+      (Protocol.Ok_response { body with Protocol.tier = "full"; latency_ms = 2.0 })
+  in
+  List.iter record [ (); (); () ];
+  check_true "first window" (contains (Telemetry.line t) "| full n=3 ");
+  List.iter record [ (); () ];
+  let second = Telemetry.line t in
+  check_true "served stays cumulative" (contains second "stats: 5 served");
+  check_true "second window holds only its own samples" (contains second "| full n=2 ");
+  check_true "an empty window lists no tier" (not (contains (Telemetry.line t) "| full"))
+
 let suite =
   [
     Alcotest.test_case "request defaults" `Quick test_request_defaults;
@@ -260,4 +277,6 @@ let suite =
     Alcotest.test_case "telemetry: pure formatter" `Quick test_telemetry_format_line;
     Alcotest.test_case "telemetry: recorder round-trip" `Quick
       test_telemetry_recorder;
+    Alcotest.test_case "telemetry: each line reports its own window" `Quick
+      test_telemetry_window;
   ]
