@@ -9,7 +9,9 @@
    lookahead router with [`Auto] placement never takes; their labels carry
    a [router=...] or [placement=...] tag), plus {bv, qaoa, xeb} x 9-qubit
    mesh x {anneal-dynamic, gmon-dynamic} (the two registered queueing
-   schedulers outside the paper set), is compiled through
+   schedulers outside the paper set), plus {bv, qaoa} x {FULL-9, FULL-16,
+   RING-9} x {color-dynamic, baseline-u} (chips whose idle coloring needs
+   more than two colors: 9, 16 and 3 parking frequencies), is compiled through
    [Pass.execute] and evaluated three times: the default
    eq-4 estimate, and re-evaluations of the same schedule at crosstalk
    distance 2, with the time-dependent transfer probability and with its
@@ -39,6 +41,10 @@ let variant_benches = [ "bv"; "qaoa"; "xeb" ]
 
 let zoo_algorithms = [ "anneal-dynamic"; "gmon-dynamic" ]
 
+let multicolor_benches = [ "bv"; "qaoa" ]
+
+let multicolor_algorithms = [ "color-dynamic"; "baseline-u" ]
+
 let variants =
   [
     ("[router=greedy]", { Pass.default_options with Pass.router = "greedy" });
@@ -47,7 +53,9 @@ let variants =
 
 (* Devices are built inside each cell from this description, so pool domains
    never share a mutable graph. *)
-type chip = Mesh | Heavy_hex of int * int
+type chip = Mesh | Heavy_hex of int * int | Complete of int | Ring of int
+
+let multicolor_chips = [ (9, Complete 9); (16, Complete 16); (9, Ring 9) ]
 
 let cells =
   List.concat_map
@@ -73,6 +81,15 @@ let cells =
           (fun algorithm -> (bench, 9, algorithm, Pass.default_options, Mesh, ""))
           zoo_algorithms)
       variant_benches
+  @ List.concat_map
+      (fun (n, chip) ->
+        List.concat_map
+          (fun bench ->
+            List.map
+              (fun algorithm -> (bench, n, algorithm, Pass.default_options, chip, ""))
+              multicolor_algorithms)
+          multicolor_benches)
+      multicolor_chips
 
 let bits x = Printf.sprintf "%016Lx" (Int64.bits_of_float x)
 
@@ -91,12 +108,13 @@ let line label mode ~swaps (m : Schedule.metrics) =
     (bits m.Schedule.decoherence_error) m.Schedule.depth m.Schedule.n_gates swaps
 
 let cell (bench, n, algorithm, options, chip, tag) =
+  let on topology = (Exp_common.device_of_topology topology, "@" ^ topology.Topology.name) in
   let device, at =
     match chip with
     | Mesh -> (Exp_common.mesh_device n, "")
-    | Heavy_hex (rows, cols) ->
-      let topology = Topology.heavy_hex rows cols in
-      (Exp_common.device_of_topology topology, "@" ^ topology.Topology.name)
+    | Heavy_hex (rows, cols) -> on (Topology.heavy_hex rows cols)
+    | Complete k -> on (Topology.complete k)
+    | Ring k -> on (Topology.ring k)
   in
   let b = Exp_common.benchmark bench n in
   let ctx = Pass.execute ~options ~algorithm device (b.Exp_common.make device) in

@@ -443,7 +443,7 @@ let serve_cmd =
       & info [ "scrub" ]
           ~doc:
             "Zero latency fields in responses so output is byte-deterministic across \
-             job counts (also $(b,FASTSC_SERVE_SCRUB=1)).")
+             job counts.")
   in
   let run jobs socket deadline_ms max_inflight snapshot_dir snapshot_every stats_every
       drain_grace_ms scrub =

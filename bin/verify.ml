@@ -211,20 +211,7 @@ let fault_sweep () =
                    (String.concat ", "
                       (List.map (fun (s, c) -> Printf.sprintf "%s:exit %d" s c) !tried))
                    spec.site))))
-    Fault.catalog;
-  (* a typo in FASTSC_FAULT must refuse to run, not silently inject nothing *)
-  let env = [ ("FASTSC_FAULT", "no-such-fault") ] in
-  let code, log, seconds, command =
-    spawn ~dir:test_dir ~env (Printf.sprintf "'%s' test rng" test_exe)
-  in
-  add
-    (Fastsc_verify.Verify_report.cell
-       ~detail:(if code = 2 then [] else fail_detail ~command log)
-       ~tier:"D" ~name:"fault (unknown name rejected)" ~seconds
-       (if code = 2 then Fastsc_verify.Verify_report.Pass
-        else
-          Fastsc_verify.Verify_report.Fail
-            (Printf.sprintf "expected exit 2 on an unknown fault name, got %d" code)))
+    Fault.catalog
 
 let tier_d ~quick () =
   if not quick then

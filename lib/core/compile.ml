@@ -70,7 +70,7 @@ type options = Pass.options = {
   max_colors : int option;
   conflict_threshold : int;
   residual_coupling : float;
-  placement : [ `Identity | `Degree | `Coherence | `Auto ];
+  placement : [ `Identity | `Degree | `Auto ];
   optimize : bool;
   router : string;
   delay_threshold : float;

@@ -61,14 +61,12 @@ type options = Pass.options = {
   max_colors : int option;  (** Per-step color cap (Fig 11); default none. *)
   conflict_threshold : int;  (** noise_conflict neighbour cap; default 2. *)
   residual_coupling : float;  (** Gmon coupler leakage eta (Fig 12); default 0. *)
-  placement : [ `Identity | `Degree | `Coherence | `Auto ];
+  placement : [ `Identity | `Degree | `Auto ];
       (** Initial mapping heuristic; [`Auto] (default) keeps whichever of
           the identity and degree placements routes with fewer SWAPs,
           identity on ties, and routes degree only when identity needs a
           SWAP ({!Pass.place}) — device-native circuits (XEB) stay in place
-          after one routing, hub-shaped circuits (BV) get packed.  [`Coherence] is the variability-aware policy:
-          busiest logical qubits on the best-coherence physical qubits
-          (matters when the device has spare qubits). *)
+          after one routing, hub-shaped circuits (BV) get packed. *)
   optimize : bool;
       (** Run the peephole optimizer ({!Optimize}) after decomposition;
           default false so the evaluation matches the paper's unoptimized

@@ -10,8 +10,9 @@ type cache_stats = {
 
 (* The separation problems solved here are fully determined by a canonical
    key: the variable count, the band, the anharmonicity offset, and the
-   multiplicity-derived placement order.  `Smt.find_max_delta` binary-searches
-   a backtracking solve per probe, so ColorDynamic re-paying it for the same
+   placement order (multiplicity-derived for interaction solves, the
+   identity for idle ones).  `Smt.find_max_delta` binary-searches a
+   backtracking solve per probe, so ColorDynamic re-paying it for the same
    (n_colors, order) layer after layer is the dominant compile cost (§VII-C);
    one mutex-protected table removes the repeats and stays safe when sweep
    cells run on pool domains. *)
@@ -20,7 +21,7 @@ type key = {
   k_lo : float;
   k_hi : float;
   k_alpha : float;
-  k_order : int list option;
+  k_order : int list;
 }
 
 (* Seeded faults for the verification harness (docs/DESIGN.md §11). *)
@@ -81,10 +82,7 @@ let json_of_entry (k, (delta, freqs)) =
       ("lo", Json.Float k.k_lo);
       ("hi", Json.Float k.k_hi);
       ("alpha", Json.Float k.k_alpha);
-      ( "order",
-        match k.k_order with
-        | None -> Json.Null
-        | Some o -> Json.List (List.map (fun i -> Json.Int i) o) );
+      ("order", Json.List (List.map (fun i -> Json.Int i) k.k_order));
       ("delta", Json.Float delta);
       ("freqs", Json.List (Array.to_list (Array.map (fun f -> Json.Float f) freqs)));
     ]
@@ -111,9 +109,8 @@ let entry_of_json json =
         let ints =
           List.filter_map (function Json.Int i -> Some i | _ -> None) items
         in
-        if List.length ints = List.length items then Some (Some ints) else None
-      | Some Json.Null | None -> Some None
-      | Some _ -> None
+        if List.length ints = List.length items then Some ints else None
+      | _ -> None
     in
     let freqs =
       match Json.member "freqs" json with
@@ -177,7 +174,7 @@ let solve_separated_uncached ?warm ?warm_used ~lo ~hi ~alpha ~order n =
     Mutex.lock cache_mutex;
     if usable then incr warm_hits else incr warm_misses;
     Mutex.unlock cache_mutex);
-  match Fastsc_smt.Smt.find_max_delta ?order ?warm problem with
+  match Fastsc_smt.Smt.find_max_delta ~order ?warm problem with
   | Some (delta, freqs) -> { freqs; delta }
   | None ->
     (* find_max_delta only fails when even delta = 0 is infeasible, so that
@@ -187,16 +184,12 @@ let solve_separated_uncached ?warm ?warm_used ~lo ~hi ~alpha ~order n =
     failwith
       (Printf.sprintf
          "Freq_alloc: no feasible frequency assignment for %d color%s in band [%.4f, %.4f] \
-          GHz with sideband offset %.4f GHz%s (best delta tried: 0 — the band cannot hold \
-          the colors at any separation)"
+          GHz with sideband offset %.4f GHz, placement order [%s] (best delta tried: 0 — the \
+          band cannot hold the colors at any separation)"
          n
          (if n = 1 then "" else "s")
          lo hi alpha
-         (match order with
-         | None -> ""
-         | Some order ->
-           Printf.sprintf ", placement order [%s]"
-             (String.concat "; " (List.map string_of_int order))))
+         (String.concat "; " (List.map string_of_int order)))
 
 let solve_separated ?warm ?warm_used ~lo ~hi ~alpha ~order n =
   match warm with
@@ -253,12 +246,16 @@ let idle device =
     | Some c -> c
     | None -> Coloring.welsh_powell g
   in
-  let n = Coloring.n_colors coloring in
+  let n = max (Coloring.n_colors coloring) 1 in
   let partition = Device.partition device in
   let alpha = -.(Device.params device).Device.anharmonicity in
+  (* Every color has the same band and the same three separations against
+     every other, so all colors are interchangeable at every search node and
+     any placement order finds the same witness; the identity order is
+     exact. *)
   let assignment =
     solve_separated ~lo:partition.Partition.parking_lo ~hi:partition.Partition.parking_hi
-      ~alpha ~order:None (max n 1)
+      ~alpha ~order:(List.init n Fun.id) n
   in
   ( coloring,
     {
@@ -315,7 +312,7 @@ let interaction ?lo ?hi ?warm ?warm_used device ~n_colors ~multiplicity =
       | _ -> None
     in
     let assignment =
-      solve_separated ?warm ?warm_used ~lo ~hi ~alpha ~order:(Some order) n_colors
+      solve_separated ?warm ?warm_used ~lo ~hi ~alpha ~order n_colors
     in
     { assignment with freqs = shift_to_max ~target_max:hi assignment.freqs }
   end

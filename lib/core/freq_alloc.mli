@@ -51,13 +51,17 @@ val export_cache : unit -> Json.t
 val import_cache : Json.t -> int
 (** Merge a document produced by {!export_cache} into the memo table and
     return the number of entries imported.  Malformed entries are skipped
-    (a snapshot from an older build costs only what it cannot express);
-    counters are untouched.  Returns 0 on a document with no
-    ["solver_cache"] list. *)
+    (a snapshot from an older build costs only what it cannot express), and
+    so are entries whose ["order"] is null, which builds that solved idle
+    problems without a placement order wrote; counters are untouched.
+    Returns 0 on a document with no ["solver_cache"] list. *)
 
 val idle : Device.t -> Coloring.coloring * assignment
 (** Color the connectivity graph (2 colors when bipartite, Welsh–Powell
-    otherwise) and solve for parking frequencies.
+    otherwise) and solve for parking frequencies in the identity placement
+    order.  The problem is symmetric under any permutation of the colors (one
+    band, the same separations between every pair), so no order can find a
+    witness another misses, and the identity one is exact.
     @raise Failure if the solver finds no feasible assignment (cannot happen
     for sane partitions; kept as a loud invariant).  The message carries the
     full problem description — color count, band, sideband offset, placement

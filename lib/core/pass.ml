@@ -4,7 +4,7 @@ type options = {
   max_colors : int option;
   conflict_threshold : int;
   residual_coupling : float;
-  placement : [ `Identity | `Degree | `Coherence | `Auto ];
+  placement : [ `Identity | `Degree | `Auto ];
   optimize : bool;
   router : string;
   delay_threshold : float;
@@ -302,12 +302,6 @@ let place =
         { ctx with Context.placement = Some (Mapping.identity_placement graph circuit) }
       | `Degree ->
         { ctx with Context.placement = Some (Mapping.degree_placement graph circuit) }
-      | `Coherence ->
-        let device = ctx.Context.device in
-        let quality q =
-          1.0 /. ((1.0 /. Device.t1 device q) +. (1.0 /. Device.t2 device q))
-        in
-        { ctx with Context.placement = Some (Mapping.quality_placement ~quality graph circuit) }
       | `Auto ->
         (* Fewer SWAPs wins, identity on ties, so the degree placement is
            routed only when identity needs a SWAP: a SWAP-free identity

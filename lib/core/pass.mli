@@ -39,7 +39,7 @@ type options = {
   max_colors : int option;  (** Per-step color cap (Fig 11); default none. *)
   conflict_threshold : int;  (** noise_conflict neighbour cap; default 2. *)
   residual_coupling : float;  (** Gmon coupler leakage eta (Fig 12); default 0. *)
-  placement : [ `Identity | `Degree | `Coherence | `Auto ];
+  placement : [ `Identity | `Degree | `Auto ];
       (** Initial mapping heuristic.  [`Auto] (default) keeps the identity
           or the degree placement, whichever the router gives fewer SWAPs,
           identity on ties; it routes degree only when identity needs a

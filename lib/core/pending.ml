@@ -12,15 +12,11 @@ type t = {
   frontier : Mapping.Frontier.t;  (* readiness; gate ids are its positions *)
   mutable ready : Ready.t;
   mutable remaining : int;
-  used : bool array;  (* per qubit: taken in the moment [select] is building *)
 }
 
-(* Seeded faults for the verification harness (docs/DESIGN.md §11): key the
-   ready set by id alone, so gates are served in program order; leave the
-   first chosen gate's qubits marked used after [select]. *)
+(* Seeded fault for the verification harness (docs/DESIGN.md §11): key the
+   ready set by id alone, so gates are served in program order. *)
 let fault_crit_order = Fault.enabled "pending-crit-order"
-
-let fault_used_leak = Fault.enabled "pending-used-leak"
 
 let key t id = ((if fault_crit_order then 0 else t.crit.(id)), id)
 
@@ -33,7 +29,6 @@ let create circuit =
       frontier;
       ready = Ready.empty;
       remaining = Circuit.length circuit;
-      used = Array.make (Circuit.n_qubits circuit) false;
     }
   in
   List.iter
@@ -49,16 +44,9 @@ let ready t = List.map (fun (_, id) -> t.instrs.(id)) (Ready.elements t.ready)
 
 let criticality t app = t.crit.(app.Gate.id)
 
-let select t ~accept =
-  let mark used app = Array.iter (fun q -> t.used.(q) <- used) app.Gate.qubits in
-  let pick (_, id) chosen =
-    let app = t.instrs.(id) in
-    if Array.exists (fun q -> t.used.(q)) app.Gate.qubits || not (accept app) then chosen
-    else (mark true app; app :: chosen)
-  in
-  let chosen = List.rev (Ready.fold pick t.ready []) in
-  List.iteri (fun i app -> if not (fault_used_leak && i = 0) then mark false app) chosen;
-  chosen
+(* Ready gates never share a qubit (each heads the queue of every operand),
+   so a moment may take any subset of them. *)
+let select t ~accept = List.filter accept (ready t)
 
 let schedule t app =
   let id = app.Gate.id in

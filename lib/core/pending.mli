@@ -11,9 +11,10 @@
 
     Readiness comes from {!Mapping.Frontier}, the structure the router uses;
     this module adds the ready set ordered by criticality, updated with the
-    gates each {!schedule} readies, and one per-qubit [used] array per
-    compile.  Nothing is rescanned per moment: {!ready} and {!select} cost
-    the size of the ready set, {!schedule} a few set updates. *)
+    gates each {!schedule} readies.  A gate is ready only when it heads the
+    queue of each of its qubits, so ready gates never share a qubit.
+    Nothing is rescanned per moment: {!ready} and {!select} cost the size of
+    the ready set, {!schedule} a few set updates. *)
 
 type t
 
@@ -33,12 +34,10 @@ val ready : t -> Gate.application list
 val criticality : t -> Gate.application -> int
 
 val select : t -> accept:(Gate.application -> bool) -> Gate.application list
-(** One moment: walk {!ready} in order and choose each gate whose qubits are
-    still free in this moment and that [accept] takes.  [accept] is asked
-    only about such gates, in that order, so it may track the moment's
-    accepted gates itself.  Returns the chosen gates in ready order; it
-    schedules none of them, and clears their qubits again before it
-    returns. *)
+(** One moment: walk {!ready} in order and choose each gate that [accept]
+    takes.  [accept] is asked about every ready gate, in that order, so it
+    may track the moment's accepted gates itself.  Returns the chosen gates
+    in ready order; it schedules none of them. *)
 
 val schedule : t -> Gate.application -> unit
 (** Mark a gate as executed, unblocking its successors.

@@ -66,64 +66,6 @@ let degree_placement device circuit =
     logical_order;
   placement
 
-let quality_placement ~quality device circuit =
-  check_fits device circuit;
-  let n_logical = Circuit.n_qubits circuit in
-  let n_physical = Graph.n_vertices device in
-  let partners = Array.make n_logical 0 in
-  List.iter
-    (fun (a, b) ->
-      partners.(a) <- partners.(a) + 1;
-      partners.(b) <- partners.(b) + 1)
-    (Circuit.two_qubit_pairs circuit);
-  let logical_order =
-    List.sort
-      (fun a b -> match compare partners.(b) partners.(a) with 0 -> compare a b | c -> c)
-      (List.init n_logical Fun.id)
-  in
-  let placement = Array.make n_logical (-1) in
-  let taken = Array.make n_physical false in
-  let interaction_pairs = Circuit.two_qubit_pairs circuit in
-  let best_of candidates =
-    List.fold_left
-      (fun best p ->
-        match best with
-        | Some b when quality b >= quality p -> best
-        | _ -> Some p)
-      None candidates
-  in
-  let neighbour_spot logical =
-    let placed_partner_spots =
-      List.filter_map
-        (fun (a, b) ->
-          let other =
-            if a = logical then Some b else if b = logical then Some a else None
-          in
-          match other with
-          | Some o when placement.(o) >= 0 -> Some placement.(o)
-          | _ -> None)
-        interaction_pairs
-    in
-    best_of
-      (List.concat_map
-         (fun spot -> List.filter (fun p -> not taken.(p)) (Graph.neighbors device spot))
-         placed_partner_spots)
-  in
-  let best_free () =
-    best_of (List.filter (fun p -> not taken.(p)) (List.init n_physical Fun.id))
-  in
-  List.iter
-    (fun logical ->
-      let spot =
-        match neighbour_spot logical with
-        | Some p -> p
-        | None -> Option.get (best_free ())
-      in
-      placement.(logical) <- spot;
-      taken.(spot) <- true)
-    logical_order;
-  placement
-
 let route ?placement device circuit =
   let placement =
     match placement with Some p -> p | None -> identity_placement device circuit

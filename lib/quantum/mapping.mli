@@ -26,15 +26,6 @@ val degree_placement : Graph.t -> Circuit.t -> int array
 (** Heuristic placement: logical qubits with the most two-qubit partners go
     on physical qubits of highest degree, neighbours packed first. *)
 
-val quality_placement : quality:(int -> float) -> Graph.t -> Circuit.t -> int array
-(** Variability-aware placement (after Tannu & Qureshi's case for
-    variability-aware policies, cited by the paper): like
-    {!degree_placement}, but spots are ranked by the supplied per-physical-
-    qubit [quality] score (e.g. a combined coherence figure), so the busiest
-    logical qubits land on the best fabricated qubits and spares absorb the
-    duds.  Ties among free neighbours of already-placed partners also break
-    by quality. *)
-
 val route : ?placement:int array -> Graph.t -> Circuit.t -> result
 (** Route the circuit onto the device graph; [placement] defaults to
     {!identity_placement}.

@@ -120,11 +120,8 @@ type state = {
   telemetry : Telemetry.t;
 }
 
-let scrub_enabled config =
-  config.scrub || Sys.getenv_opt "FASTSC_SERVE_SCRUB" = Some "1"
-
 let respond ~config ~state oc resp =
-  let line = Protocol.response_line ~scrub:(scrub_enabled config) resp in
+  let line = Protocol.response_line ~scrub:config.scrub resp in
   Mutex.lock state.out_mutex;
   (try
      output_string oc line;

@@ -27,7 +27,7 @@ type config = {
           request is recorded. *)
   drain_grace_ms : float;  (** Grace for in-flight requests at shutdown. *)
   scrub : bool;
-      (** Zero latency fields in responses (also [FASTSC_SERVE_SCRUB=1]). *)
+      (** Zero latency fields in responses. *)
 }
 
 val default_config : config

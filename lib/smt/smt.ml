@@ -5,7 +5,6 @@ type t = {
   lo : float array;
   hi : float array;
   mutable seps : sep list;
-  mutable forbidden : (int * float) list;
 }
 
 let epsilon = 1e-9
@@ -26,7 +25,7 @@ let fault_deadline_skip = Fastsc_util.Fault.enabled "smt-deadline-skip"
    exhausted budget can never masquerade as infeasibility.  This single
    guard covers every poll in the module, so the seeded fault disables them
    all at once (a partial skip would still be caught by the deeper polls and
-   teach the meta-suite nothing). *)
+   teach the fault sweep nothing). *)
 let deadline_poll_mask = 255
 
 let deadline_check site =
@@ -35,7 +34,7 @@ let deadline_check site =
 let create ?(lo = 0.0) ?(hi = 1.0) n =
   if n < 0 then invalid_arg "Smt.create: negative variable count";
   if lo > hi then invalid_arg "Smt.create: lo > hi";
-  { n; lo = Array.make n lo; hi = Array.make n hi; seps = []; forbidden = [] }
+  { n; lo = Array.make n lo; hi = Array.make n hi; seps = [] }
 
 let check_var t v =
   if v < 0 || v >= t.n then invalid_arg "Smt: variable out of range"
@@ -53,11 +52,6 @@ let add_separation ?(offset = 0.0) t i j =
     invalid_arg "Smt.add_separation: |x - x| >= delta is unsatisfiable";
   t.seps <- { i; j; offset } :: t.seps
 
-let add_forbidden t v ~center =
-  check_var t v;
-  t.forbidden <- (v, center) :: t.forbidden;
-  t
-
 (* Open intervals that x_v must avoid, given currently placed values. *)
 let blocked_intervals t ~delta placed v =
   let intervals = ref [] in
@@ -73,7 +67,6 @@ let blocked_intervals t ~delta placed v =
         | Some xi -> avoid (xi +. offset)
         | None -> ()))
     t.seps;
-  List.iter (fun (u, center) -> if u = v then avoid center) t.forbidden;
   List.sort compare !intervals
 
 (* Self-sideband constraints |offset| >= delta do not depend on the values. *)
@@ -151,48 +144,11 @@ let solve_ordered t ~delta order =
     Some (Array.map (function Some x -> x | None -> nan) placed)
   else None
 
-(* Unordered search: each step picks any unplaced variable and places it at
-   or above the previous value, so every feasible assignment is reachable in
-   its sorted order.  The search gives up after 200,000 nodes and answers
-   "no solution", so past that budget a [None] is not a proof of
-   infeasibility.  The compiler's problems (a handful of colors, one
-   variable each) stay far below it; about ten variables with only a few
-   separations can reach it. *)
-let solve_any t ~delta =
-  let placed = Array.make t.n None in
-  let budget = ref 200_000 in
-  let rec place unplaced floor =
-    decr budget;
-    if !budget land deadline_poll_mask = 0 then deadline_check "solve_any";
-    if !budget <= 0 then false
-    else
-      match unplaced with
-      | [] -> true
-      | _ ->
-        List.exists
-          (fun v ->
-            let rest = List.filter (fun u -> u <> v) unplaced in
-            let try_value value =
-              placed.(v) <- Some value;
-              if place rest value then true
-              else begin
-                placed.(v) <- None;
-                false
-              end
-            in
-            List.exists try_value (candidates t ~delta placed v ~floor))
-          unplaced
-  in
-  if place (List.init t.n Fun.id) neg_infinity then
-    Some (Array.map (function Some x -> x | None -> nan) placed)
-  else None
-
 type violation =
   | Length_mismatch of int
   | Not_finite of int
   | Out_of_bounds of int
   | Separation_violated of int * int * float
-  | Forbidden_violated of int * float
 
 (* All comparisons carry the same epsilon slack the solver uses, so witnesses
    sitting exactly on a boundary (two variables at precisely delta apart, a
@@ -219,11 +175,6 @@ let violations t ~delta assignment =
         in
         if broken then report (Separation_violated (i, j, offset)))
       (List.rev t.seps);
-    List.iter
-      (fun (v, center) ->
-        if Float.abs (assignment.(v) -. center) +. epsilon < delta then
-          report (Forbidden_violated (v, center)))
-      (List.rev t.forbidden);
     List.rev !found
   end
 
@@ -257,11 +208,6 @@ let margin t assignment =
           in
           if slack < !m then m := slack)
         t.seps;
-      List.iter
-        (fun (v, center) ->
-          let slack = Float.abs (assignment.(v) -. center) in
-          if slack < !m then m := slack)
-        t.forbidden;
       Some !m
     end
   end
@@ -270,21 +216,16 @@ let validate_order t order =
   if List.length order <> t.n then
     invalid_arg "Smt.solve: order must list every variable exactly once"
 
-let solve ?order t ~delta =
+let solve ~order t ~delta =
   if not (self_constraints_ok t ~delta) then None
-  else
-    let result =
-      match order with
-      | Some order ->
-        validate_order t order;
-        solve_ordered t ~delta order
-      | None -> if t.n = 0 then Some [||] else solve_any t ~delta
-    in
-    match result with
+  else begin
+    validate_order t order;
+    match solve_ordered t ~delta order with
     | Some assignment ->
       assert (verify t ~delta assignment);
       Some assignment
     | None -> None
+  end
 
 let widest_range t =
   let w = ref 0.0 in
@@ -312,13 +253,13 @@ let monotone_along order assignment =
   in
   walk order
 
-let find_max_delta ?order ?(tolerance = 1e-4) ?delta_hi ?warm t =
+let find_max_delta ~order ?(tolerance = 1e-4) ?warm t =
   Atomic.incr solve_counter;
   deadline_check "find_max_delta";
-  let delta_hi = match delta_hi with Some d -> d | None -> Float.max tolerance (widest_range t) in
+  let top = Float.max tolerance (widest_range t) in
   (* Warm start: a previous witness with positive margin [m] is feasible for
      every delta <= m, so it replaces the delta = 0 probe and opens the
-     search at [lo = m].  Invalid or non-monotone (under [order]) witnesses
+     search at [lo = m].  Invalid or non-monotone (along [order]) witnesses
      fall back to the cold path — warm starting never changes feasibility,
      only how much of the binary search is skipped. *)
   let seeded =
@@ -326,17 +267,15 @@ let find_max_delta ?order ?(tolerance = 1e-4) ?delta_hi ?warm t =
     | None -> None
     | Some w -> (
       match margin t w with
-      | Some m
-        when m > 0.0
-             && (match order with None -> true | Some o -> monotone_along o w)
-        -> Some (Float.min m delta_hi, Array.copy w)
+      | Some m when m > 0.0 && monotone_along order w ->
+        Some (Float.min m top, Array.copy w)
       | _ -> None)
   in
   let base =
     match seeded with
     | Some _ -> seeded
     | None -> (
-      match solve ?order t ~delta:0.0 with
+      match solve ~order t ~delta:0.0 with
       | None -> None
       | Some witness0 -> Some (0.0, witness0))
   in
@@ -344,18 +283,18 @@ let find_max_delta ?order ?(tolerance = 1e-4) ?delta_hi ?warm t =
   | None -> None
   | Some (d0, w0) ->
     let best = ref (d0, w0) in
-    let lo = ref d0 and hi = ref delta_hi in
-    (* Check the top first: if delta_hi itself is feasible we are done. *)
-    if !lo < delta_hi then (
-      match solve ?order t ~delta:delta_hi with
+    let lo = ref d0 and hi = ref top in
+    (* Check the top first: if it is feasible we are done. *)
+    if !lo < top then (
+      match solve ~order t ~delta:top with
       | Some w ->
-        best := (delta_hi, w);
-        lo := delta_hi
+        best := (top, w);
+        lo := top
       | None -> ());
     while !hi -. !lo > tolerance do
       deadline_check "find_max_delta";
       let mid = (!lo +. !hi) /. 2.0 in
-      match solve ?order t ~delta:mid with
+      match solve ~order t ~delta:mid with
       | Some w ->
         best := (mid, w);
         lo := mid

@@ -8,12 +8,14 @@
     separation of eq. 3 — find a feasible assignment, and find the largest
     [delta] for which one exists (the paper's [smt_find] binary search).
 
+    Every search follows a total [order] of the variables supplied by the
+    caller (the paper orders colors by multiplicity so that busier colors
+    get higher frequencies): it places the variables one by one along
+    [order], each at or above the previous one, and backtracks over a finite
+    set of candidate values.  The search is complete over assignments that
+    are non-decreasing along [order], so a [None] proves that none exists.
     The number of variables equals the number of colors, which the
-    compilation pipeline keeps small (§VII-C), so a complete backtracking
-    search over value orderings is affordable and exact.  When the caller
-    supplies a total [order] (the paper orders colors by multiplicity so that
-    busier colors get higher frequencies), the search is restricted to
-    assignments respecting that order. *)
+    compilation pipeline keeps small (§VII-C). *)
 
 type t
 (** A problem instance; mutable while constraints are added. *)
@@ -32,21 +34,11 @@ val add_separation : ?offset:float -> t -> int -> int -> unit
     allowed and constrains a variable against its own sideband; [i = j] with
     [offset = 0.] is rejected as unsatisfiable for positive [delta]. *)
 
-val add_forbidden : t -> int -> center:float -> t
-(** [add_forbidden t i ~center] forbids [x_i] from the open interval
-    [(center - delta, center + delta)] — used to keep interaction frequencies
-    away from fixed parked neighbours.  Returns [t] for chaining. *)
-
-val solve : ?order:int list -> t -> delta:float -> float array option
-(** [solve t ~delta] finds a feasible assignment or [None].  With [order],
-    the assignment additionally satisfies
-    [x_order(0) <= x_order(1) <= ...].
-
-    Without [order] the search tries every placement order and stops after
-    200,000 search nodes, so a [None] past that budget is not a proof of
-    infeasibility.  The compiler's problems (one variable per color, a
-    separation between every pair) are far too small to reach it; a problem
-    of about ten variables with only a few separations can. *)
+val solve : order:int list -> t -> delta:float -> float array option
+(** [solve ~order t ~delta] finds a feasible assignment that also satisfies
+    [x_order(0) <= x_order(1) <= ...], or [None] when there is none.
+    @raise Invalid_argument if the length of [order] is not the number of
+    variables. *)
 
 val margin : t -> float array -> float option
 (** [margin t a] is the smallest constraint slack of [a]: the largest delta
@@ -62,20 +54,18 @@ type violation =
   | Out_of_bounds of int  (** Variable outside its [lo, hi] range. *)
   | Separation_violated of int * int * float
       (** [(i, j, offset)] with [|x_i + offset - x_j| < delta]. *)
-  | Forbidden_violated of int * float
-      (** [(i, center)] with [x_i] inside the forbidden interval. *)
 
 val violations : t -> delta:float -> float array -> violation list
 (** Every constraint the assignment breaks at the given [delta], in a
-    deterministic order (length, finiteness, bounds, separations, forbidden
-    zones).  Comparisons carry a small epsilon slack so assignments exactly
-    at the boundary — e.g. two variables separated by precisely [delta] —
-    verify as satisfying.  Non-finite values are violations: an all-NaN
+    deterministic order (length, finiteness, bounds, separations).
+    Comparisons carry a small epsilon slack so assignments exactly at the
+    boundary — e.g. two variables separated by precisely [delta] — verify
+    as satisfying.  Non-finite values are violations: an all-NaN
     array satisfies no constraint system. *)
 
 val verify : t -> delta:float -> float array -> bool
-(** Independent verifier: does the assignment satisfy bounds, separations and
-    forbidden zones at the given [delta]?  Equivalent to
+(** Independent verifier: does the assignment satisfy bounds and separations
+    at the given [delta]?  Equivalent to
     [violations t ~delta a = []] — an oracle for any assignment regardless of
     which search path produced it.  Used by the property-based suites and as
     an internal sanity assertion. *)
@@ -86,21 +76,19 @@ val find_max_delta_count : unit -> int
     pass instrumentation reports per-pass deltas of this counter. *)
 
 val find_max_delta :
-  ?order:int list -> ?tolerance:float -> ?delta_hi:float -> ?warm:float array ->
-  t -> (float * float array) option
+  order:int list -> ?tolerance:float -> ?warm:float array -> t -> (float * float array) option
 (** Binary search for the maximum feasible [delta] (within [tolerance],
-    default [1e-4]); returns the witness assignment found at that [delta].
-    [None] when even [delta = 0] is infeasible.  [delta_hi] bounds the search
-    from above (defaults to the widest variable range).  Each probe is one
-    {!solve}, so without [order] its node budget applies to every probe.
+    default [1e-4]) of assignments non-decreasing along [order]; returns the
+    witness assignment found at that [delta].  [None] when even [delta = 0]
+    is infeasible.  The search opens at the widest variable range, and each
+    probe is one {!solve}.
 
     [warm] seeds the search with a previous witness: when it has positive
-    {!margin} [m] (and is monotone along [order], if given) the delta = 0
-    probe is skipped and the search opens at [lo = m], typically saving most
-    of the feasible-side probes.  An invalid seed silently falls back to the
-    cold path, so warm starting never changes feasibility — and because the
-    ordered search only restricts the problem, a warm result can never beat
-    the cold unordered maximum by more than [tolerance].
+    {!margin} [m] and is monotone along [order], the delta = 0 probe is
+    skipped and the search opens at [lo = m], typically saving most of the
+    feasible-side probes.  An invalid seed silently falls back to the cold
+    path, so warm starting never changes feasibility, and a warm result
+    lands within [tolerance] of the cold maximum.
 
     Cooperative cancellation: {!solve} and {!find_max_delta} poll the
     ambient {!Fastsc_util.Deadline} at chunk boundaries (per bisection

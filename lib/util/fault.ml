@@ -4,10 +4,9 @@
    base (a flipped comparison, a dropped cache invalidation, an off-by-one in
    an index computation).  The site stays on its correct path unless the
    process was started with FASTSC_FAULT=<name>, in which case exactly that
-   fault activates.  Tier D of `make verify` (and the test_verify meta-suite)
-   runs the listed suites under each fault and demands that at least one of
-   them fails — measuring that the test suite has teeth, not just that it is
-   green.
+   fault activates.  Tier D of `make verify` runs the listed suites under
+   each fault and demands that at least one of them fails — measuring that
+   the test suite has teeth, not just that it is green.
 
    Sites guard themselves with a module-level [bool] bound to {!enabled} at
    module initialisation, so the correct path pays one load per call and
@@ -195,14 +194,6 @@ let catalog =
       suites = [ "pending" ];
     };
     {
-      name = "pending-used-leak";
-      site = "Pending.select";
-      description =
-        "the moment's first chosen gate leaves its qubits marked used: no later moment \
-         offers a gate on them, so a queueing scheduler reaches an empty moment";
-      suites = [ "pending"; "golden" ];
-    };
-    {
       name = "place-zero-shortcut";
       site = "Pass.place";
       description =
@@ -218,7 +209,7 @@ let find name = List.find_opt (fun s -> s.name = name) catalog
 
 (* The active fault is resolved once per process, at module initialisation.
    An unknown name is a hard error: a typo in FASTSC_FAULT silently injecting
-   nothing would make the meta-suite green for the wrong reason. *)
+   nothing would make the fault sweep green for the wrong reason. *)
 let active_fault =
   match Sys.getenv_opt "FASTSC_FAULT" with
   | None | Some "" -> None

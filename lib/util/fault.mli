@@ -2,9 +2,9 @@
 
     A catalog of seeded bugs, each at one named site in the code base,
     activated one at a time via [FASTSC_FAULT=<name>].  Tier D of
-    [make verify] (and the [test_verify] meta-suite) runs each fault's listed
-    suites and asserts at least one of them fails — a mutation-style check
-    that the test suite would actually catch a regression of that shape.
+    [make verify] runs each fault's listed suites and asserts at least one
+    of them fails — a mutation-style check that the test suite would
+    actually catch a regression of that shape.
 
     With [FASTSC_FAULT] unset every site takes its correct path; sites bind
     the decision to a module-level [bool] at initialisation (never a [lazy],

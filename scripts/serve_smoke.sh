@@ -37,8 +37,8 @@ BATCH='{"id":"r1","bench":"bv","n":5,"topology":"path"}
 
 for jobs in 1 4; do
   printf '%s\n' "$BATCH" \
-    | FASTSC_JOBS=$jobs FASTSC_SERVE_SCRUB=1 \
-      "$FASTSC" serve --snapshot-dir "$D/jobs$jobs" \
+    | FASTSC_JOBS=$jobs \
+      "$FASTSC" serve --scrub --snapshot-dir "$D/jobs$jobs" \
       > "$D/jobs$jobs/out.jsonl" 2> "$D/jobs$jobs/err.log" \
     || fail "daemon exited non-zero at jobs=$jobs"
   sort "$D/jobs$jobs/out.jsonl" > "$D/jobs$jobs/out.sorted"
@@ -58,8 +58,8 @@ cmp -s "$D/jobs1/out.sorted" "$D/jobs4/out.sorted" \
 # --- leg 2: SIGTERM drains in-flight work and snapshots ----------------------
 
 mkfifo "$D/drain/in"
-FASTSC_JOBS=1 FASTSC_SERVE_SCRUB=1 \
-  "$FASTSC" serve --snapshot-dir "$D/drain" --drain-grace-ms 5000 \
+FASTSC_JOBS=1 \
+  "$FASTSC" serve --scrub --snapshot-dir "$D/drain" --drain-grace-ms 5000 \
   < "$D/drain/in" > "$D/drain/out.jsonl" 2> "$D/drain/err.log" &
 pid=$!
 exec 9> "$D/drain/in"

@@ -45,6 +45,19 @@ let test_idle_per_qubit () =
     (fun a b -> check_true "neighbours differ" (per_qubit.(a) <> per_qubit.(b)))
     (Device.graph d)
 
+(* A complete chip needs one parking frequency per qubit.  All colors share
+   one band and the same separations, so the identity-order search places
+   them in a few nodes; an unordered search spent seconds on relabelled
+   copies of its first subtree here. *)
+let test_idle_complete_chip_within_deadline () =
+  Freq_alloc.reset_solver_cache ();
+  let d = Device.create ~seed:2020 (Topology.complete 9) in
+  let budget = Deadline.after_ms ~label:"idle FULL-9" 2000.0 in
+  let coloring, assignment = Deadline.with_deadline budget (fun () -> Freq_alloc.idle d) in
+  check_int "one color per qubit" 9 (Coloring.n_colors coloring);
+  check_int "nine idle frequencies" 9 (Array.length assignment.Freq_alloc.freqs);
+  check_true "separated" (assignment.Freq_alloc.delta > 0.0)
+
 let test_interaction_ordering () =
   let d = device () in
   (* color 1 is busiest, then 0, then 2: frequencies must order accordingly *)
@@ -195,6 +208,8 @@ let suite =
     Alcotest.test_case "idle in parking" `Quick test_idle_in_parking_region;
     Alcotest.test_case "idle sidebands" `Quick test_idle_respects_sidebands;
     Alcotest.test_case "idle per qubit" `Quick test_idle_per_qubit;
+    Alcotest.test_case "idle complete chip within deadline" `Quick
+      test_idle_complete_chip_within_deadline;
     Alcotest.test_case "interaction ordering" `Quick test_interaction_ordering;
     Alcotest.test_case "interaction in region" `Quick test_interaction_in_region;
     Alcotest.test_case "interaction zero colors" `Quick test_interaction_zero_colors;

@@ -84,45 +84,6 @@ let test_degree_placement_reduces_swaps () =
   let smart = Mapping.route ~placement:(Mapping.degree_placement g star) g star in
   check_true "placement helps" (smart.Mapping.n_swaps <= naive.Mapping.n_swaps)
 
-let test_quality_placement () =
-  let g = (Topology.path 8).Topology.graph in
-  (* quality peaks at qubits 4..6 *)
-  let quality p = if p >= 4 && p <= 6 then 10.0 +. float_of_int p else float_of_int p in
-  let c = Circuit.of_gates 3 [ (Gate.Cz, [ 0; 1 ]); (Gate.Cz, [ 1; 2 ]) ] in
-  let placement = Mapping.quality_placement ~quality g c in
-  check_int "size" 3 (Array.length placement);
-  check_int "distinct" 3 (List.length (List.sort_uniq compare (Array.to_list placement)));
-  (* the busiest logical qubit (1, two partners) lands on the best spot *)
-  check_int "hub on best qubit" 6 placement.(1);
-  (* partners stay adjacent to it *)
-  Array.iteri
-    (fun logical spot ->
-      if logical <> 1 then check_true "adjacent to hub" (Graph.mem_edge g spot placement.(1)))
-    placement;
-  (* routing with it needs no SWAPs at all *)
-  check_int "no swaps" 0 (Mapping.route ~placement g c).Mapping.n_swaps
-
-let test_coherence_placement_avoids_duds () =
-  (* a device with spares: the coherence policy must use the good qubits *)
-  let device = Fastsc_device.Device.create ~seed:123 (Topology.path 8) in
-  let circuit = Circuit.of_gates 4 [ (Gate.Cz, [ 0; 1 ]); (Gate.Cz, [ 2; 3 ]) ] in
-  let options =
-    { Fastsc_core.Compile.default_options with Fastsc_core.Compile.placement = `Coherence }
-  in
-  let schedule =
-    Fastsc_core.Compile.run ~options Fastsc_core.Compile.Color_dynamic device circuit
-  in
-  check_true "valid" (Result.is_ok (Fastsc_core.Schedule.check schedule));
-  let used = Fastsc_core.Schedule.used_qubits schedule in
-  let quality q =
-    1.0
-    /. ((1.0 /. Fastsc_device.Device.t1 device q) +. (1.0 /. Fastsc_device.Device.t2 device q))
-  in
-  let worst_used = List.fold_left (fun acc q -> Float.min acc (quality q)) infinity used in
-  let unused = List.filter (fun q -> not (List.mem q used)) (List.init 8 Fun.id) in
-  (* at least one avoided qubit is worse than everything we used *)
-  check_true "duds avoided" (List.exists (fun q -> quality q < worst_used) unused)
-
 let test_non_injective_placement_rejected () =
   let g = Lazy.force grid3 in
   let c = Circuit.of_gates 2 [] in
@@ -231,8 +192,6 @@ let suite =
     Alcotest.test_case "too small device" `Quick test_too_small_device;
     Alcotest.test_case "degree placement valid" `Quick test_degree_placement_valid;
     Alcotest.test_case "degree placement helps" `Quick test_degree_placement_reduces_swaps;
-    Alcotest.test_case "quality placement" `Quick test_quality_placement;
-    Alcotest.test_case "coherence placement" `Quick test_coherence_placement_avoids_duds;
     Alcotest.test_case "non-injective placement" `Quick test_non_injective_placement_rejected;
     Alcotest.test_case "lookahead valid + semantic" `Quick test_lookahead_valid_and_semantic;
     Alcotest.test_case "lookahead beats greedy" `Quick test_lookahead_beats_greedy_on_shared_traffic;

@@ -102,7 +102,7 @@ let test_select_order () =
         asked := app.Gate.id :: !asked;
         app.Gate.id <> 2)
   in
-  Alcotest.(check (list int)) "accept asked about every free gate, in ready order" ready
+  Alcotest.(check (list int)) "accept asked about every ready gate, in ready order" ready
     (List.rev !asked);
   Alcotest.(check (list int)) "accepted gates, in ready order" [ 1; 3; 0 ] (ids chosen);
   Alcotest.(check (list int)) "nothing scheduled" ready (ids (Pending.ready p));
@@ -110,7 +110,7 @@ let test_select_order () =
 
 (* Moment by moment, with every gate accepted: the ready gates never share
    a qubit, so each moment is the whole ready set, and a qubit the last
-   moment used is free again for the gate it readied. *)
+   moment used is offered again through the gate it readied. *)
 let test_select_frees_qubits () =
   let p = Pending.create (wide ()) in
   let moments = ref [] in

@@ -51,26 +51,29 @@ let build s =
   List.iter (fun (i, j, offset) -> Smt.add_separation ~offset t i j) s.seps;
   t
 
+let identity s = List.init s.n Fun.id
+
 let prop_solve_verifies =
   prop_case "solve witnesses re-verify" spec_arb (fun s ->
       let t = build s in
-      match Smt.solve t ~delta:s.delta with
+      match Smt.solve ~order:(identity s) t ~delta:s.delta with
       | None -> true
       | Some xs -> Smt.verify t ~delta:s.delta xs)
 
 let prop_max_delta_verifies =
   prop_case "find_max_delta witnesses re-verify at their delta" spec_arb (fun s ->
       let t = build s in
-      match Smt.find_max_delta ~tolerance:1e-5 t with
+      let order = identity s in
+      match Smt.find_max_delta ~order ~tolerance:1e-5 t with
       | None ->
         (* the search gives up only when even delta = 0 is infeasible *)
-        Smt.solve t ~delta:0.0 = None
+        Smt.solve ~order t ~delta:0.0 = None
       | Some (delta, xs) -> Smt.verify t ~delta xs)
 
 let prop_ordered_solve_is_monotone =
   prop_case "ordered solve respects the order and verifies" spec_arb (fun s ->
       let t = build s in
-      let order = List.init s.n Fun.id in
+      let order = identity s in
       match Smt.solve ~order t ~delta:s.delta with
       | None -> true
       | Some xs ->
@@ -92,7 +95,7 @@ let prop_verify_rejects_corrupted =
       let t = build s in
       if s.delta < 0.05 then true
       else
-        match Smt.solve t ~delta:s.delta with
+        match Smt.solve ~order:(identity s) t ~delta:s.delta with
         | None -> true
         | Some xs -> (
           match List.find_opt (fun (i, j, _) -> i <> j) s.seps with
@@ -131,12 +134,13 @@ let sparse_arb = Proptest.make ~shrink:shrink_spec ~print:print_spec gen_sparse_
 let prop_warm_never_beats_cold =
   prop_case "warm-started search verifies and never beats cold" sparse_arb (fun s ->
       let t = build s in
-      match Smt.find_max_delta ~tolerance:1e-5 t with
+      let order = identity s in
+      match Smt.find_max_delta ~order ~tolerance:1e-5 t with
       | None -> true
       | Some (dc, wc) -> (
         (* seeding with the cold witness never changes feasibility, and both
            searches land within tolerance of the same maximum *)
-        match Smt.find_max_delta ~tolerance:1e-5 ~warm:wc t with
+        match Smt.find_max_delta ~order ~tolerance:1e-5 ~warm:wc t with
         | None -> false
         | Some (dw, ww) ->
           Smt.verify t ~delta:dw ww && Float.abs (dw -. dc) <= 3e-5))

@@ -1,5 +1,7 @@
 open Helpers
 
+let identity n = List.init n Fun.id
+
 let solver_feasible () =
   let t = Fastsc_smt.Smt.create ~lo:5.0 ~hi:7.0 3 in
   Fastsc_smt.Smt.add_separation t 0 1;
@@ -9,7 +11,7 @@ let solver_feasible () =
 
 let test_solve_simple () =
   let t = solver_feasible () in
-  match Fastsc_smt.Smt.solve t ~delta:0.5 with
+  match Fastsc_smt.Smt.solve ~order:(identity 3) t ~delta:0.5 with
   | None -> Alcotest.fail "expected feasible"
   | Some xs ->
     check_true "check passes" (Fastsc_smt.Smt.verify t ~delta:0.5 xs);
@@ -18,18 +20,18 @@ let test_solve_simple () =
 let test_solve_infeasible () =
   let t = solver_feasible () in
   (* three values pairwise >= 1.5 apart cannot fit in a width-2 window *)
-  check_true "infeasible" (Fastsc_smt.Smt.solve t ~delta:1.5 = None)
+  check_true "infeasible" (Fastsc_smt.Smt.solve ~order:(identity 3) t ~delta:1.5 = None)
 
 let test_solve_boundary () =
   let t = solver_feasible () in
   (* exactly delta = 1.0: values 5, 6, 7 *)
-  match Fastsc_smt.Smt.solve t ~delta:1.0 with
+  match Fastsc_smt.Smt.solve ~order:(identity 3) t ~delta:1.0 with
   | None -> Alcotest.fail "boundary case should be feasible"
   | Some xs -> check_true "check" (Fastsc_smt.Smt.verify t ~delta:1.0 xs)
 
 let test_find_max_delta () =
   let t = solver_feasible () in
-  match Fastsc_smt.Smt.find_max_delta ~tolerance:1e-6 t with
+  match Fastsc_smt.Smt.find_max_delta ~order:(identity 3) ~tolerance:1e-6 t with
   | None -> Alcotest.fail "expected solution"
   | Some (delta, xs) ->
     check_float ~eps:1e-4 "max separation for 3 in [5,7]" 1.0 delta;
@@ -41,7 +43,7 @@ let test_find_max_delta_infeasible_bounds () =
   Fastsc_smt.Smt.set_bounds t 1 ~lo:6.0 ~hi:6.0;
   Fastsc_smt.Smt.add_separation t 0 1;
   (* delta = 0 is fine (both pinned to 6), any positive delta is not *)
-  match Fastsc_smt.Smt.find_max_delta t with
+  match Fastsc_smt.Smt.find_max_delta ~order:(identity 2) t with
   | None -> Alcotest.fail "delta = 0 is feasible"
   | Some (delta, _) -> check_float ~eps:1e-3 "only zero" 0.0 delta
 
@@ -51,7 +53,7 @@ let test_anharmonicity_offset () =
   let t = Fastsc_smt.Smt.create ~lo:5.0 ~hi:5.5 2 in
   Fastsc_smt.Smt.add_separation t 0 1;
   Fastsc_smt.Smt.add_separation ~offset:(-0.2) t 0 1;
-  match Fastsc_smt.Smt.solve t ~delta:0.15 with
+  match Fastsc_smt.Smt.solve ~order:(identity 2) t ~delta:0.15 with
   | None -> Alcotest.fail "feasible with sidebands"
   | Some xs ->
     check_true "plain separation" (Float.abs (xs.(0) -. xs.(1)) >= 0.15 -. 1e-6);
@@ -60,8 +62,8 @@ let test_anharmonicity_offset () =
 let test_self_sideband () =
   let t = Fastsc_smt.Smt.create ~lo:5.0 ~hi:7.0 1 in
   Fastsc_smt.Smt.add_separation ~offset:(-0.2) t 0 0;
-  check_true "delta below |alpha| ok" (Fastsc_smt.Smt.solve t ~delta:0.1 <> None);
-  check_true "delta above |alpha| unsat" (Fastsc_smt.Smt.solve t ~delta:0.3 = None)
+  check_true "delta below |alpha| ok" (Fastsc_smt.Smt.solve ~order:[ 0 ] t ~delta:0.1 <> None);
+  check_true "delta above |alpha| unsat" (Fastsc_smt.Smt.solve ~order:[ 0 ] t ~delta:0.3 = None)
 
 let test_self_separation_rejected () =
   let t = Fastsc_smt.Smt.create 2 in
@@ -86,29 +88,9 @@ let test_order_wrong_length () =
     (Invalid_argument "Smt.solve: order must list every variable exactly once") (fun () ->
       ignore (Fastsc_smt.Smt.solve ~order:[ 0 ] t ~delta:0.1))
 
-let test_forbidden_zone () =
-  let t = Fastsc_smt.Smt.create ~lo:5.0 ~hi:6.0 1 in
-  let t = Fastsc_smt.Smt.add_forbidden t 0 ~center:5.5 in
-  match Fastsc_smt.Smt.solve t ~delta:0.4 with
-  | None -> Alcotest.fail "feasible outside the zone"
-  | Some xs -> check_true "avoids center" (Float.abs (xs.(0) -. 5.5) >= 0.4 -. 1e-6)
-
 let test_zero_vars () =
   let t = Fastsc_smt.Smt.create 0 in
-  check_true "empty assignment" (Fastsc_smt.Smt.solve t ~delta:1.0 = Some [||])
-
-let test_unordered_search_backtracks () =
-  (* heterogeneous bounds force a specific value ordering *)
-  let t = Fastsc_smt.Smt.create ~lo:0.0 ~hi:10.0 3 in
-  Fastsc_smt.Smt.set_bounds t 0 ~lo:8.0 ~hi:10.0;
-  Fastsc_smt.Smt.set_bounds t 1 ~lo:0.0 ~hi:2.0;
-  Fastsc_smt.Smt.set_bounds t 2 ~lo:4.0 ~hi:6.0;
-  Fastsc_smt.Smt.add_separation t 0 1;
-  Fastsc_smt.Smt.add_separation t 1 2;
-  Fastsc_smt.Smt.add_separation t 0 2;
-  match Fastsc_smt.Smt.solve t ~delta:2.0 with
-  | None -> Alcotest.fail "feasible via ordering 1 < 2 < 0"
-  | Some xs -> check_true "valid" (Fastsc_smt.Smt.verify t ~delta:2.0 xs)
+  check_true "empty assignment" (Fastsc_smt.Smt.solve ~order:[] t ~delta:1.0 = Some [||])
 
 let prop_max_delta_scales_inverse =
   (* k colors in [0, w]: max separation is w / (k - 1) *)
@@ -120,7 +102,7 @@ let prop_max_delta_scales_inverse =
           Fastsc_smt.Smt.add_separation t i j
         done
       done;
-      match Fastsc_smt.Smt.find_max_delta ~tolerance:1e-5 t with
+      match Fastsc_smt.Smt.find_max_delta ~order:(identity k) ~tolerance:1e-5 t with
       | None -> false
       | Some (delta, _) -> Float.abs (delta -. (w /. float_of_int (k - 1))) < 1e-3)
 
@@ -134,31 +116,34 @@ let prop_witness_always_checks =
           Fastsc_smt.Smt.add_separation t i j
         done
       done;
-      match Fastsc_smt.Smt.solve t ~delta with
+      match Fastsc_smt.Smt.solve ~order:(identity k) t ~delta with
       | None -> true
       | Some xs -> Fastsc_smt.Smt.verify t ~delta xs)
+
+(* Zones around [centers] for variable 1 in [1, 10]: variable 0 is pinned
+   at 0 and placed first, and each separation [|x1 - c - x0| >= delta]
+   blocks x1 from the open interval [(c -. delta, c +. delta)], whose center
+   [0 -. (-.c)] is exactly [c]. *)
+let zones centers =
+  let t = Fastsc_smt.Smt.create ~lo:1.0 ~hi:10.0 2 in
+  Fastsc_smt.Smt.set_bounds t 0 ~lo:0.0 ~hi:0.0;
+  List.iter (fun c -> Fastsc_smt.Smt.add_separation ~offset:(-.c) t 1 0) centers;
+  t
 
 (* The single-pass resolver must land on exactly the floats the old
    retry-until-stable loop produced: witnesses are part of the golden
    determinism surface, so these pin exact values (eps 0), not tolerances. *)
 let test_resolver_chained_zones_exact () =
-  (* Overlapping forbidden zones around 1.0, 1.8, 2.6 with delta 0.5 chain
-     into (0.5,1.5)(1.3,2.3)(2.1,3.1): starting at lo=1.0 the resolver hops
+  (* Overlapping zones around 1.0, 1.8, 2.6 with delta 0.5 chain into
+     (0.5,1.5)(1.3,2.3)(2.1,3.1): starting at lo=1.0 the resolver hops
      endpoint to endpoint and stops exactly at 2.6 +. 0.5. *)
-  let t = Fastsc_smt.Smt.create ~lo:1.0 ~hi:10.0 1 in
-  let t = Fastsc_smt.Smt.add_forbidden t 0 ~center:1.0 in
-  let t = Fastsc_smt.Smt.add_forbidden t 0 ~center:1.8 in
-  let t = Fastsc_smt.Smt.add_forbidden t 0 ~center:2.6 in
-  (match Fastsc_smt.Smt.solve t ~delta:0.5 with
+  (match Fastsc_smt.Smt.solve ~order:(identity 2) (zones [ 1.0; 1.8; 2.6 ]) ~delta:0.5 with
   | None -> Alcotest.fail "chain is escapable"
-  | Some xs -> check_float ~eps:0.0 "exact upper endpoint of the chain" (2.6 +. 0.5) xs.(0));
+  | Some xs -> check_float ~eps:0.0 "exact upper endpoint of the chain" (2.6 +. 0.5) xs.(1));
   (* A gap between zones is kept: disjoint zones stop the walk early. *)
-  let t = Fastsc_smt.Smt.create ~lo:1.0 ~hi:10.0 1 in
-  let t = Fastsc_smt.Smt.add_forbidden t 0 ~center:1.0 in
-  let t = Fastsc_smt.Smt.add_forbidden t 0 ~center:4.0 in
-  match Fastsc_smt.Smt.solve t ~delta:0.5 with
+  match Fastsc_smt.Smt.solve ~order:(identity 2) (zones [ 1.0; 4.0 ]) ~delta:0.5 with
   | None -> Alcotest.fail "gap is reachable"
-  | Some xs -> check_float ~eps:0.0 "lands in the first gap" (1.0 +. 0.5) xs.(0)
+  | Some xs -> check_float ~eps:0.0 "lands in the first gap" (1.0 +. 0.5) xs.(1)
 
 let test_resolver_separation_chain_exact () =
   (* Greedy placement under ~order with touching separation intervals:
@@ -187,13 +172,14 @@ let test_margin () =
 
 let test_warm_seeding () =
   let t = solver_feasible () in
-  let dc, wc = Option.get (Fastsc_smt.Smt.find_max_delta ~tolerance:1e-6 t) in
-  let dw, ww = Option.get (Fastsc_smt.Smt.find_max_delta ~tolerance:1e-6 ~warm:wc t) in
+  let order = identity 3 in
+  let dc, wc = Option.get (Fastsc_smt.Smt.find_max_delta ~order ~tolerance:1e-6 t) in
+  let dw, ww = Option.get (Fastsc_smt.Smt.find_max_delta ~order ~tolerance:1e-6 ~warm:wc t) in
   check_true "warm witness verifies" (Fastsc_smt.Smt.verify t ~delta:dw ww);
   check_true "warm result within tolerance of cold" (Float.abs (dw -. dc) <= 1e-5);
   (* an invalid seed silently falls back to the cold path *)
   let df, _ =
-    Option.get (Fastsc_smt.Smt.find_max_delta ~tolerance:1e-6 ~warm:[| nan; nan; nan |] t)
+    Option.get (Fastsc_smt.Smt.find_max_delta ~order ~tolerance:1e-6 ~warm:[| nan; nan; nan |] t)
   in
   check_float ~eps:0.0 "garbage seed reproduces the cold result" dc df
 
@@ -211,9 +197,7 @@ let suite =
     Alcotest.test_case "self separation rejected" `Quick test_self_separation_rejected;
     Alcotest.test_case "order respected" `Quick test_order_respected;
     Alcotest.test_case "order wrong length" `Quick test_order_wrong_length;
-    Alcotest.test_case "forbidden zone" `Quick test_forbidden_zone;
     Alcotest.test_case "zero vars" `Quick test_zero_vars;
-    Alcotest.test_case "unordered backtracking" `Quick test_unordered_search_backtracks;
     Alcotest.test_case "margin" `Quick test_margin;
     Alcotest.test_case "warm seeding" `Quick test_warm_seeding;
     prop_max_delta_scales_inverse;

@@ -143,7 +143,22 @@ let test_solver_cache_export_import () =
   let n = Fastsc_core.Freq_alloc.import_cache exported in
   check_true "import accepts its own export" (n >= 0);
   check_true "empty document imports zero entries"
-    (Fastsc_core.Freq_alloc.import_cache (Json.Obj []) = 0)
+    (Fastsc_core.Freq_alloc.import_cache (Json.Obj []) = 0);
+  (* an entry without a placement order is skipped like a malformed one *)
+  let entry order =
+    Json.Obj
+      [
+        ("n", Json.Int 1); ("lo", Json.Float (-2.0)); ("hi", Json.Float (-1.0));
+        ("alpha", Json.Float 0.0); ("order", order); ("delta", Json.Float 1.0);
+        ("freqs", Json.List [ Json.Float (-2.0) ]);
+      ]
+  in
+  let doc =
+    Json.Obj
+      [ ("solver_cache", Json.List [ entry Json.Null; entry (Json.List [ Json.Int 0 ]) ]) ]
+  in
+  check_int "null order skipped" 1 (Fastsc_core.Freq_alloc.import_cache doc);
+  Fastsc_core.Freq_alloc.reset_solver_cache ()
 
 let suite =
   [
