@@ -27,7 +27,7 @@ let coloring () =
       (fun bench ->
         let device = Exp_common.mesh_device bench.Exp_common.n in
         let circuit = bench.Exp_common.make device in
-        let native = Compile.prepare Compile.default_options device circuit in
+        let native = Compile.prepare Pass.default_options device circuit in
         let cells =
           List.concat_map
             (fun (_, colorer) ->
@@ -61,7 +61,7 @@ let decomposition () =
     Exp_common.grid
       (fun (bench, decomposition) ->
         let device = Exp_common.mesh_device bench.Exp_common.n in
-        let options = { Compile.default_options with Compile.decomposition } in
+        let options = { Pass.default_options with Pass.decomposition } in
         let m =
           Exp_common.compile_and_evaluate ~options ~algorithm:Compile.Color_dynamic device
             bench
@@ -89,7 +89,7 @@ let distance () =
     Exp_common.grid
       (fun (bench, d) ->
         let device = Exp_common.mesh_device bench.Exp_common.n in
-        let options = { Compile.default_options with Compile.crosstalk_distance = d } in
+        let options = { Pass.default_options with Pass.crosstalk_distance = d } in
         let circuit = bench.Exp_common.make device in
         let schedule = Compile.run ~options Compile.Color_dynamic device circuit in
         (* evaluate both at distance 2 so the d=1 compilation is judged
@@ -129,7 +129,7 @@ let threshold () =
     Exp_common.grid
       (fun (bench, conflict_threshold) ->
         let device = Exp_common.mesh_device bench.Exp_common.n in
-        let options = { Compile.default_options with Compile.conflict_threshold } in
+        let options = { Pass.default_options with Pass.conflict_threshold } in
         let m =
           Exp_common.compile_and_evaluate ~options ~algorithm:Compile.Color_dynamic device
             bench
@@ -156,7 +156,7 @@ let optimize () =
     Exp_common.grid
       (fun (bench, optimize) ->
         let device = Exp_common.mesh_device bench.Exp_common.n in
-        let options = { Compile.default_options with Compile.optimize } in
+        let options = { Pass.default_options with Pass.optimize } in
         let circuit = bench.Exp_common.make device in
         let native = Compile.prepare options device circuit in
         let schedule = Compile.schedule_native options Compile.Color_dynamic device native in
@@ -191,13 +191,13 @@ let router () =
   in
   let router_benches = Exp_common.benchmark "qaoa" 16 :: benches () in
   let cells =
-    List.concat_map (fun bench -> [ (bench, "greedy"); (bench, "lookahead") ]) router_benches
+    List.concat_map (fun bench -> [ (bench, `Greedy); (bench, `Lookahead) ]) router_benches
   in
   let results =
     Exp_common.grid
       (fun (bench, router) ->
         let device = Exp_common.mesh_device bench.Exp_common.n in
-        let options = { Compile.default_options with Compile.router } in
+        let options = { Pass.default_options with Pass.router } in
         let circuit = bench.Exp_common.make device in
         let native = Compile.prepare options device circuit in
         let schedule = Compile.schedule_native options Compile.Color_dynamic device native in

@@ -67,11 +67,11 @@ let full_suite () =
 (* All compilation goes through the pass-manager pipeline; drivers that need
    scheduler statistics or the instrumentation trail read them off the
    returned context instead of the old ColorDynamic-only stats path. *)
-let compile_context ?(options = Compile.default_options) ~algorithm device circuit =
+let compile_context ?(options = Pass.default_options) ~algorithm device circuit =
   Pass.execute ~options ~through:`Schedule
     ~algorithm:(Compile.algorithm_to_string algorithm) device circuit
 
-let compile_and_evaluate ?(options = Compile.default_options) ~algorithm device bench =
+let compile_and_evaluate ?(options = Pass.default_options) ~algorithm device bench =
   let circuit = bench.make device in
   let ctx =
     Pass.execute ~options ~algorithm:(Compile.algorithm_to_string algorithm) device circuit

@@ -8,8 +8,8 @@
    router and under the degree placement (route paths that the default
    lookahead router with [`Auto] placement never takes; their labels carry
    a [router=...] or [placement=...] tag), plus {bv, qaoa, xeb} x 9-qubit
-   mesh x {anneal-dynamic, gmon-dynamic} (the two registered queueing
-   schedulers outside the paper set), plus {bv, qaoa} x {FULL-9, FULL-16,
+   mesh x {anneal-dynamic, gmon-dynamic} (two queueing schedulers outside
+   the paper set), plus {bv, qaoa} x {FULL-9, FULL-16,
    RING-9} x {color-dynamic, baseline-u} (chips whose idle coloring needs
    more than two colors: 9, 16 and 3 parking frequencies), is compiled through
    [Pass.execute] and evaluated three times: the default
@@ -47,7 +47,7 @@ let multicolor_algorithms = [ "color-dynamic"; "baseline-u" ]
 
 let variants =
   [
-    ("[router=greedy]", { Pass.default_options with Pass.router = "greedy" });
+    ("[router=greedy]", { Pass.default_options with Pass.router = `Greedy });
     ("[placement=degree]", { Pass.default_options with Pass.placement = `Degree });
   ]
 

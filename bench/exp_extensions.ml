@@ -162,11 +162,11 @@ let snake_comparison () =
       (fun bench ->
         let device = Exp_common.mesh_device bench.Exp_common.n in
         let circuit = bench.Exp_common.make device in
-        let native = Compile.prepare Compile.default_options device circuit in
+        let native = Compile.prepare Pass.default_options device circuit in
         let timed algorithm =
           let start = Unix.gettimeofday () in
           let schedule =
-            Compile.schedule_native Compile.default_options algorithm device native
+            Compile.schedule_native Pass.default_options algorithm device native
           in
           let elapsed = Unix.gettimeofday () -. start in
           ((Schedule.evaluate schedule).Schedule.log10_success, elapsed)

@@ -18,7 +18,7 @@ let fig12 () =
   in
   List.iter
     (fun eta ->
-      let options = { Compile.default_options with Compile.residual_coupling = eta } in
+      let options = { Pass.default_options with Pass.residual_coupling = eta } in
       let g = Exp_common.compile_and_evaluate ~options ~algorithm:Compile.Gmon device bench in
       let gd =
         Exp_common.compile_and_evaluate ~options ~algorithm:Compile.Gmon_dynamic device bench

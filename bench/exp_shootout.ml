@@ -1,4 +1,4 @@
-(* Cross-compiler shootout: every registered scheduler — the paper's five
+(* Cross-compiler shootout: every [Compile.algorithm] scheduler — the paper's five
    Table I algorithms, the dynamic extensions, and the rival zoo
    (murali-delay, cqc-synergy) — head-to-head on the table2 workload
    surface across a widened device zoo (mesh, ring, express, heavy-hex,

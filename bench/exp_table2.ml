@@ -14,7 +14,7 @@ let table2 () =
     (fun bench ->
       let device = Exp_common.mesh_device bench.Exp_common.n in
       let circuit = bench.Exp_common.make device in
-      let native = Compile.prepare Compile.default_options device circuit in
+      let native = Compile.prepare Pass.default_options device circuit in
       Tablefmt.add_row t
         [
           bench.Exp_common.label;

@@ -25,7 +25,7 @@ let fig11 () =
       let series =
         List.map
           (fun cap ->
-            let options = { Compile.default_options with Compile.max_colors = Some cap } in
+            let options = { Pass.default_options with Pass.max_colors = Some cap } in
             let m =
               Exp_common.compile_and_evaluate ~options ~algorithm:Compile.Color_dynamic device
                 bench

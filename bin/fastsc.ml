@@ -29,18 +29,17 @@ let bench_arg =
     & opt string "bv"
     & info [ "bench" ] ~docv:"BENCH" ~doc:"Benchmark: bv, qaoa, ising, qgan, xeb.")
 
-(* The algorithm list in --help comes from the scheduler registry, so a
-   newly registered scheduler shows up without touching the CLI. *)
+(* The algorithm list in --help comes from Pass's scheduler table, with
+   the aliases each entry accepts. *)
 let algorithm_doc =
-  let describe (module S : Pass.SCHEDULER) =
-    match S.aliases with
-    | [] -> S.name
-    | aliases -> S.name ^ "/" ^ String.concat "/" aliases
+  let describe (s : Pass.scheduler) =
+    match s.aliases with
+    | [] -> s.name
+    | aliases -> s.name ^ "/" ^ String.concat "/" aliases
   in
   let runnable =
-    List.filter
-      (fun (module S : Pass.SCHEDULER) -> Compile.algorithm_of_string S.name <> None)
-      (Pass.schedulers ())
+    List.filter (fun (s : Pass.scheduler) -> Compile.algorithm_of_string s.name <> None)
+      Pass.schedulers
   in
   "Algorithm: " ^ String.concat ", " (List.map describe runnable) ^ "."
 
@@ -50,8 +49,8 @@ let algorithm_arg =
     & opt string "cd"
     & info [ "algorithm"; "a" ] ~docv:"ALG" ~doc:algorithm_doc)
 
-(* Algorithm names come from the scheduler registry; reject unknown ones with
-   exit code 2 and the list of valid names (tested by the CLI suite). *)
+(* Algorithm names come from Pass's scheduler table; reject unknown ones
+   with exit code 2 and the list of valid names (tested by the CLI suite). *)
 let parse_algorithm alg =
   match Compile.algorithm_of_string alg with
   | Some algorithm -> algorithm
@@ -194,7 +193,7 @@ let compile_cmd =
     | `Ok () ->
       let algorithm = parse_algorithm alg in
       let options =
-        { Compile.default_options with Compile.warm_start; decompose_components = decompose }
+        { Pass.default_options with Pass.warm_start; decompose_components = decompose }
       in
       let external_circuit =
         match input with
@@ -239,7 +238,7 @@ let compile_cmd =
                 Format.printf "%a@." Schedule.pp_summary schedule;
                 print_metrics (Schedule.evaluate schedule);
                 if draw then begin
-                  let native = Compile.prepare Compile.default_options device circuit in
+                  let native = Compile.prepare Pass.default_options device circuit in
                   print_endline (Draw.circuit native)
                 end;
                 if chart then print_endline (Freq_chart.render schedule);
@@ -271,7 +270,7 @@ let qasm_cmd =
     with_device topology_spec n seed (fun device ->
         let circuit = Protocol.make_benchmark bench n seed device in
         let circuit =
-          if native then Compile.prepare Compile.default_options device circuit else circuit
+          if native then Compile.prepare Pass.default_options device circuit else circuit
         in
         print_string (Qasm.to_string circuit);
         `Ok ())

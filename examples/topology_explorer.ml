@@ -46,7 +46,6 @@ let () =
         if by_degree.Mapping.n_swaps < by_identity.Mapping.n_swaps then by_degree
         else by_identity
       in
-      (* naming the algorithm via Compile also links the built-in registry *)
       let ctx =
         Pass.execute ~through:`Schedule
           ~algorithm:(Compile.algorithm_to_string Compile.Color_dynamic) device circuit

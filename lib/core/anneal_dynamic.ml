@@ -76,16 +76,3 @@ let run ?(seed = 0) device circuit =
     steps := Step_builder.make device ~idle_freqs ~freq_of_gate:freq_of gates :: !steps
   done;
   { skeleton with Schedule.steps = List.rev !steps }
-
-let scheduler : Pass.scheduler =
-  (module struct
-    let name = "anneal-dynamic"
-
-    let aliases = [ "annealdynamic"; "ad" ]
-
-    let table1 = false
-
-    let consumes = `Native
-
-    let schedule (_ : Pass.options) device native = (run device native, [])
-  end)

@@ -17,7 +17,3 @@
 val run : ?seed:int -> Device.t -> Circuit.t -> Schedule.t
 (** Anneals each step for 400 iterations; [seed] (default 0) makes the
     stochastic search reproducible. *)
-
-val scheduler : Pass.scheduler
-(** This algorithm as a registry entry (name ["anneal-dynamic"], aliases
-    ["annealdynamic"]/["ad"]); registered by {!Compile}. *)

@@ -75,17 +75,3 @@ let run ~residual_coupling device circuit =
     idle_freqs;
     coupler = Schedule.Tunable_coupler residual_coupling;
   }
-
-let scheduler : Pass.scheduler =
-  (module struct
-    let name = "baseline-g"
-
-    let aliases = [ "gmon"; "g" ]
-
-    let table1 = true
-
-    let consumes = `Native
-
-    let schedule (options : Pass.options) device native =
-      (run ~residual_coupling:options.Pass.residual_coupling device native, [])
-  end)

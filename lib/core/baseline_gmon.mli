@@ -13,8 +13,8 @@ val edge_classes : Device.t -> ((int * int) * int) list
 (** The coupler-activation classes: Sycamore ABCD tiling on grids, greedy
     proper edge coloring elsewhere.  Each class is a matching. *)
 
-val scheduler : Pass.scheduler
-(** This algorithm as a registry entry (name ["baseline-g"], aliases
-    ["gmon"]/["g"]); reads [residual_coupling], the fraction of [g0] leaking
-    through deactivated couplers, from the pipeline options.  Registered by
-    {!Compile}. *)
+val run : residual_coupling:float -> Device.t -> Circuit.t -> Schedule.t
+(** Tiling scheduler over a routed, native-gate circuit: each step activates
+    the coupler class with the most ready two-qubit gates.
+    [residual_coupling] is the fraction of [g0] leaking through deactivated
+    couplers, recorded as the schedule's coupler model. *)

@@ -14,16 +14,3 @@ let run device circuit =
     idle_freqs;
     coupler = Schedule.Fixed_coupler;
   }
-
-let scheduler : Pass.scheduler =
-  (module struct
-    let name = "baseline-n"
-
-    let aliases = [ "naive"; "n" ]
-
-    let table1 = true
-
-    let consumes = `Native
-
-    let schedule (_ : Pass.options) device native = (run device native, [])
-  end)

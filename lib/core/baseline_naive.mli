@@ -10,7 +10,3 @@
 val run : Device.t -> Circuit.t -> Schedule.t
 (** [run device circuit] schedules a routed, native-gate circuit.  The result
     passes {!Schedule.check}. *)
-
-val scheduler : Pass.scheduler
-(** This algorithm as a registry entry (name ["baseline-n"], aliases
-    ["naive"]/["n"]); registered by {!Compile}. *)

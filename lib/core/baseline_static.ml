@@ -31,17 +31,3 @@ let run ~crosstalk_distance device circuit =
     idle_freqs;
     coupler = Schedule.Fixed_coupler;
   }
-
-let scheduler : Pass.scheduler =
-  (module struct
-    let name = "baseline-s"
-
-    let aliases = [ "static"; "s" ]
-
-    let table1 = true
-
-    let consumes = `Native
-
-    let schedule (options : Pass.options) device native =
-      (run ~crosstalk_distance:options.Pass.crosstalk_distance device native, [])
-  end)

@@ -14,7 +14,6 @@ val static_assignment :
 (** The per-coupling static interaction frequency table and the number of
     colors used; exposed for reporting (Fig 14-style dumps). *)
 
-val scheduler : Pass.scheduler
-(** This algorithm as a registry entry (name ["baseline-s"], aliases
-    ["static"]/["s"]); reads [crosstalk_distance] from the pipeline options.
-    Registered by {!Compile}. *)
+val run : crosstalk_distance:int -> Device.t -> Circuit.t -> Schedule.t
+(** ASAP layers of a routed, native-gate circuit, each two-qubit gate at its
+    coupling's {!static_assignment} frequency. *)

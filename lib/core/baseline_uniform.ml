@@ -34,17 +34,3 @@ let run ?(crosstalk_distance = 1) device circuit =
     idle_freqs;
     coupler = Schedule.Fixed_coupler;
   }
-
-let scheduler : Pass.scheduler =
-  (module struct
-    let name = "baseline-u"
-
-    let aliases = [ "uniform"; "u" ]
-
-    let table1 = true
-
-    let consumes = `Native
-
-    let schedule (options : Pass.options) device native =
-      (run ~crosstalk_distance:options.Pass.crosstalk_distance device native, [])
-  end)

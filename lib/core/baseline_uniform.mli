@@ -11,8 +11,3 @@
 val run : ?crosstalk_distance:int -> Device.t -> Circuit.t -> Schedule.t
 (** Queueing scheduler: ready gates are served by criticality; at most one
     two-qubit gate executes per step. *)
-
-val scheduler : Pass.scheduler
-(** This algorithm as a registry entry (name ["baseline-u"], aliases
-    ["uniform"]/["u"]); reads [crosstalk_distance] from the pipeline options.
-    Registered by {!Compile}. *)

@@ -11,8 +11,10 @@ type stats = {
   warm_misses : int;
 }
 
+let default_conflict_threshold = 2
+
 let run ?(crosstalk_distance = 1) ?(max_colors = None)
-    ?(conflict_threshold = Pass.default_options.Pass.conflict_threshold)
+    ?(conflict_threshold = default_conflict_threshold)
     ?(colorer = Coloring.welsh_powell) ?(warm_start = false) ?(decompose = false)
     device circuit =
   (match max_colors with
@@ -235,38 +237,3 @@ let run ?(crosstalk_distance = 1) ?(max_colors = None)
       warm_hits = !warm_hit_count;
       warm_misses = !warm_miss_count;
     } )
-
-let pass_stats stats =
-  [
-    ("cycles", Pass.Int stats.cycles);
-    ("max_colors_used", Pass.Int stats.max_colors_used);
-    ("postponed", Pass.Int stats.postponed);
-    ("min_delta", Pass.Float stats.min_delta);
-    ("components", Pass.Int stats.components);
-    ("component_max_size", Pass.Int stats.component_max_size);
-    ("component_sizes", Pass.Text stats.component_sizes);
-    ("component_solves", Pass.Int stats.component_solves);
-    ("warm_hits", Pass.Int stats.warm_hits);
-    ("warm_misses", Pass.Int stats.warm_misses);
-  ]
-
-let scheduler : Pass.scheduler =
-  (module struct
-    let name = "color-dynamic"
-
-    let aliases = [ "colordynamic"; "cd" ]
-
-    let table1 = true
-
-    let consumes = `Native
-
-    let schedule (options : Pass.options) device native =
-      let schedule, stats =
-        run ~crosstalk_distance:options.Pass.crosstalk_distance
-          ~max_colors:options.Pass.max_colors
-          ~conflict_threshold:options.Pass.conflict_threshold
-          ~warm_start:options.Pass.warm_start
-          ~decompose:options.Pass.decompose_components device native
-      in
-      (schedule, pass_stats stats)
-  end)

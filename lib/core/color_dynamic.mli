@@ -37,6 +37,11 @@ type stats = {
   warm_misses : int;  (** Warm attempts that fell back to the cold path. *)
 }
 
+val default_conflict_threshold : int
+(** The [noise_conflict] neighbour cap, 2: the default of both {!run} and
+    [Pass.default_options], so a direct call and a pipeline compile
+    postpone the same gates. *)
+
 val run :
   ?crosstalk_distance:int ->
   ?max_colors:int option ->
@@ -49,8 +54,7 @@ val run :
     [crosstalk_distance] is the [d] of the crosstalk graph (default 1);
     [max_colors] caps per-step colors (default [None] = uncapped);
     [conflict_threshold] is the neighbour count that triggers postponement
-    (default [Pass.default_options.conflict_threshold], 2, as in every
-    pipeline compile);
+    (default {!default_conflict_threshold});
     [colorer] is the subgraph-coloring heuristic (default
     {!Coloring.welsh_powell}, per the paper; swappable for ablations).
 
@@ -63,11 +67,3 @@ val run :
     counts are tracked in {!stats} either way.
     @raise Invalid_argument if [conflict_threshold < 1] or
     [max_colors < Some 1]. *)
-
-val scheduler : Pass.scheduler
-(** This algorithm as a registry entry (name ["color-dynamic"], aliases
-    ["colordynamic"]/["cd"]); reads [crosstalk_distance], [max_colors],
-    [conflict_threshold], [warm_start] and [decompose_components] from the
-    pipeline options and reports {!stats} as pass stats of the same names
-    ([min_delta] a [Float], [component_sizes] a [Text], the rest [Int]).
-    Registered by {!Compile}. *)

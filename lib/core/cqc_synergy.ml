@@ -48,28 +48,3 @@ let run ?(threshold = 1e-4) ?(decomposition = Decompose.Hybrid) ?(crosstalk_dist
   let native = Decompose.run decomposition result.Mapping.circuit in
   let sched, delayed = Murali_delay.pack ~threshold ~algorithm:"cqc-synergy" device native in
   (sched, { n_swaps = result.Mapping.n_swaps; conflict_total; delayed })
-
-let scheduler : Pass.scheduler =
-  (module struct
-    let name = "cqc-synergy"
-
-    let aliases = [ "cqc"; "cs" ]
-
-    let table1 = false
-
-    let consumes = `Logical
-
-    let schedule (options : Pass.options) device placed =
-      let sched, stats =
-        run ~threshold:options.Pass.delay_threshold
-          ~decomposition:options.Pass.decomposition
-          ~crosstalk_distance:options.Pass.crosstalk_distance device placed
-      in
-      ( sched,
-        [
-          ("swaps", Pass.Int stats.n_swaps);
-          ("conflict_total", Pass.Int stats.conflict_total);
-          ("delayed", Pass.Int stats.delayed);
-          ("steps", Pass.Int (Schedule.depth sched));
-        ] )
-  end)

@@ -10,7 +10,7 @@
     neighbours), so routing avoids creating the spectrum collisions the
     scheduler would otherwise have to delay around.  Packing is
     Murali-style threshold delay at uniform frequencies
-    ({!Murali_delay.pack}) — CQC is software-only.  Registered as
+    ({!Murali_delay.pack}) — CQC is software-only.  [Pass] serves it as
     ["cqc-synergy"] (aliases ["cqc"], ["cs"]). *)
 
 val route :
@@ -33,7 +33,3 @@ val run :
   ?crosstalk_distance:int ->
   Device.t -> Circuit.t -> Schedule.t * run_stats
 (** Route, decompose, then threshold-pack; the full synergistic pipeline. *)
-
-val scheduler : Pass.scheduler
-(** The registry entry ([consumes = `Logical]; {!Compile} registers it at
-    load time). *)

@@ -179,8 +179,8 @@ let solve_separated_uncached ?warm ?warm_used ~lo ~hi ~alpha ~order n =
   | None ->
     (* find_max_delta only fails when even delta = 0 is infeasible, so that
        is the "best delta tried".  Spell the whole problem out: with
-       registry-added algorithms driving this solver, "no feasible
-       assignment" alone is undiagnosable. *)
+       several schedulers driving this solver, "no feasible assignment"
+       alone is undiagnosable. *)
     failwith
       (Printf.sprintf
          "Freq_alloc: no feasible frequency assignment for %d color%s in band [%.4f, %.4f] \

@@ -66,7 +66,7 @@ val idle : Device.t -> Coloring.coloring * assignment
     for sane partitions; kept as a loud invariant).  The message carries the
     full problem description — color count, band, sideband offset, placement
     order, and the best delta tried — so infeasible configurations coming
-    from registry-added algorithms are diagnosable. *)
+    from any scheduler are diagnosable. *)
 
 val idle_per_qubit : Device.t -> float array
 (** Convenience over {!idle}: the parking frequency of every qubit. *)

@@ -10,6 +10,8 @@
    maximum, so fidelity trails the SMT schedulers — the point is bounded
    latency, not optimality. *)
 
+type stats = { idle_colors : int; interaction_colors : int }
+
 let run ~crosstalk_distance device circuit =
   let partition = Device.partition device in
   (* parking: one slot per connectivity color *)
@@ -51,22 +53,7 @@ let run ~crosstalk_distance device circuit =
       idle_freqs;
       coupler = Schedule.Fixed_coupler;
     },
-    [
-      ("idle_colors", Pass.Int (Coloring.n_colors qubit_colors));
-      ("interaction_colors", Pass.Int (Coloring.n_colors pair_colors));
-    ] )
-
-let scheduler : Pass.scheduler =
-  (module struct
-    let name = "greedy-spread"
-
-    let aliases = [ "greedy"; "gs" ]
-
-    (* not one of the paper's Table I columns: this is the serve fallback *)
-    let table1 = false
-
-    let consumes = `Native
-
-    let schedule (options : Pass.options) device native =
-      run ~crosstalk_distance:options.Pass.crosstalk_distance device native
-  end)
+    {
+      idle_colors = Coloring.n_colors qubit_colors;
+      interaction_colors = Coloring.n_colors pair_colors;
+    } )

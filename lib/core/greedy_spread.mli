@@ -4,11 +4,15 @@
     valid schedule in graph-coloring time, with zero
     {!Fastsc_smt.Smt.find_max_delta} calls.  Idle frequencies are one
     {!Freq_alloc.spread} slot per connectivity-graph color; interaction
-    frequencies one slot per crosstalk-graph color.  Registered as
-    ["greedy-spread"] (aliases ["greedy"], ["gs"]), excluded from the
-    paper's Table I set. *)
+    frequencies one slot per crosstalk-graph color.  [Pass] serves it as
+    ["greedy-spread"] (aliases ["greedy"], ["gs"]); it has no
+    [Compile.algorithm] constructor. *)
 
-val scheduler : Pass.scheduler
-(** Schedules an already-routed native-gate circuit; reads
-    [crosstalk_distance] from the pipeline options and reports
-    [idle_colors] and [interaction_colors]. *)
+type stats = {
+  idle_colors : int;  (** Colors of the connectivity graph. *)
+  interaction_colors : int;  (** Colors of the crosstalk graph. *)
+}
+
+val run : crosstalk_distance:int -> Device.t -> Circuit.t -> Schedule.t * stats
+(** Schedules an already-routed native-gate circuit in ASAP layers, with the
+    crosstalk graph at [crosstalk_distance]. *)

@@ -79,24 +79,3 @@ let pack ?(threshold = 1e-4) ~algorithm device circuit =
       coupler = Schedule.Fixed_coupler;
     },
     !delayed )
-
-let scheduler : Pass.scheduler =
-  (module struct
-    let name = "murali-delay"
-
-    let aliases = [ "murali"; "md" ]
-
-    let table1 = false
-
-    let consumes = `Native
-
-    let schedule (options : Pass.options) device native =
-      let threshold = options.Pass.delay_threshold in
-      let sched, delayed = pack ~threshold ~algorithm:"murali-delay" device native in
-      ( sched,
-        [
-          ("delayed", Pass.Int delayed);
-          ("steps", Pass.Int (Schedule.depth sched));
-          ("threshold", Pass.Float threshold);
-        ] )
-  end)

@@ -5,8 +5,8 @@
     two-qubit gates whose modeled crosstalk error against the gates already
     in the moment exceeds a threshold are {e delayed} into later moments.
     The inserted idle time is costed through the existing decoherence model
-    by {!Schedule.evaluate} — no special path.  Registered as
-    ["murali-delay"] (aliases ["murali"], ["md"]); the threshold comes from
+    by {!Schedule.evaluate} — no special path.  [Pass] serves it as
+    ["murali-delay"] (aliases ["murali"], ["md"]) with the threshold of
     [Pass.options.delay_threshold]. *)
 
 val simultaneous_error : Device.t -> t:float -> int * int -> int * int -> float
@@ -25,6 +25,3 @@ val pack :
     [threshold] (default [1e-4]).  Returns the schedule (labeled
     [algorithm]) and the number of delay events.  Shared with
     {!Cqc_synergy}, whose packing phase is identical. *)
-
-val scheduler : Pass.scheduler
-(** The registry entry ({!Compile} registers it at load time). *)

@@ -6,7 +6,7 @@ type options = {
   residual_coupling : float;
   placement : [ `Identity | `Degree | `Auto ];
   optimize : bool;
-  router : string;
+  router : [ `Lookahead | `Greedy ];
   delay_threshold : float;
   warm_start : bool;
   decompose_components : bool;
@@ -17,11 +17,11 @@ let default_options =
     decomposition = Decompose.Hybrid;
     crosstalk_distance = 1;
     max_colors = None;
-    conflict_threshold = 2;
+    conflict_threshold = Color_dynamic.default_conflict_threshold;
     residual_coupling = 0.0;
     placement = `Auto;
     optimize = false;
-    router = "lookahead";
+    router = `Lookahead;
     delay_threshold = 1e-4;
     warm_start = false;
     decompose_components = false;
@@ -34,57 +34,150 @@ type stat_value =
 
 type stat = string * stat_value
 
-module type SCHEDULER = sig
-  val name : string
+type scheduler = {
+  name : string;
+  aliases : string list;
+  consumes : [ `Native | `Logical ];
+  schedule : options -> Device.t -> Circuit.t -> Schedule.t * stat list;
+}
 
-  val aliases : string list
-
-  val table1 : bool
-
-  val consumes : [ `Native | `Logical ]
-
-  val schedule : options -> Device.t -> Circuit.t -> Schedule.t * stat list
-end
-
-type scheduler = (module SCHEDULER)
-
-(* The registry.  Registration happens at module-initialization time (Compile
-   registers the built-in zoo) and lookups happen from pool domains, so the
-   list is guarded by a mutex like the memo caches. *)
-let registry : scheduler list ref = ref []
-
-let registry_mutex = Mutex.create ()
-
-let name_of (module S : SCHEDULER) = S.name
-
-let register (module S : SCHEDULER) =
-  Mutex.lock registry_mutex;
-  let replaced = ref false in
-  let updated =
-    List.map
-      (fun entry ->
-        if name_of entry = S.name then begin
-          replaced := true;
-          (module S : SCHEDULER)
-        end
-        else entry)
-      !registry
+let color_dynamic options device native =
+  let schedule, (stats : Color_dynamic.stats) =
+    Color_dynamic.run ~crosstalk_distance:options.crosstalk_distance
+      ~max_colors:options.max_colors ~conflict_threshold:options.conflict_threshold
+      ~warm_start:options.warm_start ~decompose:options.decompose_components device native
   in
-  registry := (if !replaced then updated else updated @ [ (module S) ]);
-  Mutex.unlock registry_mutex
+  ( schedule,
+    [
+      ("cycles", Int stats.cycles);
+      ("max_colors_used", Int stats.max_colors_used);
+      ("postponed", Int stats.postponed);
+      ("min_delta", Float stats.min_delta);
+      ("components", Int stats.components);
+      ("component_max_size", Int stats.component_max_size);
+      ("component_sizes", Text stats.component_sizes);
+      ("component_solves", Int stats.component_solves);
+      ("warm_hits", Int stats.warm_hits);
+      ("warm_misses", Int stats.warm_misses);
+    ] )
 
-let schedulers () =
-  Mutex.lock registry_mutex;
-  let all = !registry in
-  Mutex.unlock registry_mutex;
-  all
+let murali_delay options device native =
+  let threshold = options.delay_threshold in
+  let schedule, delayed = Murali_delay.pack ~threshold ~algorithm:"murali-delay" device native in
+  ( schedule,
+    [
+      ("delayed", Int delayed);
+      ("steps", Int (Schedule.depth schedule));
+      ("threshold", Float threshold);
+    ] )
 
-let scheduler_names () = List.map name_of (schedulers ())
+let cqc_synergy options device placed =
+  let schedule, (stats : Cqc_synergy.run_stats) =
+    Cqc_synergy.run ~threshold:options.delay_threshold ~decomposition:options.decomposition
+      ~crosstalk_distance:options.crosstalk_distance device placed
+  in
+  ( schedule,
+    [
+      ("swaps", Int stats.n_swaps);
+      ("conflict_total", Int stats.conflict_total);
+      ("delayed", Int stats.delayed);
+      ("steps", Int (Schedule.depth schedule));
+    ] )
+
+let greedy_spread options device native =
+  let schedule, (stats : Greedy_spread.stats) =
+    Greedy_spread.run ~crosstalk_distance:options.crosstalk_distance device native
+  in
+  ( schedule,
+    [
+      ("idle_colors", Int stats.idle_colors);
+      ("interaction_colors", Int stats.interaction_colors);
+    ] )
+
+(* The built-in schedulers, in the order [fastsc list], [--help] and the
+   serve layer's errors print them.  The scheduler modules sit below this
+   one, so the table names them directly: any program that links [Pass] can
+   compile with every entry. *)
+let schedulers =
+  let no_stats run options device circuit = (run options device circuit, []) in
+  [
+    {
+      name = "baseline-n";
+      aliases = [ "naive"; "n" ];
+      consumes = `Native;
+      schedule = no_stats (fun _ -> Baseline_naive.run);
+    };
+    {
+      name = "baseline-g";
+      aliases = [ "gmon"; "g" ];
+      consumes = `Native;
+      schedule =
+        no_stats (fun o -> Baseline_gmon.run ~residual_coupling:o.residual_coupling);
+    };
+    {
+      name = "baseline-u";
+      aliases = [ "uniform"; "u" ];
+      consumes = `Native;
+      schedule =
+        no_stats (fun o -> Baseline_uniform.run ~crosstalk_distance:o.crosstalk_distance);
+    };
+    {
+      name = "baseline-s";
+      aliases = [ "static"; "s" ];
+      consumes = `Native;
+      schedule =
+        no_stats (fun o -> Baseline_static.run ~crosstalk_distance:o.crosstalk_distance);
+    };
+    {
+      name = "color-dynamic";
+      aliases = [ "colordynamic"; "cd" ];
+      consumes = `Native;
+      schedule = color_dynamic;
+    };
+    {
+      name = "gmon-dynamic";
+      aliases = [ "gmondynamic"; "gd" ];
+      consumes = `Native;
+      (* ColorDynamic's schedule, executed behind tunable couplers
+         (paper §VIII) *)
+      schedule =
+        (fun options device native ->
+          let schedule, stats = color_dynamic options device native in
+          ( {
+              schedule with
+              Schedule.algorithm = "gmon-dynamic";
+              coupler = Schedule.Tunable_coupler options.residual_coupling;
+            },
+            stats ));
+    };
+    {
+      name = "anneal-dynamic";
+      aliases = [ "annealdynamic"; "ad" ];
+      consumes = `Native;
+      schedule = no_stats (fun _ device native -> Anneal_dynamic.run device native);
+    };
+    {
+      name = "murali-delay";
+      aliases = [ "murali"; "md" ];
+      consumes = `Native;
+      schedule = murali_delay;
+    };
+    {
+      name = "cqc-synergy";
+      aliases = [ "cqc"; "cs" ];
+      consumes = `Logical;
+      schedule = cqc_synergy;
+    };
+    {
+      name = "greedy-spread";
+      aliases = [ "greedy"; "gs" ];
+      consumes = `Native;
+      schedule = greedy_spread;
+    };
+  ]
 
 let find_scheduler name =
-  List.find_opt
-    (fun (module S : SCHEDULER) -> S.name = name || List.mem name S.aliases)
-    (schedulers ())
+  List.find_opt (fun s -> s.name = name || List.mem name s.aliases) schedulers
 
 let scheduler_exn name =
   match find_scheduler name with
@@ -92,7 +185,7 @@ let scheduler_exn name =
   | None ->
     invalid_arg
       (Printf.sprintf "Pass: unknown scheduler %S (registered: %s)" name
-         (String.concat ", " (scheduler_names ())))
+         (String.concat ", " (List.map (fun s -> s.name) schedulers)))
 
 module Context = struct
   type pass_report = {
@@ -272,21 +365,15 @@ let make_pass pass_name f =
   in
   { pass_name; apply }
 
-(* The two SWAP-insertion strategies [options.router] names; schedulers that
-   own their routing ([consumes = `Logical]) never consult it. *)
-let router_names = [ "lookahead"; "greedy" ]
-
+(* The SWAP-insertion strategy [options.router] picks; schedulers that own
+   their routing ([consumes = `Logical]) never consult it. *)
 let route_with ctx placement =
   let device = ctx.Context.device and circuit = ctx.Context.circuit in
   match ctx.Context.options.router with
-  | "lookahead" | "sabre" | "l" ->
+  | `Lookahead ->
     Mapping.route_lookahead ~placement ~dist:(Device.distances device) (Device.graph device)
       circuit
-  | "greedy" | "shortest-path" | "g" -> Mapping.route ~placement (Device.graph device) circuit
-  | name ->
-    invalid_arg
-      (Printf.sprintf "Pass: unknown router %S (registered: %s)" name
-         (String.concat ", " router_names))
+  | `Greedy -> Mapping.route ~placement (Device.graph device) circuit
 
 (* Seeded fault for the verification harness (docs/DESIGN.md §11): let the
    [`Auto] shortcut also skip the degree trial when identity needs one SWAP,
@@ -347,22 +434,20 @@ let optimize =
       if not ctx.Context.options.optimize then ctx
       else { ctx with Context.native = Some (Optimize.run (Context.native_exn ctx)) })
 
-let schedule algorithm =
+let schedule s =
   make_pass "schedule" (fun ctx ->
-      let (module S : SCHEDULER) = scheduler_exn algorithm in
       let sched, stats =
-        S.schedule ctx.Context.options ctx.Context.device (Context.native_exn ctx)
+        s.schedule ctx.Context.options ctx.Context.device (Context.native_exn ctx)
       in
-      { ctx with Context.schedule = Some sched; algorithm = Some S.name; stats })
+      { ctx with Context.schedule = Some sched; algorithm = Some s.name; stats })
 
 (* The combined stage for [consumes = `Logical] schedulers: apply the chosen
    placement by widening the logical circuit to the device's qubit count and
    hand the scheduler the still-unrouted program — SWAP insertion, native
    decomposition and scheduling are then its responsibility (CQC-style
    synergistic compilation interleaves them by design). *)
-let route_schedule algorithm =
+let route_schedule s =
   make_pass "route-schedule" (fun ctx ->
-      let (module S : SCHEDULER) = scheduler_exn algorithm in
       let device = ctx.Context.device in
       let circuit = ctx.Context.circuit in
       let placement =
@@ -378,12 +463,12 @@ let route_schedule algorithm =
             (List.map (fun q -> placement.(q)) (Array.to_list app.Gate.qubits)))
         (Circuit.instructions circuit);
       let placed = Circuit.finish b in
-      let sched, stats = S.schedule ctx.Context.options device placed in
+      let sched, stats = s.schedule ctx.Context.options device placed in
       {
         ctx with
         Context.prerouted = None;
         schedule = Some sched;
-        algorithm = Some S.name;
+        algorithm = Some s.name;
         stats;
       })
 
@@ -397,28 +482,25 @@ let evaluate =
 
 let prepare_passes = [ place; route; decompose; optimize ]
 
-let pipeline ?(through = `Evaluate) ~algorithm () =
-  (* Assemble the stage list from the scheduler's declared requirements: a
-     [`Native] consumer gets the classic routed/decomposed front end; a
-     [`Logical] consumer gets placement only and owns everything after. *)
-  let (module S : SCHEDULER) = scheduler_exn algorithm in
+(* The stage list from the scheduler's declared requirements: a [`Native]
+   consumer gets the classic routed/decomposed front end; a [`Logical]
+   consumer gets placement only and owns everything after. *)
+let stages ~through s =
   let stages =
-    match S.consumes with
-    | `Native -> prepare_passes @ [ schedule S.name ]
-    | `Logical -> [ place; route_schedule S.name ]
+    match s.consumes with
+    | `Native -> prepare_passes @ [ schedule s ]
+    | `Logical -> [ place; route_schedule s ]
   in
   match through with `Schedule -> stages | `Evaluate -> stages @ [ evaluate ]
 
+let pipeline ?(through = `Evaluate) ~algorithm () = stages ~through (scheduler_exn algorithm)
+
 let run_pipeline passes ctx = List.fold_left (fun ctx p -> p.apply ctx) ctx passes
 
-let execute ?options ?deadline ?through ~algorithm device circuit =
+let execute ?options ?deadline ?(through = `Evaluate) ~algorithm device circuit =
   (* Fail on an unknown algorithm before doing any routing work. *)
-  let (module S : SCHEDULER) = scheduler_exn algorithm in
-  let run () =
-    run_pipeline
-      (pipeline ?through ~algorithm:S.name ())
-      (Context.create ?options ?deadline device circuit)
-  in
+  let passes = stages ~through (scheduler_exn algorithm) in
+  let run () = run_pipeline passes (Context.create ?options ?deadline device circuit) in
   match deadline with
   | None -> run ()
   | Some d -> Deadline.with_deadline d run

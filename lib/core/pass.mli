@@ -20,14 +20,14 @@
     and the hit/miss deltas of the {!Freq_alloc} and
     {!Fastsc_noise.Crosstalk} memo tables.
 
-    Scheduling algorithms are first-class {!SCHEDULER} modules held in a
-    registry; the built-in zoo is registered by {!Compile} (reference
-    {!Compile} — e.g. any [Compile.algorithm_of_string] call — before using
-    the registry so their registrations have run).  New algorithms register
-    the same way and are immediately usable by name through {!execute},
-    including per-compilation statistics via {!Context.stats} — there is no
-    special-cased stats path.  [options.router] picks one of the two
-    SWAP-insertion strategies by name ({!router_names}).
+    The schedulers are one fixed table, {!schedulers}: ten plain records,
+    each calling its module's [run] with the options that scheduler reads
+    and turning its statistics into {!stat}s, so every scheduler reports
+    through {!Context.stats} with no special-cased stats path.  The
+    scheduler modules sit below this one and know nothing of it, so any
+    program that links [Pass] can compile with every name and alias in the
+    table.  [options.router] picks one of the two SWAP-insertion
+    strategies.
 
     [Compile.run] and friends are thin wrappers over this module and their
     output is bit-identical to the pre-pass-manager pipeline (golden tests
@@ -37,18 +37,25 @@ type options = {
   decomposition : Decompose.strategy;  (** Default [Hybrid] (§V-B5). *)
   crosstalk_distance : int;  (** The [d] of G_x^(d); default 1. *)
   max_colors : int option;  (** Per-step color cap (Fig 11); default none. *)
-  conflict_threshold : int;  (** noise_conflict neighbour cap; default 2. *)
+  conflict_threshold : int;
+      (** noise_conflict neighbour cap; default
+          {!Color_dynamic.default_conflict_threshold}. *)
   residual_coupling : float;  (** Gmon coupler leakage eta (Fig 12); default 0. *)
   placement : [ `Identity | `Degree | `Auto ];
       (** Initial mapping heuristic.  [`Auto] (default) keeps the identity
           or the degree placement, whichever the router gives fewer SWAPs,
           identity on ties; it routes degree only when identity needs a
           SWAP (see {!place}). *)
-  optimize : bool;  (** Run the peephole optimizer after decomposition. *)
-  router : string;
-      (** Name (or alias) of the router the route pass dispatches to
-          ({!router_names}); default ["lookahead"].  Unknown names raise
-          when the route pass runs. *)
+  optimize : bool;
+      (** Run the peephole optimizer ({!Optimize}) after decomposition;
+          default false so the evaluation matches the paper's unoptimized
+          pipeline (the [ablate-optimize] bench measures the benefit). *)
+  router : [ `Lookahead | `Greedy ];
+      (** The router the route pass dispatches to: [`Lookahead] (default),
+          SABRE-style windowed lookahead over the device's hop-distance
+          matrix ({!Device.distances}, built once), or [`Greedy], per-gate
+          shortest paths (the [ablate-router] bench measures the
+          difference). *)
   delay_threshold : float;
       (** Crosstalk pair-error budget above which software-only schedulers
           (murali-delay, cqc-synergy) refuse to run two gates simultaneously
@@ -67,9 +74,8 @@ type options = {
 val default_options : options
 
 (** Per-compilation statistics a scheduler may report (e.g. ColorDynamic's
-    cycle and color counts).  Kept as a flat label/value list so the registry
-    needs no per-algorithm types and the trace report can serialize any
-    scheduler's stats uniformly. *)
+    cycle and color counts).  Kept as a flat label/value list so the trace
+    report can serialize any scheduler's stats uniformly. *)
 type stat_value =
   | Int of int
   | Float of float
@@ -77,59 +83,39 @@ type stat_value =
 
 type stat = string * stat_value
 
-(** A scheduling algorithm as the registry sees it. *)
-module type SCHEDULER = sig
-  val name : string
-  (** Canonical name, e.g. ["color-dynamic"] — what
-      [Compile.algorithm_to_string] prints and [--trace] reports. *)
+(** A scheduling algorithm as the pipeline sees it. *)
+type scheduler = {
+  name : string;
+      (** Canonical name, e.g. ["color-dynamic"] — what
+          [Compile.algorithm_to_string] prints and [--trace] reports. *)
+  aliases : string list;  (** Accepted spellings besides [name] (CLI shorthands like ["cd"]). *)
+  consumes : [ `Native | `Logical ];
+      (** What [schedule] expects as its circuit argument.  [`Native] (every
+          paper scheduler): an already-routed native-gate circuit —
+          {!pipeline} runs the classic front end first.  [`Logical]
+          (cqc-synergy): the placement-applied but {e unrouted} program — the
+          scheduler owns SWAP insertion and decomposition itself, and
+          {!pipeline} hands it the circuit through the combined
+          {!route_schedule} stage instead. *)
+  schedule : options -> Device.t -> Circuit.t -> Schedule.t * stat list;
+      (** Schedule the circuit with the options this scheduler reads;
+          returns per-compilation stats ([[]] if none). *)
+}
 
-  val aliases : string list
-  (** Accepted spellings besides [name] (CLI shorthands like ["cd"]). *)
-
-  val table1 : bool
-  (** One of the paper's five Table I evaluation columns (drives
-      [Compile.all_algorithms] vs [Compile.extended_algorithms]). *)
-
-  val consumes : [ `Native | `Logical ]
-  (** What the scheduler's [schedule] expects as its circuit argument.
-      [`Native] (every paper scheduler): an already-routed native-gate
-      circuit — {!pipeline} runs the classic front end first.  [`Logical]:
-      the placement-applied but {e unrouted} program — the scheduler owns
-      SWAP insertion and decomposition itself, and {!pipeline} hands it the
-      circuit through the combined {!route_schedule} stage instead. *)
-
-  val schedule : options -> Device.t -> Circuit.t -> Schedule.t * stat list
-  (** Schedule the circuit (routed native gates for [`Native] consumers, the
-      placed logical program for [`Logical] ones), picking whichever options
-      apply; returns per-compilation stats ([[]] if none). *)
-end
-
-type scheduler = (module SCHEDULER)
-
-val register : scheduler -> unit
-(** Add a scheduler to the registry (appended in registration order).
-    Re-registering a [name] replaces the previous entry in place, so tests
-    can shadow a built-in without growing the registry. *)
-
-val schedulers : unit -> scheduler list
-(** All registered schedulers, in registration order. *)
-
-val scheduler_names : unit -> string list
-(** Canonical names, in registration order. *)
+val schedulers : scheduler list
+(** The ten built-in schedulers, in a fixed order: the paper's Table I five
+    (baseline-n, baseline-g, baseline-u, baseline-s, color-dynamic), the
+    extensions gmon-dynamic (ColorDynamic's schedule relabelled and run
+    behind tunable couplers leaking [residual_coupling]) and
+    anneal-dynamic, the rivals murali-delay and cqc-synergy, and
+    greedy-spread, the serve ladder's deadline-free floor. *)
 
 val find_scheduler : string -> scheduler option
 (** Look up by canonical name or alias. *)
 
 val scheduler_exn : string -> scheduler
 (** Like {!find_scheduler}.
-    @raise Invalid_argument with the list of registered names on a miss. *)
-
-val router_names : string list
-(** The routers [options.router] selects, by canonical name:
-    ["lookahead"] (SABRE-style windowed lookahead, the default; aliases
-    ["sabre"] and ["l"]) and ["greedy"] (shortest-path; aliases
-    ["shortest-path"] and ["g"]).  The lookahead router reads the device's
-    hop-distance matrix ({!Device.distances}, built once). *)
+    @raise Invalid_argument with the list of canonical names on a miss. *)
 
 module Context : sig
   (** Instrumentation record of one executed pass. *)
@@ -235,17 +221,15 @@ val optimize : pass
 (** Peephole-optimize the native circuit when [options.optimize] (recorded in
     the trail either way, as a no-op when disabled). *)
 
-val schedule : string -> pass
-(** Run the named registered scheduler on the native circuit; records the
-    schedule, the canonical algorithm name and the scheduler's stats.
-    @raise Invalid_argument (at application time) for an unknown name. *)
+val schedule : scheduler -> pass
+(** Run the scheduler on the native circuit; records the schedule, the
+    canonical algorithm name and the scheduler's stats. *)
 
-val route_schedule : string -> pass
+val route_schedule : scheduler -> pass
 (** The combined stage for [`Logical] consumers: apply the chosen placement
     (widening the program to the device's qubit count) and hand the unrouted
-    circuit to the named scheduler, which owns SWAP insertion, decomposition
-    and scheduling; records the schedule, algorithm name and stats.
-    @raise Invalid_argument (at application time) for an unknown name. *)
+    circuit to the scheduler, which owns SWAP insertion, decomposition and
+    scheduling; records the schedule, algorithm name and stats. *)
 
 val evaluate : pass
 (** Evaluate the schedule ({!Schedule.evaluate} at
@@ -257,7 +241,7 @@ val prepare_passes : pass list
 
 val pipeline : ?through:[ `Schedule | `Evaluate ] -> algorithm:string -> unit -> pass list
 (** The stage list for one algorithm, assembled from the scheduler's declared
-    requirements ({!SCHEDULER.consumes}): [`Native] consumers get
+    requirements ({!scheduler.consumes}): [`Native] consumers get
     [prepare_passes @ [schedule]], [`Logical] ones get
     [[place; route_schedule]].  [through] (default [`Evaluate]) stops after
     scheduling when metrics are not needed.

@@ -85,16 +85,17 @@ let options_for (req : Protocol.request) ~warm ~decompose =
   }
 
 let compile ?default_deadline_ms (req : Protocol.request) =
-  (* registration side effect: referencing Compile guarantees the built-in
-     schedulers (greedy-spread included) are in the registry *)
-  ignore Compile.all_algorithms;
-  (match Pass.find_scheduler req.algorithm with
-  | Some _ -> ()
-  | None ->
-    raise
-      (Protocol.Bad_request
-         (Printf.sprintf "unknown algorithm %S (registered: %s)" req.algorithm
-            (String.concat " " (Pass.scheduler_names ())))));
+  (* Every later step sees the canonical name, so an alias and its name
+     share one stale-cache key. *)
+  let req =
+    match Pass.find_scheduler req.algorithm with
+    | Some s -> { req with algorithm = s.Pass.name }
+    | None ->
+      raise
+        (Protocol.Bad_request
+           (Printf.sprintf "unknown algorithm %S (registered: %s)" req.algorithm
+              (String.concat " " (List.map (fun s -> s.Pass.name) Pass.schedulers))))
+  in
   let t_start = Deadline.now_s () in
   let budget_ms =
     match req.deadline_ms with Some d -> Some d | None -> default_deadline_ms

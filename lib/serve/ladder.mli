@@ -31,8 +31,10 @@ val compile : ?default_deadline_ms:float -> Protocol.request -> Protocol.respons
     escaping is a daemon-level internal error.
 
     Successful SMT-rung results are stored in the stale-witness cache under
-    {!Protocol.cache_key}; greedy results are not (a stale hit must never be
-    worse than what the greedy rung would recompute). *)
+    {!Protocol.cache_key} of the request with its algorithm resolved to the
+    canonical name, so a request naming an alias finds the witness its
+    canonical name stored; greedy results are not stored (a stale hit must
+    never be worse than what the greedy rung would recompute). *)
 
 val stale_cache_stats : unit -> int * int * int
 (** [(hits, misses, entries)] of the stale-witness cache. *)

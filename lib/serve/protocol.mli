@@ -27,7 +27,7 @@ type request = {
   n : int;
   topology : string;  (** CLI topology spec: grid, path, ring, 1ex:k, 2ex:k, complete. *)
   seed : int;
-  algorithm : string;  (** Scheduler registry name or alias. *)
+  algorithm : string;  (** A name or alias of [Pass.schedulers]. *)
   deadline_ms : float option;  (** Per-request budget; [None] = server default. *)
   warm_start : bool;
   decompose_components : bool;
@@ -59,7 +59,8 @@ val parse_request : string -> request
 val cache_key : request -> string
 (** Canonical identity of the compile problem the request poses — every
     field that determines the answer and nothing else (no [id], no
-    deadline).  Keys the degradation ladder's stale-witness cache. *)
+    deadline).  Takes [algorithm] as written, so the degradation ladder,
+    which keys its stale-witness cache on it, resolves aliases first. *)
 
 val realize : request -> Device.t * Circuit.t
 (** Fabricate the device and build (or parse) the circuit.

@@ -212,20 +212,30 @@ let margin t assignment =
     end
   end
 
+(* [order] must be a permutation of 0 .. n-1: a repeated index would leave
+   another variable unplaced (NaN in the witness), an out-of-range one would
+   index past the bounds. *)
 let validate_order t order =
-  if List.length order <> t.n then
+  let seen = Array.make t.n false in
+  let fresh v =
+    v >= 0 && v < t.n && (not seen.(v)) && (seen.(v) <- true; true)
+  in
+  if List.length order <> t.n || not (List.for_all fresh order) then
     invalid_arg "Smt.solve: order must list every variable exactly once"
 
-let solve ~order t ~delta =
+(* [solve] on an order already validated *)
+let solve_valid t ~delta order =
   if not (self_constraints_ok t ~delta) then None
-  else begin
-    validate_order t order;
+  else
     match solve_ordered t ~delta order with
     | Some assignment ->
       assert (verify t ~delta assignment);
       Some assignment
     | None -> None
-  end
+
+let solve ~order t ~delta =
+  validate_order t order;
+  solve_valid t ~delta order
 
 let widest_range t =
   let w = ref 0.0 in
@@ -256,6 +266,7 @@ let monotone_along order assignment =
 let find_max_delta ~order ?(tolerance = 1e-4) ?warm t =
   Atomic.incr solve_counter;
   deadline_check "find_max_delta";
+  validate_order t order;
   let top = Float.max tolerance (widest_range t) in
   (* Warm start: a previous witness with positive margin [m] is feasible for
      every delta <= m, so it replaces the delta = 0 probe and opens the
@@ -275,7 +286,7 @@ let find_max_delta ~order ?(tolerance = 1e-4) ?warm t =
     match seeded with
     | Some _ -> seeded
     | None -> (
-      match solve ~order t ~delta:0.0 with
+      match solve_valid t ~delta:0.0 order with
       | None -> None
       | Some witness0 -> Some (0.0, witness0))
   in
@@ -286,7 +297,7 @@ let find_max_delta ~order ?(tolerance = 1e-4) ?warm t =
     let lo = ref d0 and hi = ref top in
     (* Check the top first: if it is feasible we are done. *)
     if !lo < top then (
-      match solve ~order t ~delta:top with
+      match solve_valid t ~delta:top order with
       | Some w ->
         best := (top, w);
         lo := top
@@ -294,7 +305,7 @@ let find_max_delta ~order ?(tolerance = 1e-4) ?warm t =
     while !hi -. !lo > tolerance do
       deadline_check "find_max_delta";
       let mid = (!lo +. !hi) /. 2.0 in
-      match solve ~order t ~delta:mid with
+      match solve_valid t ~delta:mid order with
       | Some w ->
         best := (mid, w);
         lo := mid

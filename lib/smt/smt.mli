@@ -37,8 +37,8 @@ val add_separation : ?offset:float -> t -> int -> int -> unit
 val solve : order:int list -> t -> delta:float -> float array option
 (** [solve ~order t ~delta] finds a feasible assignment that also satisfies
     [x_order(0) <= x_order(1) <= ...], or [None] when there is none.
-    @raise Invalid_argument if the length of [order] is not the number of
-    variables. *)
+    @raise Invalid_argument if [order] is not a permutation of the
+    variables [0 .. n-1] (an index repeated, missing or out of range). *)
 
 val margin : t -> float array -> float option
 (** [margin t a] is the smallest constraint slack of [a]: the largest delta
@@ -94,4 +94,5 @@ val find_max_delta :
     ambient {!Fastsc_util.Deadline} at chunk boundaries (per bisection
     probe, per 256 search nodes) and raise [Deadline.Expired] once the
     budget is gone — never [None], so an expired deadline cannot masquerade
-    as infeasibility. *)
+    as infeasibility.
+    @raise Invalid_argument on an [order] {!solve} rejects. *)

@@ -1,29 +1,16 @@
 (** Bounded retry with exponential backoff and deterministic jitter.
 
-    Used by the serve layer around snapshot IO.  Backoff for attempt [k] is
-    [min (base_ms * factor^k) max_ms], scaled by a jitter factor in
-    [1-jitter, 1+jitter] that is a pure hash of [k] — deterministic, so test
-    runs replay identical schedules. *)
+    Used around snapshot IO, with one fixed policy: 3 attempts; the backoff
+    after attempt [k] fails is [min (10 * 2^k) 1000] ms, scaled by a jitter
+    factor in [0.75, 1.25] that is a pure hash of [k] — deterministic, so
+    test runs replay identical schedules. *)
 
-val backoff_ms :
-  base_ms:float -> factor:float -> max_ms:float -> jitter:float -> int -> float
+val backoff_ms : int -> float
 (** The sleep (in milliseconds) before retrying after attempt [k] failed.
-    Exposed for tests; always [>= 0]. *)
+    Exposed for tests; always within [[0, 1250]]. *)
 
-val with_backoff :
-  ?attempts:int ->
-  ?base_ms:float ->
-  ?factor:float ->
-  ?max_ms:float ->
-  ?jitter:float ->
-  ?sleep:(float -> unit) ->
-  ?should_retry:(exn -> bool) ->
-  (int -> 'a) ->
-  'a
+val with_backoff : ?sleep:(float -> unit) -> (int -> 'a) -> 'a
 (** [with_backoff f] calls [f 0]; on an exception it sleeps per the backoff
-    schedule and calls [f 1], [f 2], … up to [attempts] (default 3) total
-    calls, then re-raises the last exception with its backtrace.
-    [should_retry] (default: retry everything) can veto a retry for
-    exceptions that will never heal; [sleep] (default [Unix.sleepf],
-    argument in milliseconds) is injectable for tests.
-    @raise Invalid_argument when [attempts < 1]. *)
+    schedule and calls [f 1], then [f 2], and re-raises the third failure
+    with its backtrace.  [sleep] (default [Unix.sleepf], argument in
+    milliseconds) is injectable for tests. *)

@@ -29,7 +29,7 @@ let fnv64 s =
   String.iter (fun c -> h := mul (logxor !h (of_int (Char.code c))) 0x100000001B3L) s;
   Printf.sprintf "%016Lx" !h
 
-let save ?(attempts = 3) ~path ~version payload =
+let save ~path ~version payload =
   let body = Json.to_string ~pretty:false payload in
   let doc =
     Json.Obj
@@ -42,9 +42,7 @@ let save ?(attempts = 3) ~path ~version payload =
   in
   let text = Json.to_string ~pretty:false doc in
   let tmp = path ^ ".tmp" in
-  Retry.with_backoff ~attempts
-    ~sleep:(fun ms -> Unix.sleepf (ms /. 1000.0))
-    (fun _attempt ->
+  Retry.with_backoff (fun _attempt ->
       let oc = open_out_bin tmp in
       Fun.protect
         ~finally:(fun () -> close_out_noerr oc)

@@ -23,10 +23,10 @@ val fnv64 : string -> string
 (** FNV-1a 64-bit hash as 16 hex digits — the snapshot checksum (exposed
     for tests). *)
 
-val save : ?attempts:int -> path:string -> version:int -> Json.t -> unit
+val save : path:string -> version:int -> Json.t -> unit
 (** [save ~path ~version payload] serializes the envelope to
     [path ^ ".tmp"] and renames it over [path] (atomic on POSIX).  IO
-    errors are retried with backoff ([attempts], default 3) and the last
+    errors are retried with {!Retry.with_backoff} (3 attempts) and the last
     one re-raised. *)
 
 val load : path:string -> version:int -> load_result

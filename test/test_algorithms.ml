@@ -43,10 +43,10 @@ let test_all_algorithms_valid_xeb () = all_run_and_check "xeb" (parallel_heavy (
 let test_gate_counts_preserved () =
   let d = device () in
   let circuit = bv9 () in
-  let native = Compile.prepare Compile.default_options d circuit in
+  let native = Compile.prepare Pass.default_options d circuit in
   List.iter
     (fun algorithm ->
-      let s = Compile.schedule_native Compile.default_options algorithm d native in
+      let s = Compile.schedule_native Pass.default_options algorithm d native in
       check_int
         (Compile.algorithm_to_string algorithm ^ " keeps every gate")
         (Circuit.length native) (Schedule.n_gates s))
@@ -134,7 +134,7 @@ let test_gmon_residual_degrades () =
   let d = device () in
   let circuit = parallel_heavy () in
   let success eta =
-    let options = { Compile.default_options with Compile.residual_coupling = eta } in
+    let options = { Pass.default_options with Pass.residual_coupling = eta } in
     (Schedule.evaluate (Compile.run ~options Compile.Gmon d circuit)).Schedule.success
   in
   let s0 = success 0.0 and s1 = success 0.05 and s2 = success 0.2 in
@@ -161,7 +161,7 @@ let test_gmon_steps_single_class () =
 let test_color_cap_respected () =
   let d = device () in
   let circuit = parallel_heavy () in
-  let options = { Compile.default_options with Compile.max_colors = Some 1 } in
+  let options = { Pass.default_options with Pass.max_colors = Some 1 } in
   let native = Compile.prepare options d circuit in
   let _, stats =
     Color_dynamic.run ~max_colors:(Some 1) d native
@@ -172,14 +172,14 @@ let test_color_cap_increases_depth () =
   let d = device () in
   let circuit = parallel_heavy () in
   let run cap =
-    let options = { Compile.default_options with Compile.max_colors = cap } in
+    let options = { Pass.default_options with Pass.max_colors = cap } in
     Schedule.depth (Compile.run ~options Compile.Color_dynamic d circuit)
   in
   check_true "capping serializes" (run (Some 1) >= run None)
 
 let test_colordynamic_stats () =
   let d = device () in
-  let native = Compile.prepare Compile.default_options d (parallel_heavy ()) in
+  let native = Compile.prepare Pass.default_options d (parallel_heavy ()) in
   let s, stats = Color_dynamic.run d native in
   check_int "cycles = depth" (Schedule.depth s) stats.Color_dynamic.cycles;
   check_true "colors used" (stats.Color_dynamic.max_colors_used >= 1);
@@ -194,7 +194,7 @@ let test_static_uses_fixed_table () =
   check_float "deterministic" f1 f2
 
 let test_algorithm_string_roundtrip () =
-  (* every registered algorithm, not just the Table I five *)
+  (* every algorithm constructor, not just the Table I five *)
   List.iter
     (fun a ->
       match Compile.algorithm_of_string (Compile.algorithm_to_string a) with
@@ -205,40 +205,42 @@ let test_algorithm_string_roundtrip () =
   check_true "unknown rejected" (Compile.algorithm_of_string "nonsense" = None)
 
 let test_registry_names_and_aliases () =
-  (* the registry agrees with the Compile wrapper: each canonical name
-     resolves, and every alias resolves to the same scheduler *)
+  (* Pass's scheduler table agrees with the Compile wrapper: each canonical
+     name resolves, and every alias resolves to the same scheduler *)
   List.iter
     (fun a ->
       let name = Compile.algorithm_to_string a in
       match Pass.find_scheduler name with
-      | None -> Alcotest.failf "%s not in registry" name
-      | Some (module S : Pass.SCHEDULER) ->
-        check_true "canonical name matches" (String.equal S.name name);
+      | None -> Alcotest.failf "%s not in the scheduler table" name
+      | Some s ->
+        check_true "canonical name matches" (String.equal s.Pass.name name);
         List.iter
           (fun alias ->
             match Pass.find_scheduler alias with
-            | Some (module A : Pass.SCHEDULER) ->
-              check_true (alias ^ " resolves to " ^ name) (String.equal A.name name)
+            | Some a -> check_true (alias ^ " resolves to " ^ name) (String.equal a.Pass.name name)
             | None -> Alcotest.failf "alias %s of %s does not resolve" alias name)
-          S.aliases)
+          s.Pass.aliases)
     Compile.extended_algorithms;
-  (* nine Compile-variant algorithms plus greedy-spread, which is
-     registry-only (the serve ladder's deadline-free floor, reached by name) *)
-  check_int "registry holds the ten built-ins" 10
-    (List.length (Pass.scheduler_names ()));
-  (match Pass.find_scheduler "greedy-spread" with
-  | Some (module S : Pass.SCHEDULER) ->
-    check_true "greedy resolves" (Pass.find_scheduler "greedy" <> None);
+  check_true "Table I columns"
+    (List.map Compile.algorithm_to_string Compile.all_algorithms
+    = [ "baseline-n"; "baseline-g"; "baseline-u"; "baseline-s"; "color-dynamic" ]);
+  (* nine Compile-variant algorithms plus greedy-spread, which has no
+     constructor (the serve ladder's deadline-free floor, reached by name) *)
+  check_int "the table holds the ten built-ins" 10 (List.length Pass.schedulers);
+  match Pass.find_scheduler "greedy-spread" with
+  | Some s ->
+    check_true "greedy resolves"
+      (match Pass.find_scheduler "greedy" with Some g -> g == s | None -> false);
     check_true "greedy-spread has no Compile variant"
-      (Compile.algorithm_of_string S.name = None)
-  | None -> Alcotest.fail "greedy-spread not in registry")
+      (Compile.algorithm_of_string s.Pass.name = None)
+  | None -> Alcotest.fail "greedy-spread not in the scheduler table"
 
 let test_decomposition_strategies_compile () =
   let d = device () in
   let circuit = bv9 () in
   List.iter
     (fun decomposition ->
-      let options = { Compile.default_options with Compile.decomposition } in
+      let options = { Pass.default_options with Pass.decomposition } in
       let s = Compile.run ~options Compile.Color_dynamic d circuit in
       match Schedule.check s with
       | Ok () -> ()
@@ -247,7 +249,7 @@ let test_decomposition_strategies_compile () =
 
 let test_identity_placement_option () =
   let d = device () in
-  let options = { Compile.default_options with Compile.placement = `Identity } in
+  let options = { Pass.default_options with Pass.placement = `Identity } in
   let s = Compile.run ~options Compile.Color_dynamic d (bv9 ()) in
   check_true "valid" (Result.is_ok (Schedule.check s))
 

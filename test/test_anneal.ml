@@ -18,7 +18,7 @@ let test_valid_schedule () =
 
 let test_deterministic () =
   let d = device () in
-  let native = Compile.prepare Compile.default_options d (xeb d) in
+  let native = Compile.prepare Pass.default_options d (xeb d) in
   let a = Anneal_dynamic.run ~seed:5 d native in
   let b = Anneal_dynamic.run ~seed:5 d native in
   check_float "same result for same seed"
@@ -31,14 +31,14 @@ let test_max_parallelism () =
   let circuit =
     Circuit.of_gates 9 [ (Gate.Iswap, [ 0; 1 ]); (Gate.Iswap, [ 2; 5 ]); (Gate.Iswap, [ 7; 8 ]) ]
   in
-  let s = Compile.schedule_native Compile.default_options Compile.Anneal_dynamic d circuit in
+  let s = Compile.schedule_native Pass.default_options Compile.Anneal_dynamic d circuit in
   check_int "single step" 1 (Schedule.depth s)
 
 let test_separates_colliding_gates () =
   (* two adjacent parallel gates: annealing must pull their frequencies apart *)
   let d = device () in
   let circuit = Circuit.of_gates 9 [ (Gate.Iswap, [ 0; 1 ]); (Gate.Iswap, [ 2; 5 ]) ] in
-  let s = Compile.schedule_native Compile.default_options Compile.Anneal_dynamic d circuit in
+  let s = Compile.schedule_native Pass.default_options Compile.Anneal_dynamic d circuit in
   match s.Schedule.steps with
   | [ step ] ->
     let f01 = step.Schedule.freqs.(0) and f25 = step.Schedule.freqs.(2) in

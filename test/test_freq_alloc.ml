@@ -151,7 +151,7 @@ let xeb16_compile () =
   let circuit =
     Fastsc_benchmarks.Xeb.circuit (Rng.create 7) ~graph:(Device.graph d16) ~classes ~cycles:5 ()
   in
-  let native = Compile.prepare Compile.default_options d16 circuit in
+  let native = Compile.prepare Pass.default_options d16 circuit in
   let schedule, _ = Color_dynamic.run d16 native in
   Schedule.evaluate schedule
 

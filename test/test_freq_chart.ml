@@ -7,7 +7,7 @@ let schedule () =
   let circuit =
     Circuit.of_gates 9 [ (Gate.Iswap, [ 0; 1 ]); (Gate.Iswap, [ 2; 5 ]); (Gate.H, [ 4 ]) ]
   in
-  Compile.schedule_native Compile.default_options Compile.Color_dynamic device circuit
+  Compile.schedule_native Pass.default_options Compile.Color_dynamic device circuit
 
 let test_shape () =
   let s = schedule () in

@@ -52,8 +52,8 @@ let prop_schedule_always_checks =
 let prop_gate_count_preserved =
   prop "scheduling never loses or duplicates gates" (fun seed ->
       let device, circuit, algorithm = scenario seed in
-      let native = Compile.prepare Compile.default_options device circuit in
-      let schedule = Compile.schedule_native Compile.default_options algorithm device native in
+      let native = Compile.prepare Pass.default_options device circuit in
+      let schedule = Compile.schedule_native Pass.default_options algorithm device native in
       Schedule.n_gates schedule = Circuit.length native)
 
 let prop_metrics_well_formed =
@@ -114,11 +114,11 @@ let prop_semantics_preserved_small =
       let rng = Rng.create seed in
       let device = Device.create ~seed:(Rng.int rng 100_000) (Topology.grid 2 2) in
       let circuit = random_circuit rng 4 in
-      let native = Compile.prepare Compile.default_options device circuit in
+      let native = Compile.prepare Pass.default_options device circuit in
       let algorithm =
         List.nth Compile.all_algorithms (Rng.int rng (List.length Compile.all_algorithms))
       in
-      let schedule = Compile.schedule_native Compile.default_options algorithm device native in
+      let schedule = Compile.schedule_native Pass.default_options algorithm device native in
       (* flatten the schedule back to a circuit: it must act as the same
          unitary as the native circuit (scheduling only reorders commuting
          gates) *)

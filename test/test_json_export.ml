@@ -119,7 +119,7 @@ let test_member () =
 let schedule () =
   let device = Device.create ~seed:8 (Topology.grid 2 2) in
   let circuit = Circuit.of_gates 4 [ (Gate.H, [ 0 ]); (Gate.Iswap, [ 0; 1 ]); (Gate.Cz, [ 2; 3 ]) ] in
-  Compile.schedule_native Compile.default_options Compile.Color_dynamic device circuit
+  Compile.schedule_native Pass.default_options Compile.Color_dynamic device circuit
 
 let test_schedule_export () =
   let text = Export.to_string (Export.schedule (schedule ())) in

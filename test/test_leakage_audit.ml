@@ -13,7 +13,7 @@ let find_2q_step schedule =
 let test_colordynamic_gate_audits_clean () =
   let d = device () in
   let circuit = Circuit.of_gates 9 [ (Gate.Iswap, [ 0; 1 ]); (Gate.Iswap, [ 7; 8 ]) ] in
-  let schedule = Compile.schedule_native Compile.default_options Compile.Color_dynamic d circuit in
+  let schedule = Compile.schedule_native Pass.default_options Compile.Color_dynamic d circuit in
   let step = find_2q_step schedule in
   let audits = Leakage_audit.audit_step d step in
   check_true "audited something" (audits <> []);
@@ -28,8 +28,8 @@ let test_naive_parallel_collision_detected () =
   (* two adjacent iSWAPs at the same frequency: the Fig 6 collision *)
   let d = device () in
   let circuit = Circuit.of_gates 9 [ (Gate.Iswap, [ 0; 1 ]); (Gate.Iswap, [ 2; 5 ]) ] in
-  let naive = Compile.schedule_native Compile.default_options Compile.Naive d circuit in
-  let cd = Compile.schedule_native Compile.default_options Compile.Color_dynamic d circuit in
+  let naive = Compile.schedule_native Pass.default_options Compile.Naive d circuit in
+  let cd = Compile.schedule_native Pass.default_options Compile.Color_dynamic d circuit in
   let worst s =
     match Leakage_audit.worst_of (Leakage_audit.audit_step d (find_2q_step s)) with
     | Some (pickup, _) -> pickup
@@ -42,7 +42,7 @@ let test_naive_parallel_collision_detected () =
 let test_cz_round_trip () =
   let d = device () in
   let circuit = Circuit.of_gates 9 [ (Gate.Cz, [ 3; 4 ]) ] in
-  let schedule = Compile.schedule_native Compile.default_options Compile.Color_dynamic d circuit in
+  let schedule = Compile.schedule_native Pass.default_options Compile.Color_dynamic d circuit in
   let step = find_2q_step schedule in
   match Leakage_audit.audit_step d step with
   | [ audit ] ->
@@ -53,7 +53,7 @@ let test_cz_round_trip () =
 let test_subsystem_capped () =
   let d = device () in
   let circuit = Circuit.of_gates 9 [ (Gate.Iswap, [ 4; 1 ]) ] in
-  let schedule = Compile.schedule_native Compile.default_options Compile.Color_dynamic d circuit in
+  let schedule = Compile.schedule_native Pass.default_options Compile.Color_dynamic d circuit in
   let step = find_2q_step schedule in
   let audit =
     Leakage_audit.audit_gate ~max_spectators:2 d step
@@ -64,7 +64,7 @@ let test_subsystem_capped () =
 let test_audit_rejects_foreign_gate () =
   let d = device () in
   let circuit = Circuit.of_gates 9 [ (Gate.Iswap, [ 0; 1 ]) ] in
-  let schedule = Compile.schedule_native Compile.default_options Compile.Color_dynamic d circuit in
+  let schedule = Compile.schedule_native Pass.default_options Compile.Color_dynamic d circuit in
   let step = find_2q_step schedule in
   let foreign = { Gate.id = 999; gate = Gate.Cz; qubits = [| 7; 8 |] } in
   check_true "foreign gate rejected"

@@ -1,5 +1,5 @@
 (* The pass-manager pipeline (lib/core/pass.ml): context threading, the
-   instrumentation trail, registry semantics, and parity with the direct
+   instrumentation trail, scheduler lookup, and parity with the direct
    scheduler entry points it replaced. *)
 open Helpers
 open Fastsc_device
@@ -10,7 +10,6 @@ let device () = Device.create ~seed:2020 (Topology.grid 3 3)
 
 let bv9 () = Bv.circuit ~n:9 ()
 
-(* Referencing Compile forces the built-in registrations to have run. *)
 let cd_name = Compile.algorithm_to_string Compile.Color_dynamic
 
 let test_execute_through_evaluate () =
@@ -37,7 +36,7 @@ let test_matches_direct_scheduler () =
      stats as calling the scheduler by hand on the prepared circuit *)
   let d = device () in
   let circuit = bv9 () in
-  let native = Compile.prepare Compile.default_options d circuit in
+  let native = Compile.prepare Pass.default_options d circuit in
   let direct, stats = Color_dynamic.run d native in
   let ctx = Pass.execute ~through:`Schedule ~algorithm:"cd" d circuit in
   let piped = Pass.Context.schedule_exn ctx in
@@ -58,7 +57,7 @@ let test_unknown_algorithm_rejected () =
   | _ -> Alcotest.fail "unknown algorithm should raise"
   | exception Invalid_argument msg ->
     check_true "names the stray" (contains msg "nonsense");
-    check_true "lists the registry" (contains msg "color-dynamic")
+    check_true "lists the schedulers" (contains msg "color-dynamic")
 
 let test_instrumentation_counts () =
   let ctx = Pass.execute ~algorithm:cd_name (device ()) (bv9 ()) in
@@ -99,32 +98,6 @@ let test_stat_lookup_errors () =
   | _ -> Alcotest.fail "float stat read as int should raise"
   | exception Invalid_argument _ -> ()
 
-let test_register_replaces_in_place () =
-  (* a custom scheduler is usable by name; re-registering the same name
-     replaces the entry without growing the registry *)
-  let before = Pass.scheduler_names () in
-  let make label =
-    (module struct
-      let name = "test-fixed"
-      let aliases = [ "tf" ]
-      let table1 = false
-      let consumes = `Native
-      let schedule options device native =
-        ignore options;
-        let sched = Baseline_uniform.run device native in
-        (sched, [ ("label", Pass.Text label) ])
-    end : Pass.SCHEDULER)
-  in
-  Pass.register (make "v1");
-  let after = Pass.scheduler_names () in
-  check_int "registry grew by one" (List.length before + 1) (List.length after);
-  Pass.register (make "v2");
-  check_int "replace does not grow" (List.length after) (List.length (Pass.scheduler_names ()));
-  let ctx = Pass.execute ~through:`Schedule ~algorithm:"tf" (device ()) (bv9 ()) in
-  check_true "replacement ran" (List.assoc "label" ctx.Pass.Context.stats = Pass.Text "v2");
-  check_true "valid schedule from custom scheduler"
-    (Result.is_ok (Schedule.check (Pass.Context.schedule_exn ctx)))
-
 let test_compile_run_is_thin_wrapper () =
   let d = device () in
   let circuit = bv9 () in
@@ -147,6 +120,5 @@ let suite =
     Alcotest.test_case "instrumentation counts" `Quick test_instrumentation_counts;
     Alcotest.test_case "report is valid json" `Quick test_report_is_valid_json;
     Alcotest.test_case "stat lookup errors" `Quick test_stat_lookup_errors;
-    Alcotest.test_case "register replaces in place" `Quick test_register_replaces_in_place;
     Alcotest.test_case "compile.run is a thin wrapper" `Quick test_compile_run_is_thin_wrapper;
   ]

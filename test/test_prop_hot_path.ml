@@ -810,13 +810,13 @@ end
 (* Pass.place under [`Auto], as it was before the SWAP-free shortcut: route
    both the identity and the degree placement, each routing computing its
    own distance matrix, and keep degree only when it inserts strictly fewer
-   SWAPs.  Each registered router by name, as the route pass called it on
-   the graph: lookahead is the sweeping copy above, so its matrix and
+   SWAPs.  Each router [options.router] selects, as the route pass called it
+   on the graph: lookahead is the sweeping copy above, so its matrix and
    diameter come from [Paths.all_pairs] and [Paths.diameter]. *)
 let old_routers =
   [
-    ("lookahead", fun graph ~placement c -> Old.route_lookahead ~placement graph c);
-    ("greedy", fun graph ~placement c -> Mapping.route ~placement graph c);
+    (`Lookahead, fun graph ~placement c -> Old.route_lookahead ~placement graph c);
+    (`Greedy, fun graph ~placement c -> Mapping.route ~placement graph c);
   ]
 
 let old_auto_place route graph circuit =
@@ -826,10 +826,6 @@ let old_auto_place route graph circuit =
   let by_degree = route graph ~placement:degree circuit in
   if by_degree.Mapping.n_swaps < by_identity.Mapping.n_swaps then (degree, by_degree)
   else (identity, by_identity)
-
-(* Referencing Compile links it; its initialisation registers the schedulers
-   the evaluation property compiles with. *)
-let () = ignore Compile.all_algorithms
 
 let topologies = Test_prop_rivals.topologies
 
@@ -958,7 +954,7 @@ let placement_circuit device (source, (seed, c)) =
     | _ -> Ghz.circuit ~n ())
 
 (* [Pass.place] and [Pass.route] against [old_auto_place] under each
-   registered router.  The one difference allowed: identity routes without a
+   router.  The one difference allowed: identity routes without a
    SWAP, so the new pass never tries degree, while the oracle's degree trial
    raised. *)
 let prop_auto_place =
@@ -994,10 +990,18 @@ let prop_auto_place =
       && (got = want
          || match (want, swap_free_identity) with Error _, Some r -> got = Ok r | _ -> false))
 
+(* The match is over [Pass.options]' router field, so a router added there
+   stops this file compiling until the placement property draws it. *)
 let test_routers_covered () =
-  Alcotest.(check (list string))
-    "the placement property runs every router" Pass.router_names
-    (List.map fst old_routers)
+  let drawn (options : Pass.options) =
+    match options.Pass.router with
+    | `Lookahead | `Greedy -> List.mem_assoc options.Pass.router old_routers
+  in
+  List.iter
+    (fun router ->
+      check_true "the placement property runs every router"
+        (drawn { Pass.default_options with Pass.router }))
+    [ `Lookahead; `Greedy ]
 
 (* Identity needs one SWAP here and degree none, so degree wins: the case a
    shortcut at one SWAP would get wrong. *)
@@ -1028,10 +1032,10 @@ let metric_bits (m : Schedule.metrics) =
 
 let pair_bits (a, b) = (Int64.bits_of_float a, Int64.bits_of_float b)
 
-(* Schedules from every registered scheduler on random placements, under
-   the producer's coupler model and under tunable couplers of two residual
-   ratios; evaluated at both distances, with and without the worst-case
-   envelope. *)
+(* Schedules from every entry of [Pass.schedulers] on random placements,
+   under the producer's coupler model and under tunable couplers of two
+   residual ratios; evaluated at both distances, with and without the
+   worst-case envelope. *)
 let prop_evaluate =
   prop_case ~count:80 "evaluate and step_errors are bit-identical to the unmemoized path"
     Proptest.(
@@ -1040,7 +1044,7 @@ let prop_evaluate =
         (pair (pair (int_range 0 100) (int_range 0 2)) circuits))
     (fun ((i, seed), ((k, coupler), c)) ->
       let device = device_of i in
-      let names = Array.of_list (Pass.scheduler_names ()) in
+      let names = Array.of_list (List.map (fun s -> s.Pass.name) Pass.schedulers) in
       let algorithm = names.(k mod Array.length names) in
       let ctx = Pass.execute ~algorithm device (placed_on device seed c) in
       let schedule = Pass.Context.schedule_exn ctx in

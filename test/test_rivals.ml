@@ -1,5 +1,5 @@
 (* The rival-compiler zoo (ISSUE 9): Murali-style delay scheduling and CQC
-   synergistic routing+scheduling as registry schedulers, plus the
+   synergistic routing+scheduling as entries of Pass's scheduler table, plus the
    pass-graph plumbing that lets cqc-synergy consume the unrouted circuit.
    The threshold-invariant and swap-score tests are the directed catchers
    for the murali-delay-threshold and cqc-swap-score fault entries. *)
@@ -33,7 +33,7 @@ let test_murali_valid_and_threshold_invariant () =
      for FASTSC_FAULT=murali-delay-threshold (the flipped comparison packs
      conflicting pairs together, violating the invariant immediately). *)
   let d = device () in
-  let threshold = Compile.default_options.Compile.delay_threshold in
+  let threshold = Pass.default_options.Pass.delay_threshold in
   let ctx = Pass.execute ~algorithm:"murali-delay" d (qaoa9 ()) in
   let sched = Pass.Context.schedule_exn ctx in
   check_true "murali schedule valid" (Result.is_ok (Schedule.check sched));
@@ -145,36 +145,23 @@ let test_cqc_conflict_pressure_matters () =
       "conflict-pressure term changed nothing (synergy total %d vs depth-only %d)"
       with_synergy depth_only
 
-(* -- router lookup ------------------------------------------------------------ *)
+(* -- router option ------------------------------------------------------------ *)
 
 let compile_with_router router =
-  let options = { Compile.default_options with Compile.router } in
+  let options = { Pass.default_options with Pass.router } in
   Pass.execute ~options ~algorithm:"color-dynamic" (device ()) (qaoa9 ())
 
 let test_router_registry () =
-  (* every name and alias resolves to a legal compilation end to end, and an
-     alias routes exactly as its canonical name does; the two routers differ
-     on this circuit, so a crossed alias would show *)
-  let routed router =
-    Circuit.instructions (Pass.Context.routed_exn (compile_with_router router)).Mapping.circuit
-  in
-  check_true "the routers differ here" (routed "lookahead" <> routed "greedy");
+  (* both routers compile legally end to end, and they differ on this
+     circuit, so a route pass that ignored the option would show *)
+  let routed ctx = Circuit.instructions (Pass.Context.routed_exn ctx).Mapping.circuit in
+  let lookahead = compile_with_router `Lookahead and greedy = compile_with_router `Greedy in
+  check_true "the routers differ here" (routed lookahead <> routed greedy);
   List.iter
-    (fun (router, aliases) ->
-      let ctx = compile_with_router router in
-      check_true (router ^ " router compiles")
-        (Result.is_ok (Schedule.check (Pass.Context.schedule_exn ctx)));
-      List.iter
-        (fun alias ->
-          check_true (Printf.sprintf "%s routes as %s" alias router) (routed alias = routed router))
-        aliases)
-    [ ("lookahead", [ "sabre"; "l" ]); ("greedy", [ "shortest-path"; "g" ]) ]
-
-let test_unknown_router_rejected () =
-  match compile_with_router "bogus" with
-  | _ -> Alcotest.fail "unknown router accepted"
-  | exception Invalid_argument msg ->
-    check_true "names listed" (contains msg "lookahead" && contains msg "greedy")
+    (fun (label, ctx) ->
+      check_true (label ^ " router compiles")
+        (Result.is_ok (Schedule.check (Pass.Context.schedule_exn ctx))))
+    [ ("lookahead", lookahead); ("greedy", greedy) ]
 
 let suite =
   [
@@ -190,5 +177,4 @@ let suite =
     Alcotest.test_case "cqc conflict pressure matters" `Quick
       test_cqc_conflict_pressure_matters;
     Alcotest.test_case "router registry" `Quick test_router_registry;
-    Alcotest.test_case "unknown router rejected" `Quick test_unknown_router_rejected;
   ]

@@ -168,6 +168,17 @@ let test_ladder_stale_hit () =
   let hits, _misses, entries = Ladder.stale_cache_stats () in
   check_true "cache hit counted" (hits >= 1 && entries >= 1)
 
+let test_ladder_stale_hit_by_alias () =
+  Ladder.reset_stale_cache ();
+  (* a witness stored under the canonical name answers a request that names
+     the scheduler by its alias *)
+  let warm = ok_body (Ladder.compile (small_request ~seed:59 ())) in
+  let alias = { (small_request ~deadline_ms:0.0 ~seed:59 ()) with Protocol.algorithm = "cd" } in
+  let b = ok_body (Ladder.compile alias) in
+  check_true "tier stale" (b.Protocol.tier = "stale");
+  check_true "canonical algorithm" (b.Protocol.algorithm = "color-dynamic");
+  check_true "the primed metrics" (b.Protocol.metrics = warm.Protocol.metrics)
+
 let test_ladder_unknown_algorithm () =
   let req = { (small_request ()) with Protocol.algorithm = "no-such-scheduler" } in
   check_true "unknown algorithm raises Bad_request"
@@ -272,6 +283,7 @@ let suite =
     Alcotest.test_case "ladder: zero budget degrades to greedy" `Quick
       test_ladder_deadline_zero_degrades_to_greedy;
     Alcotest.test_case "ladder: stale hit" `Quick test_ladder_stale_hit;
+    Alcotest.test_case "ladder: stale hit by alias" `Quick test_ladder_stale_hit_by_alias;
     Alcotest.test_case "ladder: unknown algorithm" `Quick test_ladder_unknown_algorithm;
     Alcotest.test_case "scrub zeroes latency" `Quick test_scrub_zeroes_latency;
     Alcotest.test_case "telemetry: pure formatter" `Quick test_telemetry_format_line;

@@ -88,6 +88,20 @@ let test_order_wrong_length () =
     (Invalid_argument "Smt.solve: order must list every variable exactly once") (fun () ->
       ignore (Fastsc_smt.Smt.solve ~order:[ 0 ] t ~delta:0.1))
 
+(* Right length, not a permutation: a repeated index once left a variable
+   unplaced and failed the witness assertion instead. *)
+let test_order_not_permutation () =
+  let t = Fastsc_smt.Smt.create ~lo:0.0 ~hi:1.0 3 in
+  List.iter
+    (fun (label, order) ->
+      Alcotest.check_raises label
+        (Invalid_argument "Smt.solve: order must list every variable exactly once") (fun () ->
+          ignore (Fastsc_smt.Smt.solve ~order t ~delta:0.1));
+      Alcotest.check_raises (label ^ " (search)")
+        (Invalid_argument "Smt.solve: order must list every variable exactly once") (fun () ->
+          ignore (Fastsc_smt.Smt.find_max_delta ~order t)))
+    [ ("repeated index", [ 0; 0; 1 ]); ("out of range", [ 0; 1; 3 ]) ]
+
 let test_zero_vars () =
   let t = Fastsc_smt.Smt.create 0 in
   check_true "empty assignment" (Fastsc_smt.Smt.solve ~order:[] t ~delta:1.0 = Some [||])
@@ -197,6 +211,7 @@ let suite =
     Alcotest.test_case "self separation rejected" `Quick test_self_separation_rejected;
     Alcotest.test_case "order respected" `Quick test_order_respected;
     Alcotest.test_case "order wrong length" `Quick test_order_wrong_length;
+    Alcotest.test_case "order not a permutation" `Quick test_order_not_permutation;
     Alcotest.test_case "zero vars" `Quick test_zero_vars;
     Alcotest.test_case "margin" `Quick test_margin;
     Alcotest.test_case "warm seeding" `Quick test_warm_seeding;

@@ -97,45 +97,36 @@ let test_save_overwrites_atomically () =
 
 (* Retry backs the snapshot writer; its schedule must be deterministic *)
 let test_retry_backoff_schedule () =
-  let b = Retry.backoff_ms ~base_ms:10.0 ~factor:2.0 ~max_ms:100.0 ~jitter:0.25 in
+  let b = Retry.backoff_ms in
   check_true "deterministic" (b 3 = b 3);
-  for k = 0 to 8 do
+  for k = 0 to 12 do
     let v = b k in
     check_true "non-negative" (v >= 0.0);
-    check_true "bounded by jittered max" (v <= 100.0 *. 1.25)
+    check_true "bounded by the jittered 1 s cap" (v <= 1000.0 *. 1.25)
   done;
-  check_true "first backoff near base" (b 0 >= 7.5 && b 0 <= 12.5)
+  check_true "first backoff near 10 ms" (b 0 >= 7.5 && b 0 <= 12.5);
+  check_true "second backoff near 20 ms" (b 1 >= 15.0 && b 1 <= 25.0)
 
 let test_retry_with_backoff () =
   let sleeps = ref [] in
   let sleep ms = sleeps := ms :: !sleeps in
   let calls = ref 0 in
   let r =
-    Retry.with_backoff ~attempts:5 ~sleep (fun k ->
+    Retry.with_backoff ~sleep (fun k ->
         incr calls;
         if k < 2 then failwith "flaky" else k)
   in
   check_int "succeeds on the third call" 2 r;
   check_int "two failures before" 3 !calls;
-  check_int "slept between attempts" 2 (List.length !sleeps);
-  (* exhausted attempts re-raise the last exception *)
+  check_true "slept the schedule between attempts"
+    (List.rev !sleeps = [ Retry.backoff_ms 0; Retry.backoff_ms 1 ]);
+  (* the third failure re-raises *)
   let fails = ref 0 in
-  check_true "re-raises after attempts"
-    (match Retry.with_backoff ~attempts:3 ~sleep (fun _ -> incr fails; failwith "never") with
+  check_true "re-raises after three attempts"
+    (match Retry.with_backoff ~sleep (fun k -> incr fails; failwith (string_of_int k)) with
     | _ -> false
-    | exception Failure msg -> msg = "never");
-  check_int "called exactly attempts times" 3 !fails;
-  (* should_retry can veto *)
-  let vetoed = ref 0 in
-  check_true "veto stops retrying"
-    (match
-       Retry.with_backoff ~attempts:5 ~sleep
-         ~should_retry:(function Failure _ -> false | _ -> true)
-         (fun _ -> incr vetoed; failwith "fatal")
-     with
-    | _ -> false
-    | exception Failure _ -> true);
-  check_int "no retry after veto" 1 !vetoed
+    | exception Failure msg -> msg = "2");
+  check_int "called exactly three times" 3 !fails
 
 let test_solver_cache_export_import () =
   (* the daemon's actual payload: Freq_alloc's memo table codec *)
