@@ -29,8 +29,8 @@ examples:
 # Serve-daemon smoke test (DESIGN.md §12): a JSONL batch with an
 # over-deadline request must come back fully answered (the budget-0 request
 # as a structured greedy-tier response), byte-identically across FASTSC_JOBS
-# 1 and 4; SIGTERM must drain and snapshot; a corrupt snapshot must be
-# quarantined on reboot, never a crash.
+# 1 and 4; SIGTERM must drain and exit 0; an expired drain grace must exit 0
+# without waiting on the backlog.
 serve-smoke:
 	$(DUNE) build bin/fastsc.exe
 	sh scripts/serve_smoke.sh

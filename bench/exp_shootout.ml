@@ -123,7 +123,7 @@ let headline_of_mesh mesh_rows =
   (ordered, List.length mesh_rows)
 
 let run () =
-  Exp_common.heading "Shootout: all registered schedulers x topology zoo x table2 workloads";
+  Exp_common.heading "Shootout: every scheduler x topology zoo x table2 workloads";
   let scrub = scrubbed () in
   let sizes = env_sizes () in
   let bench_names = env_list "FASTSC_SHOOTOUT_BENCHES" Exp_common.suite_names in

@@ -27,7 +27,8 @@ let bench_arg =
   Arg.(
     value
     & opt string "bv"
-    & info [ "bench" ] ~docv:"BENCH" ~doc:"Benchmark: bv, qaoa, ising, qgan, xeb.")
+    & info [ "bench" ] ~docv:"BENCH"
+        ~doc:("Benchmark: " ^ String.concat ", " Protocol.benchmark_names ^ "."))
 
 (* The algorithm list in --help comes from Pass's scheduler table, with
    the aliases each entry accepts. *)
@@ -403,22 +404,6 @@ let serve_cmd =
             "Admission-control bound: requests beyond $(docv) in flight are shed with a \
              structured $(b,overloaded) error.")
   in
-  let snapshot_dir_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "snapshot-dir" ] ~docv:"DIR"
-          ~doc:
-            "Persist checksummed solver-cache snapshots under $(docv); loaded at boot, \
-             corrupt files quarantined as $(b,.corrupt) and rebuilt cold.")
-  in
-  let snapshot_every_arg =
-    Arg.(
-      value
-      & opt int 32
-      & info [ "snapshot-every" ] ~docv:"N"
-          ~doc:"Snapshot the caches every $(docv) completed requests (0: only at drain).")
-  in
   let stats_every_arg =
     Arg.(
       value
@@ -444,14 +429,11 @@ let serve_cmd =
             "Zero latency fields in responses so output is byte-deterministic across \
              job counts.")
   in
-  let run jobs socket deadline_ms max_inflight snapshot_dir snapshot_every stats_every
-      drain_grace_ms scrub =
+  let run jobs socket deadline_ms max_inflight stats_every drain_grace_ms scrub =
     match apply_jobs jobs with
     | `Error _ as e -> e
     | `Ok () ->
       if max_inflight < 1 then `Error (false, "--max-inflight needs a positive integer")
-      else if snapshot_every < 0 then
-        `Error (false, "--snapshot-every needs a non-negative integer")
       else if stats_every < 0 then
         `Error (false, "--stats-every needs a non-negative integer")
       else if not (Float.is_finite drain_grace_ms && drain_grace_ms >= 0.0) then
@@ -467,8 +449,6 @@ let serve_cmd =
             Fastsc_serve.Server.socket;
             deadline_ms;
             max_inflight;
-            snapshot_dir;
-            snapshot_every;
             stats_every;
             drain_grace_ms;
             scrub;
@@ -482,8 +462,7 @@ let serve_cmd =
     Term.(
       ret
         (const run $ jobs_arg $ socket_arg $ deadline_arg $ max_inflight_arg
-       $ snapshot_dir_arg $ snapshot_every_arg $ stats_every_arg $ drain_grace_arg
-       $ scrub_arg))
+       $ stats_every_arg $ drain_grace_arg $ scrub_arg))
 
 (* fastsc list *)
 let list_cmd =

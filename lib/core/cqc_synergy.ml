@@ -42,9 +42,8 @@ let route ?(lambda = 0.5) ?(crosstalk_distance = 1) device circuit =
 
 type run_stats = { n_swaps : int; conflict_total : int; delayed : int }
 
-let run ?(threshold = 1e-4) ?(decomposition = Decompose.Hybrid) ?(crosstalk_distance = 1)
-    device placed =
+let run ?(decomposition = Decompose.Hybrid) ?(crosstalk_distance = 1) device placed =
   let result, conflict_total = route ~crosstalk_distance device placed in
   let native = Decompose.run decomposition result.Mapping.circuit in
-  let sched, delayed = Murali_delay.pack ~threshold ~algorithm:"cqc-synergy" device native in
+  let sched, delayed = Murali_delay.pack ~algorithm:"cqc-synergy" device native in
   (sched, { n_swaps = result.Mapping.n_swaps; conflict_total; delayed })

@@ -28,7 +28,6 @@ val route :
 type run_stats = { n_swaps : int; conflict_total : int; delayed : int }
 
 val run :
-  ?threshold:float ->
   ?decomposition:Decompose.strategy ->
   ?crosstalk_distance:int ->
   Device.t -> Circuit.t -> Schedule.t * run_stats

@@ -70,83 +70,6 @@ let reset_solver_cache () =
   warm_misses := 0;
   Mutex.unlock cache_mutex
 
-(* Snapshot codec: the memo table as a JSON document, for the serve daemon's
-   crash-safe cache persistence (Snapshot wraps this payload in a checksummed
-   envelope).  Entries are emitted in sorted key order so the same cache
-   state always serializes to the same bytes. *)
-
-let json_of_entry (k, (delta, freqs)) =
-  Json.Obj
-    [
-      ("n", Json.Int k.k_n);
-      ("lo", Json.Float k.k_lo);
-      ("hi", Json.Float k.k_hi);
-      ("alpha", Json.Float k.k_alpha);
-      ("order", Json.List (List.map (fun i -> Json.Int i) k.k_order));
-      ("delta", Json.Float delta);
-      ("freqs", Json.List (Array.to_list (Array.map (fun f -> Json.Float f) freqs)));
-    ]
-
-let export_cache () =
-  Mutex.lock cache_mutex;
-  let entries = Hashtbl.fold (fun k v acc -> (k, v) :: acc) cache [] in
-  Mutex.unlock cache_mutex;
-  let entries = List.sort (fun (a, _) (b, _) -> compare a b) entries in
-  Json.Obj [ ("solver_cache", Json.List (List.map json_of_entry entries)) ]
-
-let entry_of_json json =
-  let to_float = function
-    | Json.Float f -> Some f
-    | Json.Int i -> Some (float_of_int i)
-    | _ -> None
-  in
-  let field name = Option.bind (Json.member name json) to_float in
-  match (Json.member "n" json, field "lo", field "hi", field "alpha", field "delta") with
-  | Some (Json.Int n), Some lo, Some hi, Some alpha, Some delta when n >= 0 -> (
-    let order =
-      match Json.member "order" json with
-      | Some (Json.List items) ->
-        let ints =
-          List.filter_map (function Json.Int i -> Some i | _ -> None) items
-        in
-        if List.length ints = List.length items then Some ints else None
-      | _ -> None
-    in
-    let freqs =
-      match Json.member "freqs" json with
-      | Some (Json.List items) ->
-        let fs = List.filter_map to_float items in
-        if List.length fs = List.length items && List.length fs = n then
-          Some (Array.of_list fs)
-        else None
-      | _ -> None
-    in
-    match (order, freqs) with
-    | Some k_order, Some freqs
-      when Float.is_finite delta && Array.for_all Float.is_finite freqs ->
-      Some ({ k_n = n; k_lo = lo; k_hi = hi; k_alpha = alpha; k_order }, (delta, freqs))
-    | _ -> None)
-  | _ -> None
-
-let import_cache doc =
-  match Json.member "solver_cache" doc with
-  | Some (Json.List items) ->
-    (* malformed entries are skipped, not fatal: a snapshot from an older
-       build costs only the entries it cannot express *)
-    let entries = List.filter_map entry_of_json items in
-    Mutex.lock cache_mutex;
-    let imported = ref 0 in
-    List.iter
-      (fun (k, v) ->
-        if Hashtbl.length cache < max_cache_entries then begin
-          Hashtbl.replace cache k v;
-          incr imported
-        end)
-      entries;
-    Mutex.unlock cache_mutex;
-    !imported
-  | _ -> 0
-
 let build_problem ~lo ~hi ~alpha n =
   let problem = Fastsc_smt.Smt.create ~lo ~hi n in
   for i = 0 to n - 1 do

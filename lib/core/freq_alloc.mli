@@ -42,20 +42,6 @@ val reset_solver_cache : unit -> unit
 (** Drop all memoized solves and zero the counters (tests; also useful when
     measuring cold-compile costs). *)
 
-val export_cache : unit -> Json.t
-(** The memo table as a JSON document (entries in sorted key order, so equal
-    cache states serialize to equal bytes).  The serve daemon wraps this in
-    a checksummed {!Fastsc_util.Snapshot} envelope to persist warm caches
-    across restarts. *)
-
-val import_cache : Json.t -> int
-(** Merge a document produced by {!export_cache} into the memo table and
-    return the number of entries imported.  Malformed entries are skipped
-    (a snapshot from an older build costs only what it cannot express), and
-    so are entries whose ["order"] is null, which builds that solved idle
-    problems without a placement order wrote; counters are untouched.
-    Returns 0 on a document with no ["solver_cache"] list. *)
-
 val idle : Device.t -> Coloring.coloring * assignment
 (** Color the connectivity graph (2 colors when bipartite, Welsh–Powell
     otherwise) and solve for parking frequencies in the identity placement

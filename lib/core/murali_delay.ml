@@ -6,11 +6,11 @@
    frequency and every two-qubit gate runs at the shared interaction-region
    midpoint, exactly like Baseline N.  Crosstalk is mitigated purely in
    time — a ready gate whose modeled simultaneous-crosstalk error against
-   the gates already accepted into the current moment exceeds
-   [delay_threshold] is pushed to a later moment instead of detuned.  The
-   idle padding this inserts is not free: the evaluation charges
-   decoherence over the schedule's total duration, which is precisely the
-   trade-off the paper's frequency-aware schedulers win (Table I). *)
+   the gates already accepted into the current moment exceeds [threshold]
+   is pushed to a later moment instead of detuned.  The idle padding this
+   inserts is not free: the evaluation charges decoherence over the
+   schedule's total duration, which is precisely the trade-off the paper's
+   frequency-aware schedulers win (Table I). *)
 
 open Fastsc_physics
 
@@ -18,6 +18,8 @@ open Fastsc_physics
    threshold comparison, so conflicting pairs pack together and distant
    (harmless) pairs serialize. *)
 let fault_threshold = Fault.enabled "murali-delay-threshold"
+
+let threshold = 1e-4
 
 let simultaneous_error device ~t (a, b) (c, d) =
   let omega_int = Step_builder.interaction_center device in
@@ -38,7 +40,7 @@ let simultaneous_error device ~t (a, b) (c, d) =
         acc [ c; d ])
     0.0 [ a; b ]
 
-let pack ?(threshold = 1e-4) ~algorithm device circuit =
+let pack ~algorithm device circuit =
   let idle_freqs = Freq_alloc.idle_per_qubit device in
   let omega_int = Step_builder.interaction_center device in
   let pending = Pending.create circuit in

@@ -7,7 +7,6 @@ type options = {
   placement : [ `Identity | `Degree | `Auto ];
   optimize : bool;
   router : [ `Lookahead | `Greedy ];
-  delay_threshold : float;
   warm_start : bool;
   decompose_components : bool;
 }
@@ -22,7 +21,6 @@ let default_options =
     placement = `Auto;
     optimize = false;
     router = `Lookahead;
-    delay_threshold = 1e-4;
     warm_start = false;
     decompose_components = false;
   }
@@ -61,19 +59,18 @@ let color_dynamic options device native =
       ("warm_misses", Int stats.warm_misses);
     ] )
 
-let murali_delay options device native =
-  let threshold = options.delay_threshold in
-  let schedule, delayed = Murali_delay.pack ~threshold ~algorithm:"murali-delay" device native in
+let murali_delay _ device native =
+  let schedule, delayed = Murali_delay.pack ~algorithm:"murali-delay" device native in
   ( schedule,
     [
       ("delayed", Int delayed);
       ("steps", Int (Schedule.depth schedule));
-      ("threshold", Float threshold);
+      ("threshold", Float Murali_delay.threshold);
     ] )
 
 let cqc_synergy options device placed =
   let schedule, (stats : Cqc_synergy.run_stats) =
-    Cqc_synergy.run ~threshold:options.delay_threshold ~decomposition:options.decomposition
+    Cqc_synergy.run ~decomposition:options.decomposition
       ~crosstalk_distance:options.crosstalk_distance device placed
   in
   ( schedule,
@@ -119,7 +116,7 @@ let schedulers =
       aliases = [ "uniform"; "u" ];
       consumes = `Native;
       schedule =
-        no_stats (fun o -> Baseline_uniform.run ~crosstalk_distance:o.crosstalk_distance);
+        no_stats (fun _ -> Baseline_uniform.run);
     };
     {
       name = "baseline-s";
@@ -184,7 +181,7 @@ let scheduler_exn name =
   | Some s -> s
   | None ->
     invalid_arg
-      (Printf.sprintf "Pass: unknown scheduler %S (registered: %s)" name
+      (Printf.sprintf "Pass: unknown scheduler %S (known: %s)" name
          (String.concat ", " (List.map (fun s -> s.name) schedulers)))
 
 module Context = struct

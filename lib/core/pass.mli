@@ -56,10 +56,6 @@ type options = {
           matrix ({!Device.distances}, built once), or [`Greedy], per-gate
           shortest paths (the [ablate-router] bench measures the
           difference). *)
-  delay_threshold : float;
-      (** Crosstalk pair-error budget above which software-only schedulers
-          (murali-delay, cqc-synergy) refuse to run two gates simultaneously
-          and delay one instead; default [1e-4]. *)
   warm_start : bool;
       (** Seed each moment's frequency solve with the previous moment's
           witness (ColorDynamic family).  Off by default: warm-started solves

@@ -93,7 +93,7 @@ let compile ?default_deadline_ms (req : Protocol.request) =
     | None ->
       raise
         (Protocol.Bad_request
-           (Printf.sprintf "unknown algorithm %S (registered: %s)" req.algorithm
+           (Printf.sprintf "unknown algorithm %S (known: %s)" req.algorithm
               (String.concat " " (List.map (fun s -> s.Pass.name) Pass.schedulers))))
   in
   let t_start = Deadline.now_s () in

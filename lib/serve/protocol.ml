@@ -96,10 +96,12 @@ let parse_request line =
 
 (* The canonical identity of the compile problem a request poses — everything
    that determines the answer, nothing that does not (id, deadline).  Keys
-   the stale-witness cache. *)
+   the stale-witness cache; inline QASM enters as its 128-bit digest. *)
 let cache_key req =
   Printf.sprintf "%s|%d|%s|%d|%s|%b|%b|%d"
-    (match req.qasm with None -> req.bench | Some q -> "qasm:" ^ Snapshot.fnv64 q)
+    (match req.qasm with
+    | None -> req.bench
+    | Some q -> "qasm:" ^ Digest.to_hex (Digest.string q))
     req.n req.topology req.seed req.algorithm req.warm_start
     req.decompose_components req.crosstalk_distance
 

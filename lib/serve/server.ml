@@ -6,69 +6,30 @@
    pool is wide — clients correlate by id).
 
    Lifecycle:
-     boot      load the solver-cache snapshot (corrupt -> quarantined, cold)
      loop      poll input with a short select timeout so SIGTERM/SIGINT are
                noticed promptly; admit requests up to max_inflight, shed the
                rest with structured `overloaded` errors; submit each to the
                process pool (Pool.submit runs it inline at jobs = 1)
      drain     stop accepting, wait for in-flight requests up to the grace
-               period, snapshot the caches, exit 0; requests still queued
-               or running when the grace expires are dropped with the
-               process, since the pool never joins its workers at exit
+               period, exit 0; requests still queued or running when the
+               grace expires are dropped with the process, since the pool
+               never joins its workers at exit
 
-   Everything that can fail at runtime (snapshot IO, a poisoned request)
-   degrades: logged to stderr, never a crash. *)
+   Everything that can fail at runtime (a poisoned request) degrades into
+   a structured error response, never a crash.  The solver memo lives only
+   in this process, so a restarted daemon boots cold and answers exactly
+   like a fresh one (DESIGN.md §12). *)
 
 type config = {
   socket : string option;
   deadline_ms : float option;
   max_inflight : int;
-  snapshot_dir : string option;
-  snapshot_every : int;
   stats_every : int;
   drain_grace_ms : float;
   scrub : bool;
 }
 
-let default_config =
-  {
-    socket = None;
-    deadline_ms = None;
-    max_inflight = 64;
-    snapshot_dir = None;
-    snapshot_every = 32;
-    stats_every = 0;
-    drain_grace_ms = 2000.0;
-    scrub = false;
-  }
-
-let snapshot_version = 1
-
 let log fmt = Printf.eprintf ("fastsc serve: " ^^ fmt ^^ "\n%!")
-
-(* -- snapshots --------------------------------------------------------------- *)
-
-let snapshot_path dir = Filename.concat dir "solver_cache.json"
-
-let load_snapshot dir =
-  match Snapshot.load ~path:(snapshot_path dir) ~version:snapshot_version with
-  | Snapshot.Missing -> log "snapshot: none found, booting cold"
-  | Snapshot.Quarantined reason -> log "snapshot: quarantined (%s), booting cold" reason
-  | Snapshot.Loaded payload ->
-    let n = Freq_alloc.import_cache payload in
-    log "snapshot: loaded %d solver-cache entr%s" n (if n = 1 then "y" else "ies")
-
-let snapshot_mutex = Mutex.create ()
-
-let save_snapshot dir =
-  Mutex.lock snapshot_mutex;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock snapshot_mutex)
-    (fun () ->
-      try
-        Snapshot.save ~path:(snapshot_path dir) ~version:snapshot_version
-          (Freq_alloc.export_cache ())
-      with exn -> log "snapshot: save failed (%s)" (Printexc.to_string exn))
 
 (* -- input: line-at-a-time with prompt stop polling -------------------------- *)
 
@@ -173,14 +134,8 @@ let handle_line ~config ~state oc line =
             let completed = 1 + Atomic.fetch_and_add state.completed 1 in
             if config.stats_every > 0 && completed mod config.stats_every = 0 then
               log "%s" (Telemetry.line state.telemetry);
-            (match config.snapshot_dir with
-            | Some dir
-              when config.snapshot_every > 0 && completed mod config.snapshot_every = 0
-              ->
-              save_snapshot dir
-            | _ -> ());
             (* released last: a drain that sees no request in flight knows
-               every job has finished, periodic snapshot included *)
+               every job has finished, its response included *)
             ignore (Atomic.fetch_and_add state.inflight (-1))
           in
           Pool.submit job
@@ -193,7 +148,6 @@ let drain ~config ~state =
   done;
   let left = Atomic.get state.inflight in
   if left > 0 then log "drain: grace expired with %d request(s) in flight" left;
-  Option.iter save_snapshot config.snapshot_dir;
   log "drained %d request(s) served" (Atomic.get state.completed)
 
 let serve_channel ~config ~state fd oc =
@@ -244,7 +198,6 @@ let run config =
   let on_signal = Sys.Signal_handle (fun _ -> Atomic.set stop true) in
   Sys.set_signal Sys.sigterm on_signal;
   Sys.set_signal Sys.sigint on_signal;
-  Option.iter load_snapshot config.snapshot_dir;
   let state =
     {
       stop;

@@ -153,14 +153,6 @@ let catalog =
       suites = [ "serve" ];
     };
     {
-      name = "snapshot-checksum-skip";
-      site = "Snapshot.load";
-      description =
-        "snapshot loaded without checksum validation: a corrupted payload is deserialized \
-         into the warm cache instead of being quarantined";
-      suites = [ "snapshot" ];
-    };
-    {
       name = "murali-delay-threshold";
       site = "Murali_delay.pack";
       description =

@@ -295,13 +295,4 @@ let parse text =
   if !pos <> len then error "trailing garbage after value";
   value
 
-let parse_file path =
-  let ic = open_in_bin path in
-  let text =
-    Fun.protect ~finally:(fun () -> close_in_noerr ic) (fun () ->
-        really_input_string ic (in_channel_length ic))
-  in
-  try parse text
-  with Parse_error msg -> raise (Parse_error (Printf.sprintf "%s: %s" path msg))
-
 let member key = function Obj fields -> List.assoc_opt key fields | _ -> None

@@ -4,8 +4,8 @@
     external tooling (plotters, control stacks) without adding a dependency.
     Strings are escaped per RFC 8259, floats printed with round-trip
     precision, and non-finite floats encoded as strings (JSON has no
-    Infinity/NaN literals).  The reader parses serve requests, cache
-    snapshots, perfbench's result line in [make verify], and the
+    Infinity/NaN literals).  The reader parses serve requests,
+    perfbench's result line in [make verify], and the
     [fastsc compile --trace] reports of the schema tests. *)
 
 type t =
@@ -37,10 +37,6 @@ val parse : string -> t
     {!Int}, all others {!Float}; [\u] escapes decode to UTF-8, surrogate
     pairs included.
     @raise Parse_error on malformed input or nesting beyond {!max_depth}. *)
-
-val parse_file : string -> t
-(** {!parse} the entire contents of a file; errors are prefixed with the
-    path. *)
 
 val member : string -> t -> t option
 (** [member key json] is the field [key] of an {!Obj}, and [None] on a

@@ -70,7 +70,10 @@ let test_uniform_serializes_conflicts () =
       in
       List.iter
         (fun v -> check_int "no conflicts" 0 (Crosstalk_graph.conflict_count xg v vertices))
-        vertices)
+        vertices;
+      (* Table I's serial scheduler: one two-qubit gate per step, however
+         far apart the couplings are *)
+      check_true "at most one two-qubit gate per step" (List.length vertices <= 1))
     s.Schedule.steps
 
 let test_colordynamic_separates_neighbours () =

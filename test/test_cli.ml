@@ -122,7 +122,7 @@ let test_unknown_algorithm_exit_2 () =
       let code, text = run_capture (sub ^ " --bench bv --size 4 --algorithm nonsense") in
       check_int (sub ^ ": exit code 2") 2 code;
       check_true "names the bad algorithm" (contains text "nonsense");
-      (* the error lists every registered algorithm *)
+      (* the error lists every known algorithm *)
       List.iter
         (fun a ->
           let name = Compile.algorithm_to_string a in

@@ -33,7 +33,7 @@ let test_murali_valid_and_threshold_invariant () =
      for FASTSC_FAULT=murali-delay-threshold (the flipped comparison packs
      conflicting pairs together, violating the invariant immediately). *)
   let d = device () in
-  let threshold = Pass.default_options.Pass.delay_threshold in
+  let threshold = Murali_delay.threshold in
   let ctx = Pass.execute ~algorithm:"murali-delay" d (qaoa9 ()) in
   let sched = Pass.Context.schedule_exn ctx in
   check_true "murali schedule valid" (Result.is_ok (Schedule.check sched));

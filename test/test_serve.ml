@@ -67,11 +67,15 @@ let test_cache_key_identity () =
   check_true "seed included"
     (Protocol.cache_key (parse {|{"id":"a","bench":"bv","n":6,"topology":"path","seed":3}|})
     <> key);
-  check_true "qasm hashed into key"
-    (Protocol.cache_key
-       (parse
-          {|{"id":"a","bench":"bv","n":6,"topology":"path","qasm":"OPENQASM 2.0;"}|})
-    <> key)
+  let qasm id text =
+    Protocol.cache_key
+      (parse
+         (Printf.sprintf {|{"id":%S,"bench":"bv","n":6,"topology":"path","qasm":%S}|} id text))
+  in
+  check_true "qasm hashed into key" (qasm "a" "OPENQASM 2.0;" <> key);
+  check_true "same qasm, same key" (qasm "a" "OPENQASM 2.0;" = qasm "b" "OPENQASM 2.0;");
+  check_true "different qasm, different key"
+    (qasm "a" "OPENQASM 2.0;\nqreg q[2];" <> qasm "a" "OPENQASM 2.0;\nqreg q[3];")
 
 let test_realize_qasm_error_is_bad_request () =
   let req = parse {|{"id":"q","n":4,"topology":"path","qasm":"this is not qasm"}|} in

@@ -15,7 +15,7 @@ let trace_doc () =
   in
   let code = Sys.command command in
   check_int "trace run exits 0" 0 code;
-  let doc = Json.parse_file out_file in
+  let doc = Json.parse (In_channel.with_open_bin out_file In_channel.input_all) in
   Sys.remove out_file;
   doc
 
