@@ -39,9 +39,9 @@ serve-smoke:
 # code for the first time concurrently, 25 runs each; any non-zero exit
 # fails.  A module-level `lazy` forced for the first time from two domains at
 # once raises CamlinternalLazy.Undefined, which killed each command a few
-# times in thirty runs while the fault flags were lazy (docs/DESIGN.md §11).
+# times in thirty runs while the fault flags were lazy (DESIGN.md §11).
 # The validate run fans a trajectory batch over the pool, whose trials all
-# read the snapshots and no-hit fidelity the batch shares (docs/DESIGN.md §9).
+# read the snapshots and no-hit fidelity the batch shares (DESIGN.md §9).
 race-smoke:
 	$(DUNE) build bench/main.exe bin/fastsc.exe
 	@for i in $$(seq 1 25); do \
@@ -61,7 +61,7 @@ check:
 	$(MAKE) verify-quick
 	$(MAKE) race-smoke
 
-# The layered PR gate (docs/DESIGN.md §11): tier R sweeps the property
+# The layered PR gate (DESIGN.md §11): tier R sweeps the property
 # suites over seeds x jobs x case counts, tier D runs the directed suites
 # plus the seeded-fault sweep (every FASTSC_FAULT in the catalog must be
 # caught by at least one of its suites), tier W replays the paper workloads

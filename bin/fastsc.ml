@@ -1,11 +1,15 @@
 (* fastsc — command-line front end of the crosstalk-mitigation compiler.
 
    Subcommands:
-     fastsc device   ... inspect a fabricated device and its frequency plan
-     fastsc compile  ... compile one benchmark with one algorithm
-     fastsc sweep    ... compare all algorithms on one benchmark
-     fastsc validate ... check the success heuristic against noisy simulation
-     fastsc list     ... enumerate benchmarks, algorithms, topologies *)
+     fastsc device    ... inspect a fabricated device and its frequency plan
+     fastsc compile   ... compile one benchmark (or a QASM file) with one algorithm
+     fastsc sweep     ... compare all algorithms on one benchmark
+     fastsc validate  ... check the success heuristic against noisy simulation
+     fastsc qasm      ... emit a benchmark circuit as OpenQASM 2.0
+     fastsc calibrate ... produce the device's frequency calibration tables
+     fastsc budget    ... per-step error budget of a compiled benchmark
+     fastsc serve     ... long-running JSONL compile daemon
+     fastsc list      ... enumerate benchmarks, algorithms, topologies *)
 
 open Cmdliner
 module Protocol = Fastsc_serve.Protocol

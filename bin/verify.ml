@@ -1,4 +1,4 @@
-(* Tiered verification driver behind `make verify` (docs/DESIGN.md §11).
+(* Tiered verification driver behind `make verify` (DESIGN.md §11).
 
    Three tiers, each a list of report cells:
 
@@ -44,8 +44,8 @@ let examples = [ "quickstart"; "qaoa_maxcut"; "xeb_calibration"; "topology_explo
 
 let scratch_root = Filename.concat repo "_build/verify"
 
-(* The proptest engine's fixed base seed lives in lib/proptest; the alternate
-   sweep seed only has to be deterministic and different. *)
+(* The property suites' fixed base seed lives in test/helpers.ml; the
+   alternate sweep seed only has to be deterministic and different. *)
 let alt_seed = 0x5eedc0de + 101
 
 let prop_suites =

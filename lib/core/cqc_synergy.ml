@@ -17,7 +17,7 @@
    Murali, so the head-to-head against the frequency-aware schedulers is
    apples-to-apples). *)
 
-(* Seeded fault for the verification harness (docs/DESIGN.md §11): force
+(* Seeded fault for the verification harness (DESIGN.md §11): force
    the pressure weight to 0, reducing SWAP selection to plain lookahead. *)
 let fault_swap_score = Fault.enabled "cqc-swap-score"
 

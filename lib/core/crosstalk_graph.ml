@@ -69,7 +69,7 @@ let conflict_count t v active =
     (fun acc u -> if u <> v && Graph.mem_edge t.graph v u then acc + 1 else acc)
     0 active
 
-(* Seeded fault for the verification harness (docs/DESIGN.md §11): leave
+(* Seeded fault for the verification harness (DESIGN.md §11): leave
    out the edges between active couplings, so every one gets color 0. *)
 let fault_moment_edge_drop = Fault.enabled "xtalk-moment-edge-drop"
 

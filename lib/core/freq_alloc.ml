@@ -24,7 +24,7 @@ type key = {
   k_order : int list;
 }
 
-(* Seeded faults for the verification harness (docs/DESIGN.md §11). *)
+(* Seeded faults for the verification harness (DESIGN.md §11). *)
 let fault_stale_reset = Fault.enabled "freq-cache-stale-reset"
 
 let fault_alpha_key = Fault.enabled "freq-cache-key-alpha"

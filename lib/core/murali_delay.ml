@@ -14,7 +14,7 @@
 
 open Fastsc_physics
 
-(* Seeded fault for the verification harness (docs/DESIGN.md §11): flip the
+(* Seeded fault for the verification harness (DESIGN.md §11): flip the
    threshold comparison, so conflicting pairs pack together and distant
    (harmless) pairs serialize. *)
 let fault_threshold = Fault.enabled "murali-delay-threshold"

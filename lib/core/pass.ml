@@ -372,7 +372,7 @@ let route_with ctx placement =
       circuit
   | `Greedy -> Mapping.route ~placement (Device.graph device) circuit
 
-(* Seeded fault for the verification harness (docs/DESIGN.md §11): let the
+(* Seeded fault for the verification harness (DESIGN.md §11): let the
    [`Auto] shortcut also skip the degree trial when identity needs one SWAP,
    where degree may need none. *)
 let fault_zero_shortcut = Fault.enabled "place-zero-shortcut"

@@ -14,7 +14,7 @@ type t = {
   mutable remaining : int;
 }
 
-(* Seeded fault for the verification harness (docs/DESIGN.md §11): key the
+(* Seeded fault for the verification harness (DESIGN.md §11): key the
    ready set by id alone, so gates are served in program order. *)
 let fault_crit_order = Fault.enabled "pending-crit-order"
 

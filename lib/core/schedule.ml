@@ -195,7 +195,7 @@ let step_errors ?(worst_case = false) ?(crosstalk_distance = 1) t step =
   accumulate_step t (memo_create t) ~worst_case ~crosstalk_distance gate_acc xtalk_acc step;
   (1.0 -. Success.probability gate_acc, 1.0 -. Success.probability xtalk_acc)
 
-(* Seeded fault for the verification harness (docs/DESIGN.md §11). *)
+(* Seeded fault for the verification harness (DESIGN.md §11). *)
 let fault_xtalk_drop = Fault.enabled "sched-xtalk-drop"
 
 let evaluate ?(worst_case = false) ?(crosstalk_distance = 1)

@@ -46,8 +46,6 @@ let in_interaction t f = f >= t.interaction_lo && f <= t.interaction_hi
 
 let parking_width t = t.parking_hi -. t.parking_lo
 
-let interaction_width t = t.interaction_hi -. t.interaction_lo
-
 let pp fmt t =
   Format.fprintf fmt "parking [%.3f, %.3f] / exclusion (%.3f, %.3f) / interaction [%.3f, %.3f]"
     t.parking_lo t.parking_hi t.exclusion_lo t.exclusion_hi t.interaction_lo t.interaction_hi

@@ -4,7 +4,7 @@ let smallest_free used =
   let rec scan k = if List.mem k used then scan (k + 1) else k in
   scan 0
 
-(* Seeded fault for the verification harness (docs/DESIGN.md §11). *)
+(* Seeded fault for the verification harness (DESIGN.md §11). *)
 let fault_greedy_clash = Fastsc_util.Fault.enabled "color-greedy-clash"
 
 let greedy ~order g =

@@ -146,8 +146,6 @@ let octagonal rows cols =
 
 type tiling_class = A | B | C | D
 
-let tiling_class_to_string = function A -> "A" | B -> "B" | C -> "C" | D -> "D"
-
 let grid_edge_classes rows cols =
   let id r c = (r * cols) + c in
   let classes = ref [] in

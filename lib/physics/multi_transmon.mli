@@ -21,8 +21,6 @@ type spec = {
   couplings : (int * int * float) list;  (** [(a, b, g)] exchange pairs, GHz. *)
 }
 
-val n_transmons : spec -> int
-
 val dimension : spec -> int
 (** [3^n].
     @raise Invalid_argument if any coupling index is out of range or the

@@ -329,7 +329,7 @@ let thermal_relaxation t ~q ~t1 ~t2 ~time =
   apply_kraus1 t (amplitude_damping ~gamma) q;
   apply_kraus1 t (phase_damping ~lambda) q
 
-(* Seeded faults for the verification harness (docs/DESIGN.md §11). *)
+(* Seeded faults for the verification harness (DESIGN.md §11). *)
 let fault_pauli_y_sign = Fault.enabled "density-pauli-y-sign"
 
 let fault_exchange_phase = Fault.enabled "density-exchange-phase"
@@ -343,7 +343,7 @@ let fault_exchange_phase = Fault.enabled "density-exchange-phase"
    and Z and the opposite one under X and Y, all added; a coherence reads
    itself under I and Z and its transpose partner under X and Y, with Y and
    Z subtracted.  That is the Kraus route's float expression with its
-   exact-zero products dropped (docs/DESIGN.md §9). *)
+   exact-zero products dropped (DESIGN.md §9). *)
 let apply_pauli t ~p_x ~p_y ~p_z q =
   let p0 = 1.0 -. p_x -. p_y -. p_z in
   if p0 < -1e-12 then invalid_arg "Density.pauli_channel: probabilities exceed 1";
@@ -396,7 +396,7 @@ let apply_pauli t ~p_x ~p_y ~p_z q =
    (c = cos theta, s = sin theta) as rho <- U rho U†, touching only what U
    mixes: the |01>,|10> rows of every column (U rho), then the same columns
    of every row (rho U†).  Each entry is the dense conjugation's float
-   expression with its +-0 products dropped (docs/DESIGN.md §9).  U is
+   expression with its +-0 products dropped (DESIGN.md §9).  U is
    symmetric under swapping its operands, and so is each two-term sum. *)
 let apply_exchange t ~theta a b =
   check_qubit t a;

@@ -31,8 +31,6 @@ let is_two_qubit g = arity g = 2
 
 let is_native = function Cnot | Swap -> false | _ -> true
 
-let is_entangling = is_two_qubit
-
 let name = function
   | I -> "i"
   | X -> "x"

@@ -46,9 +46,6 @@ val is_two_qubit : t -> bool
 val is_native : t -> bool
 (** True for everything except [Cnot] and [Swap]. *)
 
-val is_entangling : t -> bool
-(** True for all two-qubit gates (they all create entanglement here). *)
-
 val name : t -> string
 (** Short lowercase mnemonic, e.g. ["rz(0.79)"], ["sqrt_iswap"]. *)
 

@@ -45,9 +45,6 @@ module Frontier : sig
   val create : Circuit.t -> t
   (** Nothing emitted yet. *)
 
-  val is_done : t -> bool
-  (** Every instruction has been emitted. *)
-
   val retire : t -> int -> int list
   (** [retire t i] marks the ready instruction [i] emitted and returns the
       instructions that became ready because of it (each comes after [i] in

@@ -34,7 +34,7 @@ let pauli_y = Statevector.entries1 (Gate.unitary Gate.Y)
 
 let pauli_z = Statevector.entries1 (Gate.unitary Gate.Z)
 
-(* Seeded fault for the verification harness (docs/DESIGN.md §11). *)
+(* Seeded fault for the verification harness (DESIGN.md §11). *)
 let fault_prefix_resume = Fault.enabled "sim-prefix-resume"
 
 let check_qubits ~n_qubits what qubits =
@@ -65,7 +65,7 @@ let zero_except keep e =
    both sparse forms and takes the exchange kernel, which touches half the
    amplitudes.  Every product a sparse kernel leaves out has a zero entry,
    so the amplitudes equal the dense kernel's up to the sign of a zero
-   (docs/DESIGN.md §9). *)
+   (DESIGN.md §9). *)
 let lower_gate2 e a b =
   if
     zero_except [ 0; 10; 13; 19; 20; 30 ] e

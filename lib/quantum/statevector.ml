@@ -13,7 +13,7 @@ type plane = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
 
 type t = { n : int; re : plane; im : plane }
 
-(* Seeded faults for the verification harness (docs/DESIGN.md §11); resolved
+(* Seeded faults for the verification harness (DESIGN.md §11); resolved
    once at module initialisation, so the kernels pay one load per call,
    never per index. *)
 let fault_scatter = Fault.enabled "sim-scatter-off-by-one"

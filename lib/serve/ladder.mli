@@ -17,11 +17,6 @@
     [Pass]/[Smt]; the ladder records every attempt (tier, wall-clock,
     outcome) in the response trace. *)
 
-type tier = Full | Decomposed_warm | Stale | Greedy
-
-val tier_name : tier -> string
-(** ["full"], ["decomposed-warm"], ["stale"], ["greedy"]. *)
-
 val compile : ?default_deadline_ms:float -> Protocol.request -> Protocol.response
 (** Walk the ladder for one request.  The budget is the request's
     [deadline_ms] when present, else [default_deadline_ms], else unlimited

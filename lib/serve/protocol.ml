@@ -107,38 +107,46 @@ let cache_key req =
 
 (* -- realizing a request into a compile problem ------------------------------ *)
 
+(* The topology and benchmark constructors reject a size they cannot build
+   (no ring below 3 qubits, no grid of 0, no BV on 1) with
+   [Invalid_argument]: that is the caller's bad input, so it answers
+   [Bad_request] like the rest. *)
+let rejecting_bad_size f = try f () with Invalid_argument msg -> raise (Bad_request msg)
+
 let parse_topology spec n =
-  match String.split_on_char ':' spec with
-  | [ "grid" ] -> Topology.square_grid n
-  | [ "path" ] -> Topology.path n
-  | [ "ring" ] -> Topology.ring n
-  | [ "complete" ] -> Topology.complete n
-  | [ "1ex"; k ] -> (
-    match int_of_string_opt k with
-    | Some k when k >= 2 -> Topology.express_1d n k
-    | _ -> bad "topology 1ex:<k> needs an integer k >= 2")
-  | [ "2ex"; k ] -> (
-    match int_of_string_opt k with
-    | Some k when k >= 2 ->
-      let side = int_of_float (sqrt (float_of_int n)) in
-      if side * side <> n then bad "topology 2ex needs a square qubit count"
-      else Topology.express_2d side side k
-    | _ -> bad "topology 2ex:<k> needs an integer k >= 2")
-  | _ -> bad "unknown topology %S (try grid, path, ring, 1ex:4, 2ex:2)" spec
+  rejecting_bad_size (fun () ->
+      match String.split_on_char ':' spec with
+      | [ "grid" ] -> Topology.square_grid n
+      | [ "path" ] -> Topology.path n
+      | [ "ring" ] -> Topology.ring n
+      | [ "complete" ] -> Topology.complete n
+      | [ "1ex"; k ] -> (
+        match int_of_string_opt k with
+        | Some k when k >= 2 -> Topology.express_1d n k
+        | _ -> bad "topology 1ex:<k> needs an integer k >= 2")
+      | [ "2ex"; k ] -> (
+        match int_of_string_opt k with
+        | Some k when k >= 2 ->
+          let side = int_of_float (sqrt (float_of_int n)) in
+          if side * side <> n then bad "topology 2ex needs a square qubit count"
+          else Topology.express_2d side side k
+        | _ -> bad "topology 2ex:<k> needs an integer k >= 2")
+      | _ -> bad "unknown topology %S (try grid, path, ring, 1ex:4, 2ex:2)" spec)
 
 let make_benchmark name n seed device =
-  let rng = Rng.create seed in
-  match name with
-  | "bv" -> Bv.circuit ~n ()
-  | "qaoa" -> Qaoa.circuit rng ~n ()
-  | "ising" -> Ising.circuit ~n ()
-  | "qgan" -> Qgan.circuit rng ~n ()
-  | "xeb" ->
-    let classes = Baseline_gmon.edge_classes device in
-    Xeb.circuit rng ~graph:(Device.graph device) ~classes ~cycles:5 ()
-  | "ghz" -> Ghz.circuit ~fanout:true ~n ()
-  | "qft" -> Qft.circuit ~n ()
-  | other -> bad "unknown benchmark %S" other
+  rejecting_bad_size (fun () ->
+      let rng = Rng.create seed in
+      match name with
+      | "bv" -> Bv.circuit ~n ()
+      | "qaoa" -> Qaoa.circuit rng ~n ()
+      | "ising" -> Ising.circuit ~n ()
+      | "qgan" -> Qgan.circuit rng ~n ()
+      | "xeb" ->
+        let classes = Baseline_gmon.edge_classes device in
+        Xeb.circuit rng ~graph:(Device.graph device) ~classes ~cycles:5 ()
+      | "ghz" -> Ghz.circuit ~fanout:true ~n ()
+      | "qft" -> Qft.circuit ~n ()
+      | other -> bad "unknown benchmark %S" other)
 
 let realize req =
   let device = Device.create ~seed:req.seed (parse_topology req.topology req.n) in

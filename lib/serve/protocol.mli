@@ -39,13 +39,15 @@ val benchmark_names : string list
 val parse_topology : string -> int -> Topology.t
 (** [parse_topology spec n]: the [n]-qubit topology a spec names (the
     [topology] field of {!request}; the CLI's [--topology] too).
-    @raise Bad_request on an unknown spec or bad parameters. *)
+    @raise Bad_request on an unknown spec, bad parameters or a size the
+    topology cannot have. *)
 
 val make_benchmark : string -> int -> int -> Device.t -> Circuit.t
 (** [make_benchmark name n seed device]: the named benchmark on [n] qubits,
     its random choices seeded by [seed] (XEB also reads the device's
     couplings).
-    @raise Bad_request on a name outside {!benchmark_names}. *)
+    @raise Bad_request on a name outside {!benchmark_names} or a size the
+    benchmark cannot have. *)
 
 val request_of_json : Json.t -> request
 (** @raise Bad_request on a non-object, missing [id], mistyped field,
@@ -84,8 +86,6 @@ type ok_body = {
 }
 
 type error_code = Overloaded | Bad_request_code | Internal
-
-val error_code_name : error_code -> string
 
 type response =
   | Ok_response of ok_body

@@ -9,7 +9,7 @@ type t = {
 
 let epsilon = 1e-9
 
-(* Seeded faults for the verification harness (docs/DESIGN.md §11): each is a
+(* Seeded faults for the verification harness (DESIGN.md §11): each is a
    deliberate bug, off unless FASTSC_FAULT selects it, that the test suite
    must demonstrably catch. *)
 let fault_resolve_flip = Fastsc_util.Fault.enabled "smt-resolve-flip"

@@ -201,7 +201,7 @@ let run n work =
 
 (* --- combinators --- *)
 
-(* Seeded fault for the verification harness (docs/DESIGN.md §11). *)
+(* Seeded fault for the verification harness (DESIGN.md §11). *)
 let fault_scramble = Fault.enabled "pool-scramble"
 
 let mapi_array f xs =

@@ -16,7 +16,7 @@ let int64 t =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-(* Seeded fault for the verification harness (docs/DESIGN.md §11). *)
+(* Seeded fault for the verification harness (DESIGN.md §11). *)
 let fault_split_alias = Fault.enabled "rng-split-alias"
 
 let split t =

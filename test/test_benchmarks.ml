@@ -120,7 +120,7 @@ let test_xeb_missing_class_rejected () =
      with Invalid_argument _ -> true)
 
 let prop_generators_total =
-  qcheck_case ~count:40 "generators never raise on valid sizes"
+  prop_case ~count:40 "generators never raise on valid sizes"
     QCheck.(pair (int_range 2 10) (int_range 1 200))
     (fun (n, seed) ->
       let rng = Rng.create seed in

@@ -78,7 +78,17 @@ let test_validate_usage_errors () =
   check_int "--size 30: usage error" 124 code;
   (* the message must name an option cmdliner accepts *)
   check_true "names -n/--size" (contains text "-n/--size");
-  check_true "no --n" (not (contains text "--n "))
+  check_true "no --n" (not (contains text "--n "));
+  (* a size the topology or the benchmark cannot have is a usage error too *)
+  List.iter
+    (fun args ->
+      let code, text = run_capture args in
+      check_int (args ^ ": usage error") 124 code;
+      check_true (args ^ ": no uncaught exception") (not (contains text "uncaught exception")))
+    ("compile --size 1" :: "compile --size 2 --topology ring"
+    :: List.map
+         (fun cmd -> cmd ^ " --size 0")
+         [ "compile"; "device"; "sweep"; "validate"; "budget"; "calibrate"; "qasm" ])
 
 let test_compile_qasm_input () =
   (* roundtrip through the CLI: export a circuit, compile it back in *)

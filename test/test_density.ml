@@ -146,8 +146,8 @@ let random_probabilities rng =
   else (p_x, p_y, p ())
 
 let prop_pauli_matches_kraus =
-  prop_case "closed-form Pauli channel equals apply_kraus1 under float ="
-    (Proptest.pair (Proptest.int_range 1 5) (Proptest.int_range 0 1_000_000))
+  prop_case ~count:100 "closed-form Pauli channel equals apply_kraus1 under float ="
+    (QCheck.pair (int_range 1 5) (int_range 0 1_000_000))
     (fun (n, seed) ->
       let rng = Rng.create seed in
       let rho = random_matrix rng n in
@@ -162,8 +162,8 @@ let prop_pauli_matches_kraus =
         (List.init n Fun.id))
 
 let prop_exchange_matches_dense =
-  prop_case "density-local exchange equals the dense conjugation under float ="
-    (Proptest.pair (Proptest.int_range 2 5) (Proptest.int_range 0 1_000_000))
+  prop_case ~count:100 "density-local exchange equals the dense conjugation under float ="
+    (QCheck.pair (int_range 2 5) (int_range 0 1_000_000))
     (fun (n, seed) ->
       let rng = Rng.create seed in
       let rho = random_matrix rng n in
@@ -257,7 +257,7 @@ let test_run_steps_checks_unchanged () =
   done
 
 let prop_purity_bounded =
-  qcheck_case ~count:40 "purity stays in [1/2^n, 1]" QCheck.(int_range 1 10_000) (fun seed ->
+  prop_case ~count:40 "purity stays in [1/2^n, 1]" QCheck.(int_range 1 10_000) (fun seed ->
       let rng = Rng.create seed in
       let rho = Density.create 2 in
       for _ = 1 to 6 do

@@ -93,13 +93,13 @@ let test_s_t_relations () =
     (equal_up_to_phase (Matrix.mul (Gate.unitary Gate.S) (Gate.unitary Gate.S)) (Gate.unitary Gate.Z))
 
 let prop_rz_composition =
-  qcheck_case "Rz(a) Rz(b) = Rz(a+b)" QCheck.(pair (float_range (-3.0) 3.0) (float_range (-3.0) 3.0))
+  prop_case "Rz(a) Rz(b) = Rz(a+b)" QCheck.(pair (float_range (-3.0) 3.0) (float_range (-3.0) 3.0))
     (fun (a, b) ->
       let lhs = Matrix.mul (Gate.unitary (Gate.Rz a)) (Gate.unitary (Gate.Rz b)) in
       equal_up_to_phase lhs (Gate.unitary (Gate.Rz (a +. b))))
 
 let prop_rotations_unitary =
-  qcheck_case "rotations are unitary" QCheck.(float_range (-10.0) 10.0) (fun theta ->
+  prop_case "rotations are unitary" QCheck.(float_range (-10.0) 10.0) (fun theta ->
       is_unitary ~tol:1e-9 (Gate.unitary (Gate.Rx theta))
       && is_unitary ~tol:1e-9 (Gate.unitary (Gate.Ry theta))
       && is_unitary ~tol:1e-9 (Gate.unitary (Gate.Rz theta)))

@@ -78,7 +78,7 @@ let test_components () =
     (Graph.components (Graph.create 0))
 
 let prop_components_partition =
-  qcheck_case "components partition the vertices and never split an edge"
+  prop_case "components partition the vertices and never split an edge"
     QCheck.(pair (int_range 1 20) (list_of_size (Gen.int_range 0 40) (pair small_nat small_nat)))
     (fun (n, pairs) ->
       let g = Graph.create n in
@@ -90,7 +90,7 @@ let prop_components_partition =
       && List.for_all (fun (u, v) -> ids.(u) = ids.(v)) (Graph.edges g))
 
 let prop_handshake =
-  qcheck_case "sum of degrees = 2m"
+  prop_case "sum of degrees = 2m"
     QCheck.(pair (int_range 2 20) (list_of_size (Gen.int_range 0 60) (pair small_nat small_nat)))
     (fun (n, pairs) ->
       let g = Graph.create n in
@@ -99,7 +99,7 @@ let prop_handshake =
       degree_sum = 2 * Graph.n_edges g)
 
 let prop_edges_match_mem =
-  qcheck_case "edges list matches mem_edge"
+  prop_case "edges list matches mem_edge"
     QCheck.(pair (int_range 2 15) (list_of_size (Gen.int_range 0 40) (pair small_nat small_nat)))
     (fun (n, pairs) ->
       let g = Graph.create n in

@@ -147,7 +147,7 @@ let test_bundle_export () =
   check_true "waveforms omitted" (not (contains without "\"waveforms\""))
 
 let prop_escape_roundtrip_safe =
-  qcheck_case "escape always yields well-formed strings" QCheck.(string_of_size (Gen.int_range 0 40))
+  prop_case "escape always yields well-formed strings" QCheck.(string_of_size (Gen.int_range 0 40))
     (fun s -> well_formed (Json.escape s))
 
 let suite =

@@ -132,7 +132,7 @@ let random_matrix rng n =
 
 let prop_kron_mixed_product =
   (* (A (x) B)(C (x) D) = AC (x) BD *)
-  qcheck_case ~count:30 "kronecker mixed-product identity" QCheck.(int_range 1 5000) (fun seed ->
+  prop_case ~count:30 "kronecker mixed-product identity" QCheck.(int_range 1 5000) (fun seed ->
       let rng = Rng.create seed in
       let a = random_matrix rng 2 and b = random_matrix rng 2 in
       let cm = random_matrix rng 2 and d = random_matrix rng 2 in
@@ -142,7 +142,7 @@ let prop_kron_mixed_product =
 
 let prop_adjoint_antihomomorphism =
   (* (AB)† = B† A† *)
-  qcheck_case ~count:30 "adjoint reverses products" QCheck.(int_range 1 5000) (fun seed ->
+  prop_case ~count:30 "adjoint reverses products" QCheck.(int_range 1 5000) (fun seed ->
       let rng = Rng.create seed in
       let a = random_matrix rng 3 and b = random_matrix rng 3 in
       Matrix.approx_equal ~tol:1e-9
@@ -151,7 +151,7 @@ let prop_adjoint_antihomomorphism =
 
 let prop_eigh_trace_preserved =
   (* sum of eigenvalues = trace for Hermitian matrices *)
-  qcheck_case ~count:25 "eigenvalues sum to the trace" QCheck.(int_range 1 5000) (fun seed ->
+  prop_case ~count:25 "eigenvalues sum to the trace" QCheck.(int_range 1 5000) (fun seed ->
       let rng = Rng.create seed in
       let raw = random_matrix rng 4 in
       let h = Matrix.scale_re 0.5 (Matrix.add raw (Matrix.adjoint raw)) in
@@ -160,7 +160,7 @@ let prop_eigh_trace_preserved =
       Float.abs (sum -. (trace h).Complex.re) < 1e-6)
 
 let prop_expm_preserves_norm =
-  qcheck_case "evolution preserves vector norm" QCheck.(float_range 0.0 5.0) (fun t ->
+  prop_case "evolution preserves vector norm" QCheck.(float_range 0.0 5.0) (fun t ->
       let h =
         Matrix.of_arrays [| [| c 2.0 0.0; c 0.1 0.4 |]; [| c 0.1 (-0.4); c 1.0 0.0 |] |]
       in
@@ -207,7 +207,7 @@ let same_bits expected m =
   Array.for_all2 (Array.for_all2 same) expected (boxed m)
 
 let prop_boxed_bits =
-  qcheck_case ~count:300 "arithmetic matches the boxed formulas bit for bit"
+  prop_case ~count:300 "arithmetic matches the boxed formulas bit for bit"
     QCheck.(int_range 1 1_000_000) (fun seed ->
       let rng = Rng.create seed in
       let dim () = 1 + Rng.int rng 3 in

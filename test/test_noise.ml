@@ -147,7 +147,7 @@ let test_success_no_underflow () =
   check_float ~eps:1.0 "log value" (100_000.0 *. log10 0.99) (Success.log10_probability acc)
 
 let prop_of_errors_matches_product =
-  qcheck_case "of_errors = naive product" QCheck.(list_of_size (Gen.int_range 0 20) (float_range 0.0 0.5))
+  prop_case "of_errors = naive product" QCheck.(list_of_size (Gen.int_range 0 20) (float_range 0.0 0.5))
     (fun errors ->
       let expected = List.fold_left (fun acc e -> acc *. (1.0 -. e)) 1.0 errors in
       Float.abs (Success.of_errors errors -. expected) < 1e-9)

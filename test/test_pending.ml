@@ -136,7 +136,7 @@ let test_empty_circuit () =
   check_int "nothing ready" 0 (List.length (Pending.ready p))
 
 let prop_drain_is_topological =
-  qcheck_case ~count:50 "greedy drain visits every gate exactly once" QCheck.(int_range 1 5000)
+  prop_case ~count:50 "greedy drain visits every gate exactly once" QCheck.(int_range 1 5000)
     (fun seed ->
       let rng = Rng.create seed in
       let b = Circuit.builder 5 in

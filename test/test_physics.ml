@@ -157,7 +157,7 @@ let test_gate_times () =
     (Coupled_pair.cz_time ~g:0.03 /. Coupled_pair.iswap_time ~g:0.03)
 
 let prop_exchange_decreases_with_detuning =
-  qcheck_case "exchange strength monotone in detuning" QCheck.(pair (float_range 0.0 1.0) (float_range 0.0 1.0))
+  prop_case "exchange strength monotone in detuning" QCheck.(pair (float_range 0.0 1.0) (float_range 0.0 1.0))
     (fun (d1, d2) ->
       let lo = Float.min d1 d2 and hi = Float.max d1 d2 in
       Coupled_pair.exchange_strength ~omega_a:(6.0 +. hi) ~omega_b:6.0 ~g:0.03

@@ -6,7 +6,7 @@
    matrices stay cheap. *)
 open Helpers
 
-let c_arb = Proptest.circuit ~max_qubits:3 ~max_gates:6 ()
+let c_arb = circuit ~max_qubits:3 ~max_gates:6 ()
 
 let all_native c =
   Array.for_all (fun app -> Gate.is_native app.Gate.gate) (Circuit.instructions c)

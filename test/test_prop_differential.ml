@@ -15,18 +15,18 @@ let float_arrays_bit_identical a b =
 
 (* -- Pool: jobs=1 vs jobs=N element-identical ------------------------------ *)
 
-let xs_arb = Proptest.list ~max_len:60 (Proptest.int_range (-50) 50)
+let xs_arb = QCheck.list_of_size (QCheck.Gen.int_range 0 60) (int_range (-50) 50)
 
 let prop_pool_matches_sequential =
-  prop_case "Pool.map at any job count equals List.map" xs_arb (fun xs ->
+  prop_case ~count:100 "Pool.map at any job count equals List.map" xs_arb (fun xs ->
       let f x = (x * x) - (3 * x) + 7 in
       let reference = List.map f xs in
       with_jobs 1 (fun () -> Pool.map f xs) = reference
       && with_jobs 4 (fun () -> Pool.map f xs) = reference)
 
 let prop_pool_array_matches_sequential =
-  prop_case "Pool.mapi_array at any job count equals Array.mapi"
-    (Proptest.array ~max_len:60 (Proptest.float_range 0.0 1.0))
+  prop_case ~count:100 "Pool.mapi_array at any job count equals Array.mapi"
+    (QCheck.array_of_size (QCheck.Gen.int_range 0 60) (QCheck.float_range 0.0 1.0))
     (fun xs ->
       let f i x = (x *. float_of_int i) +. sin x in
       let reference = Array.mapi f xs in
@@ -36,16 +36,16 @@ let prop_pool_array_matches_sequential =
 (* -- Crosstalk: cache-on vs cache-off bit-identical ------------------------ *)
 
 let pair_params =
-  Proptest.make
+  QCheck.make
     ~print:(fun (g, (oa, ob), t, wc) ->
       Printf.sprintf "g=%.4f omega_a=%.4f omega_b=%.4f t=%.1f worst_case=%b" g oa ob t wc)
-    (fun rng ->
-      let g = Rng.uniform rng 0.001 0.05 in
-      let oa = Rng.uniform rng 4.5 6.5 in
-      let ob = Rng.uniform rng 4.5 6.5 in
-      let t = Rng.uniform rng 10.0 200.0 in
-      let wc = Rng.bool rng in
-      (g, (oa, ob), t, wc))
+    (rng_gen (fun rng ->
+         let g = Rng.uniform rng 0.001 0.05 in
+         let oa = Rng.uniform rng 4.5 6.5 in
+         let ob = Rng.uniform rng 4.5 6.5 in
+         let t = Rng.uniform rng 10.0 200.0 in
+         let wc = Rng.bool rng in
+         (g, (oa, ob), t, wc)))
 
 let prop_pair_error_cache_transparent =
   prop_case ~count:50 "pair_error: miss, hit and recompute are bit-identical" pair_params
@@ -65,12 +65,7 @@ let prop_pair_error_cache_transparent =
 
 let device = Device.create ~seed:11 (Topology.grid 3 3)
 
-let multiplicity_arb =
-  Proptest.make
-    ~print:(fun m ->
-      "[|" ^ String.concat "; " (Array.to_list (Array.map string_of_int m)) ^ "|]")
-    ~shrink:(Proptest.Shrink.array ~elt:Proptest.Shrink.int)
-    (Proptest.Gen.array ~min_len:1 ~max_len:3 (Proptest.Gen.int_range 0 5))
+let multiplicity_arb = QCheck.array_of_size (QCheck.Gen.int_range 1 3) (int_range 0 5)
 
 let prop_interaction_cache_transparent =
   prop_case ~count:25 "interaction: hit and post-reset recompute are bit-identical"

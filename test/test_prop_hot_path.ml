@@ -846,7 +846,7 @@ let placed_on device seed c =
   let placement = random_placement seed ~n_physical ~n_logical:n_physical in
   Circuit.map_qubits (fun q -> placement.(q)) (Test_prop_rivals.widen device c)
 
-let circuits = Proptest.circuit ~max_qubits:4 ~max_gates:40 ()
+let circuits = circuit ~max_qubits:4 ~max_gates:40 ()
 
 let outcome f =
   match f () with r -> Ok r | exception (Invalid_argument m | Failure m) -> Error m
@@ -862,10 +862,9 @@ let routed (r : Mapping.result) =
 (* The router reads the device's shared matrix; the oracle builds its own. *)
 let prop_route_lookahead =
   prop_case ~count:150 "route_lookahead emits exactly what the sweeping router did"
-    Proptest.(
-      pair
-        (pair (int_range 0 (n_topologies - 1)) (int_range 0 1_000_000))
-        (pair (int_range 1 10) circuits))
+    (QCheck.pair
+       (QCheck.pair (int_range 0 (n_topologies - 1)) (int_range 0 1_000_000))
+       (QCheck.pair (int_range 1 10) circuits))
     (fun ((i, seed), (window, c)) ->
       let device = device_of i in
       let graph = Device.graph device in
@@ -881,10 +880,9 @@ let prop_route_lookahead =
    lambda = 0 case of the one SWAP scorer, whatever the burst's conflicts. *)
 let prop_zero_pressure =
   prop_case ~count:150 "route_lookahead with a zero-weight pressure emits what it emits without"
-    Proptest.(
-      pair
-        (pair (int_range 0 (n_topologies - 1)) (int_range 0 1_000_000))
-        (pair (int_range 1 10) circuits))
+    (QCheck.pair
+       (QCheck.pair (int_range 0 (n_topologies - 1)) (int_range 0 1_000_000))
+       (QCheck.pair (int_range 1 10) circuits))
     (fun ((i, seed), (window, c)) ->
       let device = device_of i in
       let graph = Device.graph device in
@@ -908,10 +906,9 @@ let prop_zero_pressure =
 (* Cqc_synergy.route reads [Device.distances]; the oracle builds its own. *)
 let prop_cqc_route =
   prop_case ~count:100 "cqc-synergy routing emits exactly what the sweeping router did"
-    Proptest.(
-      pair
-        (pair (int_range 0 (n_topologies - 1)) (int_range 0 1_000_000))
-        (pair (int_range 0 2) circuits))
+    (QCheck.pair
+       (QCheck.pair (int_range 0 (n_topologies - 1)) (int_range 0 1_000_000))
+       (QCheck.pair (int_range 0 2) circuits))
     (fun ((i, seed), (k, c)) ->
       let device = device_of i in
       let placed = placed_on device seed c in
@@ -959,10 +956,9 @@ let placement_circuit device (source, (seed, c)) =
    raised. *)
 let prop_auto_place =
   prop_case ~count:200 "Auto placement keeps what routing both candidates kept"
-    Proptest.(
-      pair
-        (pair (int_range 0 (n_topologies - 1)) (int_range 0 (List.length old_routers - 1)))
-        (pair (int_range 0 2) (pair (int_range 0 1_000_000) circuits)))
+    (QCheck.pair
+       (QCheck.pair (int_range 0 (n_topologies - 1)) (int_range 0 (List.length old_routers - 1)))
+       (QCheck.pair (int_range 0 2) (QCheck.pair (int_range 0 1_000_000) circuits)))
     (fun ((i, k), source) ->
       let device = device_of i in
       let graph = Device.graph device in
@@ -1038,10 +1034,9 @@ let pair_bits (a, b) = (Int64.bits_of_float a, Int64.bits_of_float b)
    worst-case envelope. *)
 let prop_evaluate =
   prop_case ~count:80 "evaluate and step_errors are bit-identical to the unmemoized path"
-    Proptest.(
-      pair
-        (pair (int_range 0 (n_topologies - 1)) (int_range 0 1_000_000))
-        (pair (pair (int_range 0 100) (int_range 0 2)) circuits))
+    (QCheck.pair
+       (QCheck.pair (int_range 0 (n_topologies - 1)) (int_range 0 1_000_000))
+       (QCheck.pair (QCheck.pair (int_range 0 100) (int_range 0 2)) circuits))
     (fun ((i, seed), ((k, coupler), c)) ->
       let device = device_of i in
       let names = Array.of_list (List.map (fun s -> s.Pass.name) Pass.schedulers) in
@@ -1067,7 +1062,7 @@ let prop_evaluate =
 
 let prop_vertex_of_edge =
   prop_case ~count:100 "indexed vertex_of_edge agrees with the linear scan on every pair"
-    (Proptest.graph ~max_vertices:12 ~edge_prob:0.35 ())
+    (graph ~max_vertices:12 ~edge_prob:0.35 ())
     (fun g ->
       let n = Graph.n_vertices g in
       let _, edges = Line_graph.build g in
@@ -1096,8 +1091,9 @@ let colorers = [ Coloring.welsh_powell; Coloring.dsatur; Coloring.natural ]
 
 let prop_moment_subgraph =
   prop_case ~count:150 "per-moment subgraph colors and splits like the full-graph subgraph"
-    Proptest.(
-      pair (pair (int_range 0 (n_topologies - 1)) (int_range 1 2)) (int_range 0 1_000_000))
+    (QCheck.pair
+       (QCheck.pair (int_range 0 (n_topologies - 1)) (int_range 1 2))
+       (int_range 0 1_000_000))
     (fun ((i, distance), seed) ->
       let xg = Crosstalk_graph.build ~distance (Lazy.force topologies).(i).Topology.graph in
       let active = random_active xg seed in
@@ -1116,7 +1112,7 @@ let prop_moment_subgraph =
    outside the ready list, or one already scheduled) fails the same way. *)
 let prop_pending =
   prop_case ~count:150 "Pending on the frontier serves what the rescanning Pending did"
-    Proptest.(pair (int_range 0 1_000_000) (Proptest.circuit ~max_qubits:6 ~max_gates:60 ()))
+    (QCheck.pair (int_range 0 1_000_000) (circuit ~max_qubits:6 ~max_gates:60 ()))
     (fun (seed, c) ->
       let rng = Rng.create seed in
       let instrs = Circuit.instructions c in
@@ -1188,10 +1184,9 @@ let cd_devices =
 
 let prop_color_dynamic =
   prop_case ~count:60 "Color_dynamic.run matches the full-graph run in every bit and stat"
-    Proptest.(
-      pair
-        (pair (int_range 0 (Array.length (Lazy.force cd_devices) - 1)) (int_range 0 2))
-        (int_range 0 1_000_000))
+    (QCheck.pair
+       (QCheck.pair (int_range 0 (Array.length (Lazy.force cd_devices) - 1)) (int_range 0 2))
+       (int_range 0 1_000_000))
     (fun ((i, k), seed) ->
       let device = (Lazy.force cd_devices).(i) in
       let native = dense_native device seed in

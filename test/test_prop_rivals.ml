@@ -12,7 +12,7 @@ open Fastsc_core
    routing step in between. *)
 let complete4 = lazy (Device.create ~seed:11 (Topology.complete 4))
 
-let small_circuits = Proptest.circuit ~max_qubits:4 ~max_gates:12 ()
+let small_circuits = circuit ~max_qubits:4 ~max_gates:12 ()
 
 let flatten_schedule n sched =
   (* steps in order; within a step gates act on disjoint qubits (checked
@@ -77,8 +77,7 @@ let widen device circuit =
   Circuit.finish b
 
 let topology_and_circuit =
-  Proptest.pair (Proptest.int_range 0 (Array.length (Lazy.force topologies) - 1))
-    small_circuits
+  QCheck.pair (int_range 0 (Array.length (Lazy.force topologies) - 1)) small_circuits
 
 let prop_cqc_respects_connectivity =
   prop_case ~count:50 "cqc-synergy routing respects connectivity on the topology zoo"

@@ -6,10 +6,10 @@
    must be bit-identical at any job count. *)
 open Helpers
 
-let circuits = Proptest.circuit ~max_qubits:5 ~max_gates:25 ()
+let circuits = circuit ~max_qubits:5 ~max_gates:25 ()
 
 let prop_flat_matches_boxed =
-  prop_case "flat kernels match boxed reference on random circuits" circuits (fun c ->
+  prop_case ~count:100 "flat kernels match boxed reference on random circuits" circuits (fun c ->
       let flat = Statevector.amplitudes (Statevector.of_circuit c) in
       let boxed = Statevector_ref.amplitudes (Statevector_ref.of_circuit c) in
       let worst = ref 0.0 in
@@ -188,8 +188,8 @@ let random_state rng n =
   sv
 
 let prop_nested_walk_matches_run_structured =
-  prop_case "nested-block kernels match the run-structured ones bit for bit"
-    (Proptest.pair (Proptest.int_range 1 10) (Proptest.int_range 0 1_000_000))
+  prop_case ~count:100 "nested-block kernels match the run-structured ones bit for bit"
+    (QCheck.pair (int_range 1 10) (int_range 0 1_000_000))
     (fun (n, seed) ->
       let rng = Rng.create seed in
       let state = random_state rng n in
@@ -244,7 +244,7 @@ let steps_of_circuit ~seed c =
 
 let prop_density_matches_trajectory =
   prop_case ~count:60 "density evolution matches statevector on noise-free steps"
-    (Proptest.pair circuits (Proptest.int_range 0 1_000_000))
+    (QCheck.pair circuits (int_range 0 1_000_000))
     (fun (c, seed) ->
       let n_qubits = Circuit.n_qubits c in
       let steps = steps_of_circuit ~seed c in
@@ -283,7 +283,7 @@ let branch_sum ~n_qubits ~ideal steps =
 
 let prop_density_matches_branch_sum =
   prop_case ~count:60 "density evolution matches the trajectory branch sum over Pauli channels"
-    (Proptest.pair circuits (Proptest.int_range 0 1_000_000))
+    (QCheck.pair circuits (int_range 0 1_000_000))
     (fun (c, seed) ->
       let n_qubits = Circuit.n_qubits c in
       let rng = Rng.create seed in
@@ -333,7 +333,7 @@ module Oracle = struct
     !total /. float_of_int trials
 end
 
-(* A noisy program on 2-6 qubits: a random full-gate-set circuit with
+(* A noisy program on 2-6 qubits: a random full-gate-set circuit [c] with
    crosstalk exchanges, Pauli channels and extra two-qubit gates
    interleaved, cut into steps of one to four events, plus the seed its
    trajectories draw from.  A per-case regime sets the channels, so batches
@@ -346,8 +346,7 @@ end
    both diagonal and of exchange form. *)
 type noisy_case = { n : int; seed : int; steps : Noisy_sim.step list }
 
-let noisy_case_gen rng =
-  let c = circuits.Proptest.gen rng in
+let noisy_case_gen c rng =
   let n = max (Circuit.n_qubits c) (2 + Rng.int rng 5) in
   let regime = Rng.int rng 4 in
   let certain q =
@@ -413,12 +412,12 @@ let print_event = function
     Printf.sprintf "pauli(%g,%g,%g) %d" p_x p_y p_z q
 
 let noisy_cases =
-  Proptest.make noisy_case_gen
-    ~shrink:(fun c -> Seq.map (fun steps -> { c with steps }) (Proptest.Shrink.list c.steps))
+  QCheck.make
+    (fun st -> rng_gen (noisy_case_gen (QCheck.gen circuits st)) st)
+    ~shrink:(fun c -> QCheck.Iter.map (fun steps -> { c with steps }) (QCheck.Shrink.list c.steps))
     ~print:(fun c ->
       Printf.sprintf "%d qubits, seed %d: [%s]" c.n c.seed
         (String.concat " | " (List.map (fun s -> String.concat "; " (List.map print_event s)) c.steps)))
-    ~size:(fun c -> c.n + List.length (List.concat c.steps))
 
 (* Float [=] plane by plane: values must match exactly; +0 and -0 compare
    equal, the one difference the two-amplitude kernel may introduce. *)

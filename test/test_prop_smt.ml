@@ -24,7 +24,7 @@ let print_spec s =
     s.delta
 
 let gen_spec rng =
-  let n = Proptest.Gen.int_range 1 4 rng in
+  let n = 1 + Rng.int rng 4 in
   let bound _ =
     let lo = Rng.uniform rng 0.0 8.0 in
     (lo, lo +. Rng.uniform rng 0.5 4.0)
@@ -36,14 +36,13 @@ let gen_spec rng =
     (* i = j with offset 0 is rejected by the API; nudge to a sideband *)
     if i = j && offset = 0.0 then (i, j, 0.3) else (i, j, offset)
   in
-  let bounds = Proptest.Gen.array ~min_len:n ~max_len:n bound rng in
-  let seps = Proptest.Gen.list ~max_len:(2 * n * n - 1) sep rng in
+  let bounds = Array.init n bound in
+  let seps = List.init (Rng.int rng (2 * n * n)) sep in
   { n; bounds; seps; delta = Rng.uniform rng 0.0 1.5 }
 
-let shrink_spec s =
-  Seq.map (fun seps -> { s with seps }) (Proptest.Shrink.list s.seps)
+let shrink_spec s = QCheck.Iter.map (fun seps -> { s with seps }) (QCheck.Shrink.list s.seps)
 
-let spec_arb = Proptest.make ~shrink:shrink_spec ~print:print_spec gen_spec
+let spec_arb = QCheck.make ~shrink:shrink_spec ~print:print_spec (rng_gen gen_spec)
 
 let build s =
   let t = Smt.create s.n in
@@ -54,14 +53,14 @@ let build s =
 let identity s = List.init s.n Fun.id
 
 let prop_solve_verifies =
-  prop_case "solve witnesses re-verify" spec_arb (fun s ->
+  prop_case ~count:100 "solve witnesses re-verify" spec_arb (fun s ->
       let t = build s in
       match Smt.solve ~order:(identity s) t ~delta:s.delta with
       | None -> true
       | Some xs -> Smt.verify t ~delta:s.delta xs)
 
 let prop_max_delta_verifies =
-  prop_case "find_max_delta witnesses re-verify at their delta" spec_arb (fun s ->
+  prop_case ~count:100 "find_max_delta witnesses re-verify at their delta" spec_arb (fun s ->
       let t = build s in
       let order = identity s in
       match Smt.find_max_delta ~order ~tolerance:1e-5 t with
@@ -71,7 +70,7 @@ let prop_max_delta_verifies =
       | Some (delta, xs) -> Smt.verify t ~delta xs)
 
 let prop_ordered_solve_is_monotone =
-  prop_case "ordered solve respects the order and verifies" spec_arb (fun s ->
+  prop_case ~count:100 "ordered solve respects the order and verifies" spec_arb (fun s ->
       let t = build s in
       let order = identity s in
       match Smt.solve ~order t ~delta:s.delta with
@@ -86,12 +85,12 @@ let prop_ordered_solve_is_monotone =
 let prop_verify_rejects_nan =
   (* regression for the edge case Smt.verify fixed: float comparisons against
      NaN are all false, so the old check accepted an all-NaN assignment *)
-  prop_case "verify rejects non-finite assignments" spec_arb (fun s ->
+  prop_case ~count:100 "verify rejects non-finite assignments" spec_arb (fun s ->
       let t = build s in
       not (Smt.verify t ~delta:s.delta (Array.make s.n nan)))
 
 let prop_verify_rejects_corrupted =
-  prop_case "corrupting a witness onto a resonance breaks verify" spec_arb (fun s ->
+  prop_case ~count:100 "corrupting a witness onto a resonance breaks verify" spec_arb (fun s ->
       let t = build s in
       if s.delta < 0.05 then true
       else
@@ -114,7 +113,7 @@ let prop_verify_rejects_corrupted =
    compiler builds complete-graph problems; these check that a warm start
    agrees with the cold search on loosely constrained ones too. *)
 let gen_sparse_spec rng =
-  let n = Proptest.Gen.int_range 2 10 rng in
+  let n = 2 + Rng.int rng 9 in
   let bound _ =
     let lo = Rng.uniform rng 0.0 8.0 in
     (lo, lo +. Rng.uniform rng 0.5 4.0)
@@ -125,14 +124,14 @@ let gen_sparse_spec rng =
     let offset = Rng.choose rng [| 0.0; 0.3; -0.3 |] in
     if i = j && offset = 0.0 then (i, j, 0.3) else (i, j, offset)
   in
-  let bounds = Proptest.Gen.array ~min_len:n ~max_len:n bound rng in
-  let seps = Proptest.Gen.list ~max_len:n sep rng in
+  let bounds = Array.init n bound in
+  let seps = List.init (Rng.int rng (n + 1)) sep in
   { n; bounds; seps; delta = Rng.uniform rng 0.0 1.5 }
 
-let sparse_arb = Proptest.make ~shrink:shrink_spec ~print:print_spec gen_sparse_spec
+let sparse_arb = QCheck.make ~shrink:shrink_spec ~print:print_spec (rng_gen gen_sparse_spec)
 
 let prop_warm_never_beats_cold =
-  prop_case "warm-started search verifies and never beats cold" sparse_arb (fun s ->
+  prop_case ~count:100 "warm-started search verifies and never beats cold" sparse_arb (fun s ->
       let t = build s in
       let order = identity s in
       match Smt.find_max_delta ~order ~tolerance:1e-5 t with

@@ -89,6 +89,38 @@ let test_realize_qasm_error_is_bad_request () =
     | _ -> false
     | exception Protocol.Bad_request msg -> contains msg "topology")
 
+(* A size the topology or the benchmark cannot have is the client's error:
+   the daemon answers bad_request, not internal. *)
+let test_daemon_bad_size_is_bad_request () =
+  let requests = Filename.temp_file "fastsc_serve" ".jsonl" in
+  let responses = Filename.temp_file "fastsc_serve" ".out" in
+  Out_channel.with_open_bin requests (fun oc ->
+      output_string oc "{\"id\":\"a\",\"n\":1}\n{\"id\":\"b\",\"n\":2,\"topology\":\"ring\"}\n");
+  let code =
+    Sys.command
+      (Printf.sprintf "%s serve < %s > %s 2> /dev/null"
+         (Filename.quote (Filename.concat ".." (Filename.concat "bin" "fastsc.exe")))
+         (Filename.quote requests) (Filename.quote responses))
+  in
+  let answers =
+    List.filter_map
+      (fun line -> if line = "" then None else Some (Json.parse line))
+      (String.split_on_char '\n' (In_channel.with_open_bin responses In_channel.input_all))
+  in
+  Sys.remove requests;
+  Sys.remove responses;
+  check_int "daemon exit" 0 code;
+  check_int "one answer per request" 2 (List.length answers);
+  List.iter
+    (fun id ->
+      check_true (id ^ " answered bad_request")
+        (List.exists
+           (fun doc ->
+             Json.member "id" doc = Some (Json.String id)
+             && Json.member "code" doc = Some (Json.String "bad_request"))
+           answers))
+    [ "a"; "b" ]
+
 let test_error_response_codes () =
   List.iter
     (fun (code, name) ->
@@ -281,6 +313,8 @@ let suite =
     Alcotest.test_case "cache key identity" `Quick test_cache_key_identity;
     Alcotest.test_case "realize maps errors to Bad_request" `Quick
       test_realize_qasm_error_is_bad_request;
+    Alcotest.test_case "daemon: a bad size is a bad request" `Quick
+      test_daemon_bad_size_is_bad_request;
     Alcotest.test_case "error response codes" `Quick test_error_response_codes;
     Alcotest.test_case "ladder: no deadline is full tier" `Quick
       test_ladder_no_deadline_is_full;

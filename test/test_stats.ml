@@ -45,14 +45,14 @@ let test_product () =
   check_float "empty product" 1.0 (Stats.product [])
 
 let prop_mean_bounds =
-  qcheck_case "mean within min/max" QCheck.(list_of_size (Gen.int_range 1 50) (float_range (-100.) 100.))
+  prop_case "mean within min/max" QCheck.(list_of_size (Gen.int_range 1 50) (float_range (-100.) 100.))
     (fun xs ->
       let m = Stats.mean xs in
       let lo, hi = Stats.min_max xs in
       m >= lo -. 1e-9 && m <= hi +. 1e-9)
 
 let prop_geomean_le_mean =
-  qcheck_case "AM-GM inequality" QCheck.(list_of_size (Gen.int_range 1 50) (float_range 0.001 100.))
+  prop_case "AM-GM inequality" QCheck.(list_of_size (Gen.int_range 1 50) (float_range 0.001 100.))
     (fun xs -> Stats.geomean xs <= Stats.mean xs +. 1e-9)
 
 let suite =

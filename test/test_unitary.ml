@@ -33,7 +33,7 @@ let test_equivalent () =
      with Invalid_argument _ -> true)
 
 let prop_phase_invariance =
-  qcheck_case "scaling by any phase preserves equivalence" QCheck.(float_range (-3.14) 3.14)
+  prop_case "scaling by any phase preserves equivalence" QCheck.(float_range (-3.14) 3.14)
     (fun theta ->
       let u = Unitary.of_circuit (Circuit.of_gates 2 [ (Gate.Iswap, [ 0; 1 ]) ]) in
       Unitary.equal_up_to_phase u (Matrix.scale (Complex_ext.exp_i theta) u))

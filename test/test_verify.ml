@@ -1,4 +1,4 @@
-(* Meta-tests for the layered verification harness itself (docs/DESIGN.md
+(* Meta-tests for the layered verification harness itself (DESIGN.md
    §11): an unknown seeded-fault name is refused, and the verify_report
    document round-trips through the in-tree JSON parser.  Whether each
    cataloged fault is caught is tier D's sweep in `make verify`. *)

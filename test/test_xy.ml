@@ -76,7 +76,7 @@ let test_statevector_action () =
   check_float ~eps:1e-12 "transfer" (sin (theta /. 2.0) ** 2.0) (Statevector.probability s 2)
 
 let prop_xy_transfer_matches_physics =
-  qcheck_case "scheduled xy hold reproduces its angle in the Hamiltonian"
+  prop_case "scheduled xy hold reproduces its angle in the Hamiltonian"
     QCheck.(float_range 0.6 3.0)
     (fun theta ->
       (* two resonant transmons held for the xy hold time transfer
