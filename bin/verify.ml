@@ -60,6 +60,11 @@ let prop_suites =
     "prop_hot_path";
   ]
 
+(* Alcotest matches the suite name of [main.exe test NAME] as an unanchored
+   regular expression, so a bare [smt] also runs [prop_smt]; anchored, a
+   cell runs exactly the suite it names. *)
+let suite_cmd suite = Printf.sprintf "'%s' test '^%s$'" test_exe suite
+
 let rec mkdir_p dir =
   if not (Sys.file_exists dir) then begin
     mkdir_p (Filename.dirname dir);
@@ -135,7 +140,7 @@ let tier_r ~quick () =
                         ("FASTSC_PROPTEST_COUNT", string_of_int count);
                       ]
                   in
-                  let cmd = Printf.sprintf "'%s' test %s" test_exe suite in
+                  let cmd = suite_cmd suite in
                   let code, log, seconds, command = spawn ~dir:test_dir ~env cmd in
                   let name =
                     Printf.sprintf "%s seed=%s jobs=%d count=%d" suite
@@ -184,7 +189,7 @@ let fault_sweep () =
             let env =
               [ ("FASTSC_FAULT", spec.name); ("FASTSC_PROPTEST_COUNT", "30") ]
             in
-            let cmd = Printf.sprintf "'%s' test %s" test_exe suite in
+            let cmd = suite_cmd suite in
             let code, _log, _dt, command = spawn ~dir:test_dir ~env cmd in
             tried := !tried @ [ (suite, code) ];
             if code <> 0 then caught := Some (suite, command)

@@ -10,11 +10,13 @@
     and supplies only its [accept] policy.
 
     Readiness comes from {!Mapping.Frontier}, the structure the router uses;
-    this module adds the ready set ordered by criticality, updated with the
-    gates each {!schedule} readies.  A gate is ready only when it heads the
-    queue of each of its qubits, so ready gates never share a qubit.
-    Nothing is rescanned per moment: {!ready} and {!select} cost the size of
-    the ready set, {!schedule} a few set updates. *)
+    this module adds the ready set ordered by criticality, as a sorted array
+    of int keys.  A gate is ready only when it heads the queue of each of
+    its qubits, so ready gates never share a qubit.  Nothing is rescanned
+    per moment: {!schedule} marks its gate and notes the gates it readied,
+    in constant time, and the next {!ready} or {!select} merges those in
+    and drops the scheduled ones in one pass, so a moment costs the size of
+    the ready set plus a sort of the gates it readied. *)
 
 type t
 

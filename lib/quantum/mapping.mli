@@ -38,7 +38,11 @@ val route : ?placement:int array -> Graph.t -> Circuit.t -> result
     instruction is named by its position in {!Circuit.instructions}, which
     is also its gate id.  Shared by {!route_lookahead}, with or without a
     {!pressure}, and [Pending], which the queueing schedulers in
-    [Fastsc_core] go through. *)
+    [Fastsc_core] go through.
+
+    Flat int arrays throughout: each qubit's instructions in program order
+    with a cursor at its first unemitted one, a state per instruction, and
+    the ready positions in an array with their slots. *)
 module Frontier : sig
   type t
 
@@ -49,7 +53,8 @@ module Frontier : sig
   (** [retire t i] marks the ready instruction [i] emitted and returns the
       instructions that became ready because of it (each comes after [i] in
       program order and shares a qubit with it), in no particular order.
-      Costs one ready-set update per operand, never a scan.
+      Costs a constant per operand, never a scan: [i] leaves the ready
+      array by taking its last entry into its slot.
       @raise Invalid_argument if [i] is not ready. *)
 
   val flush :
@@ -57,14 +62,16 @@ module Frontier : sig
   (** Emit every ready instruction [emittable] accepts, and every one that
       becomes ready and accepted as a result, until none is left, in
       program order — the order of sweeping the whole circuit until a sweep
-      emits nothing, but each emission costs a ready-set update instead of
-      a sweep; each emission goes through {!retire}.  [emittable] must not
-      change its answer during a flush (the routers swap only between
-      flushes). *)
+      emits nothing, but each emission costs a heap update instead of a
+      sweep: the visit merges the ready positions, in order, with a heap of
+      the ones it readied, in time [O(r + e log r)] for [r] ready
+      instructions and [e] emissions.  [emittable] must not change its
+      answer during a flush (the routers swap only between flushes). *)
 
   val ready : t -> Gate.application list
   (** The ready instructions, in program order; right after a {!flush}, the
-      ones [emittable] refused. *)
+      ones [emittable] refused, which the flush left sorted.  After
+      {!retire} it sorts them first. *)
 
   val upcoming : t -> int -> Gate.application list
   (** [upcoming t k] is the first [k] unemitted two-qubit instructions in
@@ -97,6 +104,11 @@ val route_lookahead :
     window heuristic costs.  Same result contract as {!route}.
 
     Without [pressure] the score is [s] itself; weight [0.] routes the same.
+    Candidates are the device couplings at a front gate's operands, each
+    once, in ascending [(p, q)] order without the last SWAP; the first of
+    least score wins.  Each coupling is coded as the int
+    [p * n_physical + q] and the neighbours are read from arrays built once
+    per call, so choosing a SWAP builds no list of pairs.
 
     [dist] is the graph's distance matrix, [Paths.all_pairs graph] (a
     device's [Device.distances]); the router only reads it, so one matrix

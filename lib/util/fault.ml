@@ -193,6 +193,14 @@ let catalog =
          one SWAP, not only with none: a degree placement that needs no SWAP is lost";
       suites = [ "prop_hot_path" ];
     };
+    {
+      name = "route-tie-last";
+      site = "Mapping.route_lookahead";
+      description =
+        "SWAP tie-break flipped: among equally scored candidates the router keeps the last \
+         coupling in ascending order instead of the first";
+      suites = [ "prop_hot_path" ];
+    };
   ]
 
 let names = List.map (fun s -> s.name) catalog

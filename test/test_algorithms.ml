@@ -257,7 +257,7 @@ let test_identity_placement_option () =
   check_true "valid" (Result.is_ok (Schedule.check s))
 
 let prop_all_algorithms_all_seeds =
-  prop_case ~count:15 "every algorithm validates on random devices" QCheck.(int_range 1 1000)
+  prop_case ~count:15 "every algorithm validates on random devices" (int_range 1 1000)
     (fun seed ->
       let d = Device.create ~seed (Topology.grid 3 3) in
       let circuit = Bv.circuit ~n:6 () in

@@ -121,7 +121,7 @@ let test_xeb_missing_class_rejected () =
 
 let prop_generators_total =
   prop_case ~count:40 "generators never raise on valid sizes"
-    QCheck.(pair (int_range 2 10) (int_range 1 200))
+    (QCheck.pair (int_range 2 10) (int_range 1 200))
     (fun (n, seed) ->
       let rng = Rng.create seed in
       ignore (Bv.circuit ~n ());

@@ -76,7 +76,7 @@ let test_json_and_pp () =
   check_true "pp renders" (String.length (Format.asprintf "%a" Calibration.pp cal) > 100)
 
 let prop_all_seeds_check =
-  prop_case ~count:20 "calibration checks on random devices" QCheck.(int_range 1 1000)
+  prop_case ~count:20 "calibration checks on random devices" (int_range 1 1000)
     (fun seed ->
       Result.is_ok (Calibration.check (calibration ~seed ())))
 

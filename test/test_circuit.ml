@@ -70,7 +70,7 @@ let test_pp_smoke () =
   check_true "mentions cz" (String.length s > 0 && String.sub s 0 1 = "h")
 
 let prop_of_gates_roundtrip =
-  prop_case "instructions match inputs" QCheck.(int_range 1 30) (fun n_gates ->
+  prop_case "instructions match inputs" (int_range 1 30) (fun n_gates ->
       let gates = List.init n_gates (fun i -> (Gate.Rz (float_of_int i), [ i mod 4 ])) in
       let c = Circuit.of_gates 4 gates in
       Circuit.length c = n_gates

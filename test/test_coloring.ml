@@ -96,12 +96,13 @@ let test_budget_exhaustion () =
      with Failure _ -> true)
 
 let prop_greedy_never_beats_exact =
-  prop_case ~count:25 "welsh-powell >= chromatic number" QCheck.(int_range 1 5000) (fun seed ->
+  prop_case ~count:25 "welsh-powell >= chromatic number" (int_range 1 5000) (fun seed ->
       let g = random_graph seed 12 0.4 in
       Coloring.n_colors (Coloring.welsh_powell g) >= Coloring.chromatic_number g)
 
 let prop_all_heuristics_proper =
-  prop_case "all heuristics give proper colorings" QCheck.(pair (int_range 1 10_000) (int_range 2 25))
+  prop_case "all heuristics give proper colorings"
+    (QCheck.pair (int_range 1 10_000) (int_range 2 25))
     (fun (seed, n) ->
       let g = random_graph seed n 0.4 in
       Coloring.is_proper g (Coloring.welsh_powell g)
@@ -109,7 +110,7 @@ let prop_all_heuristics_proper =
       && Coloring.is_proper g (Coloring.natural g))
 
 let prop_dsatur_no_worse_on_bipartite =
-  prop_case "dsatur is exact on even rings" QCheck.(int_range 2 12) (fun half ->
+  prop_case "dsatur is exact on even rings" (int_range 2 12) (fun half ->
       let g = (Topology.ring (2 * half)).Topology.graph in
       Coloring.n_colors (Coloring.dsatur g) = 2)
 

@@ -121,7 +121,7 @@ let test_validation () =
     (fun () -> ignore (Crosstalk_graph.build ~distance:0 g))
 
 let prop_vertices_match_couplings =
-  prop_case "one vertex per coupling" QCheck.(int_range 2 6) (fun n ->
+  prop_case "one vertex per coupling" (int_range 2 6) (fun n ->
       let g = (Topology.grid n n).Topology.graph in
       let xg = Crosstalk_graph.build g in
       Graph.n_vertices xg.Crosstalk_graph.graph = Graph.n_edges g)

@@ -86,7 +86,7 @@ let test_hybrid_cheaper_than_uniform () =
   check_true "swap interaction time shorter via sqrt-iswap" (time_via_sqrt < time_via_cz)
 
 let prop_arbitrary_circuits_preserved =
-  prop_case ~count:30 "random circuits survive decomposition" QCheck.(int_range 1 10_000)
+  prop_case ~count:30 "random circuits survive decomposition" (int_range 1 10_000)
     (fun seed ->
       let rng = Rng.create seed in
       let b = Circuit.builder 3 in

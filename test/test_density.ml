@@ -257,7 +257,7 @@ let test_run_steps_checks_unchanged () =
   done
 
 let prop_purity_bounded =
-  prop_case ~count:40 "purity stays in [1/2^n, 1]" QCheck.(int_range 1 10_000) (fun seed ->
+  prop_case ~count:40 "purity stays in [1/2^n, 1]" (int_range 1 10_000) (fun seed ->
       let rng = Rng.create seed in
       let rho = Density.create 2 in
       for _ = 1 to 6 do

@@ -117,7 +117,7 @@ let test_presets () =
     [ `Early_nisq; `Sycamore_era; `Modern ]
 
 let prop_coherence_positive =
-  prop_case "sampled coherence times stay positive" QCheck.(int_range 1 500) (fun seed ->
+  prop_case "sampled coherence times stay positive" (int_range 1 500) (fun seed ->
       let d = Device.create ~seed (Topology.path 6) in
       List.for_all (fun q -> Device.t1 d q > 0.0 && Device.t2 d q > 0.0)
         (List.init (Device.n_qubits d) Fun.id))

@@ -45,7 +45,7 @@ let test_layer () =
      with Invalid_argument _ -> true)
 
 let prop_row_count =
-  prop_case "always one row per qubit per bank" QCheck.(pair (int_range 1 5) (int_range 0 30))
+  prop_case "always one row per qubit per bank" (QCheck.pair (int_range 1 5) (int_range 0 30))
     (fun (n, gates) ->
       let b = Circuit.builder n in
       for i = 1 to gates do

@@ -127,13 +127,13 @@ let test_vqe_validation () =
      with Invalid_argument _ -> true)
 
 let prop_qft_sizes =
-  prop_case "qft gate count formula" QCheck.(int_range 1 8) (fun n ->
+  prop_case "qft gate count formula" (int_range 1 8) (fun n ->
       let c = Qft.circuit ~reverse:false ~n () in
       (* n Hadamards + 5 gates per controlled phase, n(n-1)/2 phases *)
       Circuit.length c = n + (5 * n * (n - 1) / 2))
 
 let prop_ghz_fanout_always_ghz =
-  prop_case "fanout ghz correct for all sizes" QCheck.(int_range 2 10) (fun n ->
+  prop_case "fanout ghz correct for all sizes" (int_range 2 10) (fun n ->
       let sv = Statevector.of_circuit (Ghz.circuit ~fanout:true ~n ()) in
       Float.abs (Statevector.probability sv 0 -. 0.5) < 1e-9
       && Float.abs (Statevector.probability sv ((1 lsl n) - 1) -. 0.5) < 1e-9)

@@ -190,7 +190,7 @@ let test_infeasible_failure_is_diagnostic () =
     check_true "carries the best delta tried" (contains msg "best delta tried")
 
 let prop_interaction_separations_hold =
-  prop_case ~count:50 "all pairwise separations honored" QCheck.(int_range 1 6) (fun n ->
+  prop_case ~count:50 "all pairwise separations honored" (int_range 1 6) (fun n ->
       let d = device () in
       let assignment = Freq_alloc.interaction d ~n_colors:n ~multiplicity:(Array.make n 1) in
       let f = assignment.Freq_alloc.freqs and delta = assignment.Freq_alloc.delta in

@@ -79,7 +79,8 @@ let test_components () =
 
 let prop_components_partition =
   prop_case "components partition the vertices and never split an edge"
-    QCheck.(pair (int_range 1 20) (list_of_size (Gen.int_range 0 40) (pair small_nat small_nat)))
+    (QCheck.pair (int_range 1 20)
+       QCheck.(list_of_size (Gen.int_range 0 40) (pair small_nat small_nat)))
     (fun (n, pairs) ->
       let g = Graph.create n in
       List.iter (fun (a, b) -> if a mod n <> b mod n then Graph.add_edge g (a mod n) (b mod n)) pairs;
@@ -91,7 +92,8 @@ let prop_components_partition =
 
 let prop_handshake =
   prop_case "sum of degrees = 2m"
-    QCheck.(pair (int_range 2 20) (list_of_size (Gen.int_range 0 60) (pair small_nat small_nat)))
+    (QCheck.pair (int_range 2 20)
+       QCheck.(list_of_size (Gen.int_range 0 60) (pair small_nat small_nat)))
     (fun (n, pairs) ->
       let g = Graph.create n in
       List.iter (fun (a, b) -> if a mod n <> b mod n then Graph.add_edge g (a mod n) (b mod n)) pairs;
@@ -100,7 +102,8 @@ let prop_handshake =
 
 let prop_edges_match_mem =
   prop_case "edges list matches mem_edge"
-    QCheck.(pair (int_range 2 15) (list_of_size (Gen.int_range 0 40) (pair small_nat small_nat)))
+    (QCheck.pair (int_range 2 15)
+       QCheck.(list_of_size (Gen.int_range 0 40) (pair small_nat small_nat)))
     (fun (n, pairs) ->
       let g = Graph.create n in
       List.iter (fun (a, b) -> if a mod n <> b mod n then Graph.add_edge g (a mod n) (b mod n)) pairs;

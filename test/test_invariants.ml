@@ -42,7 +42,7 @@ let scenario seed =
   in
   (device, circuit, algorithm)
 
-let prop name f = prop_case ~count:40 name QCheck.(int_range 1 1_000_000) f
+let prop name f = prop_case ~count:40 name (int_range 1 1_000_000) f
 
 let prop_schedule_always_checks =
   prop "every schedule passes Schedule.check" (fun seed ->
@@ -109,7 +109,7 @@ let prop_idle_qubits_parked =
 
 let prop_semantics_preserved_small =
   prop_case ~count:15 "scheduled gate order is execution-equivalent"
-    QCheck.(int_range 1 1_000_000)
+    (int_range 1 1_000_000)
     (fun seed ->
       let rng = Rng.create seed in
       let device = Device.create ~seed:(Rng.int rng 100_000) (Topology.grid 2 2) in

@@ -80,18 +80,18 @@ let random_circuit seed n_qubits n_gates =
   Circuit.finish b
 
 let prop_depth_le_length =
-  prop_case "depth <= gate count" QCheck.(pair (int_range 1 500) (int_range 1 40)) (fun (seed, n) ->
+  prop_case "depth <= gate count" (QCheck.pair (int_range 1 500) (int_range 1 40)) (fun (seed, n) ->
       let c = random_circuit seed 5 n in
       Layers.depth c <= Circuit.length c && Layers.depth c >= 1)
 
 let prop_max_criticality_is_depth =
-  prop_case "max criticality = depth" QCheck.(int_range 1 500) (fun seed ->
+  prop_case "max criticality = depth" (int_range 1 500) (fun seed ->
       let c = random_circuit seed 4 25 in
       let crit = Layers.criticality c in
       Array.fold_left max 0 crit = Layers.depth c)
 
 let prop_layers_partition =
-  prop_case "slicing is a partition" QCheck.(int_range 1 500) (fun seed ->
+  prop_case "slicing is a partition" (int_range 1 500) (fun seed ->
       let c = random_circuit seed 6 30 in
       let flat = List.concat (Layers.slice c) in
       let ids = List.sort compare (List.map (fun app -> app.Gate.id) flat) in

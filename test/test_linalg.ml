@@ -132,7 +132,7 @@ let random_matrix rng n =
 
 let prop_kron_mixed_product =
   (* (A (x) B)(C (x) D) = AC (x) BD *)
-  prop_case ~count:30 "kronecker mixed-product identity" QCheck.(int_range 1 5000) (fun seed ->
+  prop_case ~count:30 "kronecker mixed-product identity" (int_range 1 5000) (fun seed ->
       let rng = Rng.create seed in
       let a = random_matrix rng 2 and b = random_matrix rng 2 in
       let cm = random_matrix rng 2 and d = random_matrix rng 2 in
@@ -142,7 +142,7 @@ let prop_kron_mixed_product =
 
 let prop_adjoint_antihomomorphism =
   (* (AB)† = B† A† *)
-  prop_case ~count:30 "adjoint reverses products" QCheck.(int_range 1 5000) (fun seed ->
+  prop_case ~count:30 "adjoint reverses products" (int_range 1 5000) (fun seed ->
       let rng = Rng.create seed in
       let a = random_matrix rng 3 and b = random_matrix rng 3 in
       Matrix.approx_equal ~tol:1e-9
@@ -151,7 +151,7 @@ let prop_adjoint_antihomomorphism =
 
 let prop_eigh_trace_preserved =
   (* sum of eigenvalues = trace for Hermitian matrices *)
-  prop_case ~count:25 "eigenvalues sum to the trace" QCheck.(int_range 1 5000) (fun seed ->
+  prop_case ~count:25 "eigenvalues sum to the trace" (int_range 1 5000) (fun seed ->
       let rng = Rng.create seed in
       let raw = random_matrix rng 4 in
       let h = Matrix.scale_re 0.5 (Matrix.add raw (Matrix.adjoint raw)) in
@@ -208,7 +208,7 @@ let same_bits expected m =
 
 let prop_boxed_bits =
   prop_case ~count:300 "arithmetic matches the boxed formulas bit for bit"
-    QCheck.(int_range 1 1_000_000) (fun seed ->
+    (int_range 1 1_000_000) (fun seed ->
       let rng = Rng.create seed in
       let dim () = 1 + Rng.int rng 3 in
       let r = dim () and k = dim () and cols = dim () in

@@ -49,7 +49,7 @@ let test_vertex_of_edge () =
 
 let prop_line_graph_size =
   (* m(L(G)) = sum over vertices of C(deg, 2) *)
-  prop_case "line graph edge count formula" QCheck.(int_range 2 7) (fun n ->
+  prop_case "line graph edge count formula" (int_range 2 7) (fun n ->
       let g = (Topology.grid n n).Topology.graph in
       let lg, _ = Line_graph.build g in
       let expected =

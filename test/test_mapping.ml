@@ -143,7 +143,7 @@ let test_lookahead_rejects_foreign_distances () =
       ignore (Mapping.route_lookahead ~dist:(Paths.all_pairs pair) g c))
 
 let prop_lookahead_always_validates =
-  prop_case ~count:40 "lookahead-routed circuits always verify" QCheck.(int_range 1 5000)
+  prop_case ~count:40 "lookahead-routed circuits always verify" (int_range 1 5000)
     (fun seed ->
       let rng = Rng.create seed in
       let g = Lazy.force grid3 in
@@ -157,7 +157,7 @@ let prop_lookahead_always_validates =
       Mapping.verify g r.Mapping.circuit)
 
 let prop_lookahead_never_loses_gates =
-  prop_case ~count:40 "lookahead preserves all gates" QCheck.(int_range 1 5000) (fun seed ->
+  prop_case ~count:40 "lookahead preserves all gates" (int_range 1 5000) (fun seed ->
       let rng = Rng.create seed in
       let g = Lazy.force grid3 in
       let b = Circuit.builder 9 in
@@ -170,7 +170,7 @@ let prop_lookahead_never_loses_gates =
       Circuit.length r.Mapping.circuit = n_gates + r.Mapping.n_swaps)
 
 let prop_routing_always_validates =
-  prop_case ~count:50 "routed circuits always verify" QCheck.(int_range 1 5000) (fun seed ->
+  prop_case ~count:50 "routed circuits always verify" (int_range 1 5000) (fun seed ->
       let rng = Rng.create seed in
       let g = Lazy.force grid3 in
       let b = Circuit.builder 9 in

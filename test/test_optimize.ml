@@ -129,19 +129,19 @@ let random_circuit seed =
   Circuit.finish b
 
 let prop_semantics_preserved =
-  prop_case ~count:60 "optimization preserves unitaries" QCheck.(int_range 1 100_000)
+  prop_case ~count:60 "optimization preserves unitaries" (int_range 1 100_000)
     (fun seed ->
       let c = random_circuit seed in
       equal_up_to_phase (circuit_unitary (Optimize.run c)) (circuit_unitary c))
 
 let prop_never_grows =
-  prop_case ~count:60 "optimization never grows a circuit" QCheck.(int_range 1 100_000)
+  prop_case ~count:60 "optimization never grows a circuit" (int_range 1 100_000)
     (fun seed ->
       let c = random_circuit seed in
       Circuit.length (Optimize.run c) <= Circuit.length c)
 
 let prop_idempotent =
-  prop_case ~count:60 "optimization is idempotent" QCheck.(int_range 1 100_000)
+  prop_case ~count:60 "optimization is idempotent" (int_range 1 100_000)
     (fun seed ->
       let once = Optimize.run (random_circuit seed) in
       Circuit.length (Optimize.run once) = Circuit.length once)

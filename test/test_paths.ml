@@ -72,7 +72,8 @@ let test_edge_distance () =
   check_int "far" 2 (Paths.edge_distance g (0, 1) (7, 8))
 
 let prop_triangle_inequality =
-  prop_case "distance triangle inequality" QCheck.(triple (int_range 0 8) (int_range 0 8) (int_range 0 8))
+  prop_case "distance triangle inequality"
+    (QCheck.triple (int_range 0 8) (int_range 0 8) (int_range 0 8))
     (fun (a, b, c) ->
       let g = Lazy.force grid3 in
       let d = Paths.all_pairs g in

@@ -135,8 +135,16 @@ let test_empty_circuit () =
   check_true "immediately empty" (Pending.is_empty p);
   check_int "nothing ready" 0 (List.length (Pending.ready p))
 
+(* A gate of a longer circuit: its id is past the end of this one. *)
+let test_schedule_unknown_id_rejected () =
+  let p = Pending.create (sample ()) in
+  let stranger = (Circuit.instructions (wide ())).(6) in
+  Alcotest.check_raises "id past the end"
+    (Invalid_argument "Pending.schedule: gate 6 is not ready (dependency violation)")
+    (fun () -> Pending.schedule p stranger)
+
 let prop_drain_is_topological =
-  prop_case ~count:50 "greedy drain visits every gate exactly once" QCheck.(int_range 1 5000)
+  prop_case ~count:50 "greedy drain visits every gate exactly once" (int_range 1 5000)
     (fun seed ->
       let rng = Rng.create seed in
       let b = Circuit.builder 5 in
@@ -167,6 +175,7 @@ let suite =
         test_criticality_beats_program_order ());
     Alcotest.test_case "schedule unblocks" `Quick test_schedule_unblocks;
     Alcotest.test_case "not ready rejected" `Quick test_schedule_not_ready_rejected;
+    Alcotest.test_case "unknown id rejected" `Quick test_schedule_unknown_id_rejected;
     Alcotest.test_case "drain respects dependencies" `Quick test_drain_respects_dependencies;
     Alcotest.test_case "select keeps ready order" `Quick test_select_order;
     Alcotest.test_case "select frees every qubit" `Quick test_select_frees_qubits;

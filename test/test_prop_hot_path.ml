@@ -1110,33 +1110,77 @@ let prop_moment_subgraph =
 (* Both Pendings side by side: after every step the same ready list, and
    each attempt to schedule a gate that is not ready (an unscheduled gate
    outside the ready list, or one already scheduled) fails the same way. *)
+let pendings_agree seed c =
+  let rng = Rng.create seed in
+  let instrs = Circuit.instructions c in
+  let p = Pending.create c and o = Old.Pending.create c in
+  let ids apps = List.map (fun app -> app.Gate.id) apps in
+  let same = ref true in
+  let check b = if not b then same := false in
+  while !same && not (Old.Pending.is_empty o) do
+    let ready = Old.Pending.ready o in
+    check (ids (Pending.ready p) = ids ready);
+    check (Pending.n_remaining p = Old.Pending.n_remaining o);
+    check (List.for_all (fun a -> Pending.criticality p a = Old.Pending.criticality o a) ready);
+    let blocked = List.filter (fun a -> not (List.memq a ready)) (Array.to_list instrs) in
+    if blocked <> [] then begin
+      let app = List.nth blocked (Rng.int rng (List.length blocked)) in
+      check
+        (outcome (fun () -> Pending.schedule p app)
+        = outcome (fun () -> Old.Pending.schedule o app))
+    end;
+    let app = List.nth ready (Rng.int rng (List.length ready)) in
+    Pending.schedule p app;
+    Old.Pending.schedule o app
+  done;
+  !same && Pending.is_empty p && Pending.ready p = []
+
 let prop_pending =
   prop_case ~count:150 "Pending on the frontier serves what the rescanning Pending did"
     (QCheck.pair (int_range 0 1_000_000) (circuit ~max_qubits:6 ~max_gates:60 ()))
-    (fun (seed, c) ->
-      let rng = Rng.create seed in
-      let instrs = Circuit.instructions c in
-      let p = Pending.create c and o = Old.Pending.create c in
-      let ids apps = List.map (fun app -> app.Gate.id) apps in
-      let same = ref true in
-      let check b = if not b then same := false in
-      while !same && not (Old.Pending.is_empty o) do
-        let ready = Old.Pending.ready o in
-        check (ids (Pending.ready p) = ids ready);
-        check (Pending.n_remaining p = Old.Pending.n_remaining o);
-        check (List.for_all (fun a -> Pending.criticality p a = Old.Pending.criticality o a) ready);
-        let blocked = List.filter (fun a -> not (List.memq a ready)) (Array.to_list instrs) in
-        if blocked <> [] then begin
-          let app = List.nth blocked (Rng.int rng (List.length blocked)) in
-          check
-            (outcome (fun () -> Pending.schedule p app)
-            = outcome (fun () -> Old.Pending.schedule o app))
-        end;
-        let app = List.nth ready (Rng.int rng (List.length ready)) in
-        Pending.schedule p app;
-        Old.Pending.schedule o app
-      done;
-      !same && Pending.is_empty p && Pending.ready p = [])
+    (fun (seed, c) -> pendings_agree seed c)
+
+(* The properties above draw at most 6 qubits, so the ready sets they reach
+   hold a handful of gates.  Here a program on every qubit of an 8x8 to
+   10x10 mesh: an H on each qubit, then four rounds of two-qubit gates on a
+   random perfect matching, each followed by T gates on about a third of
+   the qubits, 270-440 gates in all.  The H round alone readies 64-100
+   instructions at once, in the router's frontier and in [Pending]. *)
+let meshes = lazy (Array.init 3 (fun k -> Device.create ~seed:2020 (Topology.grid (8 + k) (8 + k))))
+
+let wide_circuit seed n =
+  let rng = Rng.create seed in
+  let b = Circuit.builder n in
+  for q = 0 to n - 1 do
+    Circuit.add b Gate.H [ q ]
+  done;
+  for _ = 1 to 4 do
+    let order = Array.init n Fun.id in
+    Rng.shuffle rng order;
+    for k = 0 to (n / 2) - 1 do
+      let gate = if Rng.bool rng then Gate.Cz else Gate.Cnot in
+      Circuit.add b gate [ order.(2 * k); order.((2 * k) + 1) ]
+    done;
+    for q = 0 to n - 1 do
+      if Rng.int rng 3 = 0 then Circuit.add b Gate.T [ q ]
+    done
+  done;
+  Circuit.finish b
+
+let prop_wide =
+  prop_case ~count:4 "route_lookahead and Pending match their oracles on 64-100-qubit meshes"
+    (QCheck.pair (QCheck.pair (int_range 0 2) (int_range 1 10)) (int_range 0 1_000_000))
+    (fun ((k, window), seed) ->
+      let device = (Lazy.force meshes).(k) in
+      let graph = Device.graph device in
+      let n = Graph.n_vertices graph in
+      let c = wide_circuit seed n in
+      let placement = random_placement seed ~n_physical:n ~n_logical:n in
+      let run route = outcome (fun () -> routed (route graph c)) in
+      List.length (Pending.ready (Pending.create c)) >= 50
+      && run (Mapping.route_lookahead ~placement ~window ~dist:(Device.distances device))
+         = run (Old.route_lookahead ~placement ~window)
+      && pendings_agree seed c)
 
 (* A dense random native circuit on every device qubit: CZs on random
    couplings and single-qubit gates, so moments hold several conflicting
@@ -1230,4 +1274,5 @@ let suite =
     prop_moment_subgraph;
     prop_pending;
     prop_color_dynamic;
+    prop_wide;
   ]

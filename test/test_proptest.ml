@@ -49,10 +49,25 @@ let test_generation_is_deterministic () =
     (QCheck.make ~print:string_of_int (rng_gen (fun rng -> Rng.int rng 1_000_000)))
     4242
 
+(* QCheck's own [int_range] shrinks toward 0; [Helpers.int_range] stops
+   at the lower bound, so a shrunk counterexample is one the generator
+   could draw. *)
+let test_int_range_shrinks_in_range () =
+  let cell = QCheck.Test.make_cell ~count:20 ~name:"always fails" (int_range 3 10) (fun _ -> false) in
+  match
+    QCheck.TestResult.get_state
+      (QCheck.Test.check_cell ~rand:(Random.State.make [| base_seed () |]) cell)
+  with
+  | QCheck.TestResult.Failed { instances = c :: _ } ->
+    check_true "shrunk counterexample at least 3" (c.QCheck.TestResult.instance >= 3)
+  | _ -> Alcotest.fail "an always-failing property must fail"
+
 let suite =
   [
     Alcotest.test_case "deterministic generation" `Quick test_generation_is_deterministic;
     Alcotest.test_case "count env override" `Quick test_count_env_override;
     Alcotest.test_case "explicit count scales with the variable" `Quick
       test_explicit_count_scales;
+    Alcotest.test_case "int_range shrinks within its range" `Quick
+      test_int_range_shrinks_in_range;
   ]

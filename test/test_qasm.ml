@@ -89,7 +89,7 @@ let test_every_gate_roundtrips () =
   check_true "all gates" (circuits_equal c (Qasm.of_string (Qasm.to_string c)))
 
 let prop_random_roundtrip =
-  prop_case ~count:50 "random circuits roundtrip" QCheck.(int_range 1 100_000) (fun seed ->
+  prop_case ~count:50 "random circuits roundtrip" (int_range 1 100_000) (fun seed ->
       let rng = Rng.create seed in
       let b = Circuit.builder 4 in
       for _ = 1 to 20 do

@@ -88,7 +88,7 @@ let test_sample () =
   check_int "k >= n returns all" 30 (List.length (Rng.sample rng 50 xs))
 
 let prop_bool_balanced =
-  prop_case "bool is roughly balanced" QCheck.(int_range 1 1000) (fun seed ->
+  prop_case "bool is roughly balanced" (int_range 1 1000) (fun seed ->
       let rng = Rng.create seed in
       let trues = ref 0 in
       for _ = 1 to 1000 do

@@ -108,7 +108,8 @@ let test_zero_vars () =
 
 let prop_max_delta_scales_inverse =
   (* k colors in [0, w]: max separation is w / (k - 1) *)
-  prop_case "max delta equals width/(k-1)" QCheck.(pair (int_range 2 6) (float_range 1.0 4.0))
+  prop_case "max delta equals width/(k-1)"
+    (QCheck.pair (int_range 2 6) (QCheck.float_range 1.0 4.0))
     (fun (k, w) ->
       let t = Fastsc_smt.Smt.create ~lo:0.0 ~hi:w k in
       for i = 0 to k - 1 do
@@ -122,7 +123,7 @@ let prop_max_delta_scales_inverse =
 
 let prop_witness_always_checks =
   prop_case "solve witnesses always pass check"
-    QCheck.(pair (int_range 1 5) (float_range 0.01 0.8))
+    (QCheck.pair (int_range 1 5) (QCheck.float_range 0.01 0.8))
     (fun (k, delta) ->
       let t = Fastsc_smt.Smt.create ~lo:0.0 ~hi:2.0 k in
       for i = 0 to k - 1 do

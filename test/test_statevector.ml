@@ -154,7 +154,7 @@ let test_matrix_apply_matches_gate () =
    Float [=] per amplitude: +0 and -0 compare equal, the one difference the
    kernel may introduce. *)
 let prop_exchange_matches_dense =
-  prop_case "exchange kernel matches dense 4x4" QCheck.(int_range 1 2000) (fun seed ->
+  prop_case "exchange kernel matches dense 4x4" (int_range 1 2000) (fun seed ->
       let rng = Rng.create seed in
       let n = 2 + Rng.int rng 4 in
       let amps =
@@ -192,7 +192,7 @@ let prop_exchange_matches_dense =
    normalized states and both operand orders.  Float [=] per amplitude, as
    for the exchange kernel. *)
 let prop_diagonal_matches_dense =
-  prop_case "diagonal kernel matches dense 4x4" QCheck.(int_range 1 2000) (fun seed ->
+  prop_case "diagonal kernel matches dense 4x4" (int_range 1 2000) (fun seed ->
       let rng = Rng.create seed in
       let n = 2 + Rng.int rng 4 in
       let state =
@@ -261,7 +261,7 @@ let test_blit () =
   check_float ~eps:0.0 "buffers stay separate" 0.0 (Statevector.probability src 2)
 
 let prop_unitarity_preserves_norm =
-  prop_case "norm preserved by random circuits" QCheck.(int_range 1 2000) (fun seed ->
+  prop_case "norm preserved by random circuits" (int_range 1 2000) (fun seed ->
       let rng = Rng.create seed in
       let s = Statevector.create 4 in
       for _ = 1 to 12 do
@@ -279,7 +279,7 @@ let prop_unitarity_preserves_norm =
       Float.abs (Statevector.norm s -. 1.0) < 1e-9)
 
 let prop_probabilities_sum_to_one =
-  prop_case "probabilities sum to 1" QCheck.(int_range 1 2000) (fun seed ->
+  prop_case "probabilities sum to 1" (int_range 1 2000) (fun seed ->
       let rng = Rng.create seed in
       let s = Statevector.create 3 in
       for _ = 1 to 8 do

@@ -119,7 +119,7 @@ let test_coords_missing () =
       ignore (Topology.coords_exn (Topology.ring 4) 0))
 
 let prop_express_2d_connected =
-  prop_case "express cubes stay connected" QCheck.(pair (int_range 2 6) (int_range 2 5))
+  prop_case "express cubes stay connected" (QCheck.pair (int_range 2 6) (int_range 2 5))
     (fun (n, k) ->
       Graph.is_connected (Topology.express_2d n n k).Topology.graph
       && Graph.is_connected (Topology.express_1d (n * n) k).Topology.graph)
